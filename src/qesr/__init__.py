@@ -21,7 +21,6 @@ from .spin_model import (
     SpinDistribution,
     SpinLine,
     build_distribution,
-    collective_coupling,
     density_at,
 )
 from .dynamics import (
@@ -77,7 +76,6 @@ __all__ = [
     "EnsembleCatalog",
     "build_distribution",
     "density_at",
-    "collective_coupling",
     "CavityModel",
     "PulseEnvelope",
     "TransferResult",

@@ -3,9 +3,8 @@
 Subcommands: spectrum, swap, transfer, sensitivity, density.  Every
 subcommand reads one JSON config (see `qesr.config`), writes CSV data plus a
 JSON summary into --out, and prints the summary to stdout.  Outputs are
-deterministic: identical config and thread count give byte-identical files,
-and numerical values do not depend on the thread count at all (sweep points
-are assembled by index).
+deterministic: an identical config gives byte-identical files.  --threads
+(and numerics.threads) is accepted for compatibility and has no effect.
 
 Exit codes: 0 success; 2 configuration error; 3 numerical-guard violation
 (saturation, overdamped swap, window too small, pole collision); 4 I/O
@@ -34,6 +33,7 @@ from .sensitivity import (
     min_detectable_spins,
     peak_photon_number,
 )
+from .spin_model import _csv_text
 
 __all__ = ["main", "build_parser"]
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument(
-            "--threads", type=int, default=None, help="worker threads (overrides config)"
+            "--threads", type=int, default=None, help="accepted; has no effect"
         )
         p.add_argument(
             "--mode",
@@ -132,7 +132,6 @@ def _resolve_tau_s(cfg: RunConfig, dist, cavity) -> float:
 
 def _cmd_spectrum(cfg: RunConfig, args, out_dir) -> dict:
     mode = args.mode or cfg.mode
-    threads = args.threads or cfg.threads
     env = cfg.pulse()
     chain = cfg.chain()
     settings = cfg.inversion_settings()
@@ -152,7 +151,6 @@ def _cmd_spectrum(cfg: RunConfig, args, out_dir) -> dict:
             n_pump=cfg.sweep_n_pump,
             mode=mode,
             settings=settings,
-            threads=threads,
         )
         result.to_csv(out_dir / f"spectrum_{_safe_name(ens.name)}.csv")
         pos, height = spectrum_peaks(result)
@@ -246,7 +244,6 @@ def _cmd_sensitivity(cfg: RunConfig, args, out_dir) -> dict:
     header = "g_hz,delta_hz,n_threshold,n_min"
     if detail:
         header += ",nbar_analytic,nbar_exact,t_peak_s"
-    csv_rows = [header + "\n"]
     for g, delta, nth in rows:
         n_min = min_detectable_spins(g, delta, nth)
         row = [g / TWO_PI, delta / TWO_PI, nth, n_min]
@@ -262,9 +259,8 @@ def _cmd_sensitivity(cfg: RunConfig, args, out_dir) -> dict:
                 warnings.simplefilter("ignore")
                 peak: PeakPhotons = peak_photon_number(scenario)
             row += [peak.analytic_estimate, peak.exact_max, peak.t_peak]
-        csv_rows.append(",".join(repr(float(v)) for v in row) + "\n")
         lines.append(row)
-    _write_text(out_dir / "sensitivity.csv", "".join(csv_rows))
+    _write_text(out_dir / "sensitivity.csv", _csv_text(header, lines))
     first = lines[0]
     summary = {
         "rows": len(lines),

@@ -118,6 +118,22 @@ def _number_list(value: Any, path: str, positive: bool = False) -> List[float]:
     _fail(path, f"must be a number or list of numbers, got {type(value).__name__}")
 
 
+def _window(value: Any, path: str) -> Optional[List[float]]:
+    """An optional [lo_hz, hi_hz] window with hi > lo."""
+    if value is None:
+        return None
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+    ):
+        _fail(path, "must be null or [lo_hz, hi_hz]")
+    lo, hi = float(value[0]), float(value[1])
+    if not hi > lo:
+        _fail(path, "must satisfy hi > lo")
+    return [lo, hi]
+
+
 def _resolve_line(raw: Any, path: str) -> dict:
     obj = _require_mapping(raw, path)
     _check_keys(obj, ("center_hz", "fwhm_hz", "weight"), path)
@@ -147,18 +163,7 @@ def _resolve_satellite(raw: Any, path: str) -> dict:
 def _resolve_grid(raw: Any, path: str) -> dict:
     obj = _require_mapping(raw, path) if raw is not None else {}
     _check_keys(obj, ("n_nodes", "span_fwhm", "window_hz"), path)
-    window = obj.get("window_hz")
-    if window is not None:
-        if (
-            not isinstance(window, list)
-            or len(window) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in window)
-        ):
-            _fail(f"{path}.window_hz", "must be null or [lo_hz, hi_hz]")
-        lo, hi = float(window[0]), float(window[1])
-        if not hi > lo:
-            _fail(f"{path}.window_hz", "must satisfy hi > lo")
-        window = [lo, hi]
+    window = _window(obj.get("window_hz"), f"{path}.window_hz")
     return {
         "n_nodes": _integer(obj.get("n_nodes", 5001), f"{path}.n_nodes", minimum=2),
         "span_fwhm": _number(obj.get("span_fwhm", 8.0), f"{path}.span_fwhm", positive=True),
@@ -315,18 +320,7 @@ def _resolve_numerics(raw: Any) -> dict:
         "threads",
     )
     _check_keys(obj, allowed, "numerics")
-    window = obj.get("window_hz")
-    if window is not None:
-        if (
-            not isinstance(window, list)
-            or len(window) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in window)
-        ):
-            _fail("numerics.window_hz", "must be null or [lo_hz, hi_hz]")
-        lo, hi = float(window[0]), float(window[1])
-        if not hi > lo:
-            _fail("numerics.window_hz", "must satisfy hi > lo")
-        window = [lo, hi]
+    window = _window(obj.get("window_hz"), "numerics.window_hz")
     return {
         "mode": _string(
             obj.get("mode", "narrow-pulse"),

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import wofz
 
 from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError
-from .spin_model import SpinDistribution, density_at
+from .spin_model import SpinDistribution, _csv_text, density_at
 
 __all__ = [
     "CavityModel",
@@ -85,12 +85,6 @@ class CavityModel:
         if not q > 0:
             raise ValueError("quality factor must be positive")
         return cls(omega_c=omega_c, kappa=omega_c / q, gamma0=gamma0)
-
-    def tuned_to(self, omega_c: float, q: Optional[float] = None) -> "CavityModel":
-        """Same cavity retuned; kappa rescales with omega_c when q is given."""
-        if q is not None:
-            return CavityModel(omega_c, omega_c / q, self.gamma0)
-        return replace(self, omega_c=omega_c)
 
 
 @dataclass(frozen=True)
@@ -226,12 +220,9 @@ class TransferResult:
         return np.abs(self.beta) ** 2
 
     def to_csv(self, path) -> None:
+        rows = ((t, b.real, b.imag, abs(b) ** 2) for t, b in zip(self.times, self.beta))
         with open(path, "w", newline="") as fh:
-            fh.write("t_s,re_beta,im_beta,abs2_beta\n")
-            for t, b in zip(self.times, self.beta):
-                fh.write(
-                    f"{float(t)!r},{float(b.real)!r},{float(b.imag)!r},{float(abs(b) ** 2)!r}\n"
-                )
+            fh.write(_csv_text("t_s,re_beta,im_beta,abs2_beta", rows))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +280,10 @@ def memory_kernel_W(dist: SpinDistribution, cavity: CavityModel, omega):
     return complex(W) if scalar else W
 
 
+def _t1(cavity: CavityModel, zeta: np.ndarray, W: np.ndarray) -> np.ndarray:
+    return 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
+
+
 def cavity_amplitude_t1(dist: SpinDistribution, cavity: CavityModel, omega):
     """Cavity response t1(-i omega) = i / (omega - w_c + i kappa/2 - W(omega))."""
     if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
@@ -296,7 +291,7 @@ def cavity_amplitude_t1(dist: SpinDistribution, cavity: CavityModel, omega):
     scalar = np.isscalar(omega)
     zeta = np.asarray(omega, dtype=complex)
     W, _ = _node_sums(dist, cavity.gamma0, zeta)
-    t1 = 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
+    t1 = _t1(cavity, zeta, W)
     return complex(t1) if scalar else t1
 
 
@@ -326,6 +321,34 @@ def _exact_weights(dist: SpinDistribution, env: PulseEnvelope, omega_p: float):
     return alpha * gsq, math.sqrt(d_sq)
 
 
+def _pump_transfer(
+    dist: SpinDistribution,
+    cavity: CavityModel,
+    env: PulseEnvelope,
+    omega_p: float,
+    zeta: np.ndarray,
+    mode: str,
+    t1: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, float]:
+    """T = t_wp(-i zeta) at one pump, and its far-field coefficient c2.
+
+    T tends to c2 / zeta^2 far from the spectrum.  A t1 precomputed on the
+    same zeta is shared as given; otherwise it comes from the same kernel pass
+    that yields the exact-mode numerator N.
+    """
+    if mode == MODE_NARROW:
+        if t1 is None:
+            t1 = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta)[0])
+        scale = _narrow_scale(dist, env, omega_p)
+        shape = env.cauchy(zeta - omega_p + 0.5j * cavity.gamma0)
+        return 1j * t1 * scale * shape / env.norm_l1, -scale
+    extra, d_norm = _exact_weights(dist, env, omega_p)
+    W, N = _node_sums(dist, cavity.gamma0, zeta, extra=extra)
+    if t1 is None:
+        t1 = _t1(cavity, zeta, W)
+    return 1j * t1 * N / d_norm, -float(np.sum(extra)) / d_norm
+
+
 def transfer_spectrum_t(
     dist: SpinDistribution,
     cavity: CavityModel,
@@ -345,19 +368,10 @@ def transfer_spectrum_t(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    scalar = np.isscalar(omega)
-    zeta = np.asarray(omega, dtype=complex)
     if mode == MODE_NARROW:
         _check_narrow(dist, env)
-        W, _ = _node_sums(dist, cavity.gamma0, zeta)
-        t1 = 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
-        shape = env.cauchy(zeta - omega_p + 0.5j * cavity.gamma0) / env.norm_l1
-        out = 1j * t1 * _narrow_scale(dist, env, omega_p) * shape
-    else:
-        extra, d_norm = _exact_weights(dist, env, omega_p)
-        W, N = _node_sums(dist, cavity.gamma0, zeta, extra=extra)
-        t1 = 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
-        out = 1j * t1 * N / d_norm
+    scalar = np.isscalar(omega)
+    out, _ = _pump_transfer(dist, cavity, env, omega_p, np.asarray(omega, dtype=complex), mode)
     return complex(out) if scalar else out
 
 
@@ -365,28 +379,32 @@ def transfer_spectrum_t(
 # contour inversion
 
 
+# Auto-rule constants of the contour inversion (see InversionSettings).
+_ETA_T = 0.25
+_SAMPLES_PER_ETA = 8.0
+_GROWTH = 1.6
+_MAX_GROWTH = 6
+
+
 @dataclass(frozen=True)
 class InversionSettings:
     """Numerical controls for the Bromwich-contour inversion.
 
     Auto rules (used when a field is None): the contour offset is
-    eta = eta_t / t_max; the step is d_omega = eta / samples_per_eta, which
-    bounds the quadrature aliasing by e^{-eta (2 pi/d_omega - t_max)}, capped
-    further at min(kappa, narrowest line FWHM)/20 so every spectral feature
-    is resolved; the window starts from the line/cavity/pump structure plus
-    margins scaled by g_K, the line widths, kappa and the pulse bandwidth,
-    then grows by `growth` up to `max_growth` times until the subtracted
-    integrand at the edges drops below edge_ratio times the spectrum peak.
+    eta = 0.25 / t_max; the step is d_omega = eta / 8, which bounds the
+    quadrature aliasing by e^{-eta (2 pi/d_omega - t_max)}, capped further at
+    min(kappa, narrowest line FWHM)/20 so every spectral feature is resolved;
+    the window starts from the line/cavity/pump structure plus margins scaled
+    by g_K, the line widths, kappa and the pulse bandwidth, then grows by a
+    factor 1.6 up to 6 times until the subtracted integrand at the edges
+    drops below edge_ratio times the spectrum peak.  A window given here is
+    used as is: if it fails that test, WindowTooSmallError is raised.
     """
 
     window: Optional[Tuple[float, float]] = None
     d_omega: Optional[float] = None
     contour_offset: Optional[float] = None
     edge_ratio: float = 1e-4
-    eta_t: float = 0.25
-    samples_per_eta: float = 8.0
-    growth: float = 1.6
-    max_growth: int = 6
 
 
 def _auto_window(
@@ -415,15 +433,15 @@ def _grid_controls(
 ):
     eta = settings.contour_offset
     if eta is None:
-        eta = settings.eta_t / t_max
+        eta = _ETA_T / t_max
     d_omega = settings.d_omega
     if d_omega is None:
-        d_omega = eta / settings.samples_per_eta
+        d_omega = eta / _SAMPLES_PER_ETA
         cap = min(ln.fwhm for ln in dist.lines) / 20.0
         if cavity.kappa > 0.0:
             cap = min(cap, cavity.kappa / 20.0)
         # On the shifted line Im(zeta) = eta every spectral feature is smoothed
-        # to width >= eta, so eta/samples_per_eta already resolves the
+        # to width >= eta, so eta/_SAMPLES_PER_ETA already resolves the
         # integrand; the linewidth cap only tightens the step where that is
         # affordable.  Floor it at eta/64 so near-singular lines cannot demand
         # astronomically fine grids.
@@ -446,69 +464,66 @@ def _contour_grid(lo: float, hi: float, d_omega: float) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _invert_on_grid(
-    eval_T: Callable[[np.ndarray], np.ndarray],
-    c2: complex,
-    p1: complex,
-    p2: complex,
-    times: np.ndarray,
+# The contour primitive, in three parts: an adequate grid, the Fourier sum on
+# it, and the analytic inverse of the subtracted two-pole asymptote
+# T_far(zeta) = c2 / ((zeta - p1)(zeta - p2)), which matches T to order
+# 1/zeta^2 so the quadrature only sees a 1/zeta^3 remainder.
+
+
+def _adequate_grid(
     settings: InversionSettings,
     window: Tuple[float, float],
     eta: float,
     d_omega: float,
-    window_fixed: bool,
-) -> np.ndarray:
-    """Invert T(zeta) to beta(t) with two-pole asymptote subtraction.
+    probe: Callable[[np.ndarray], Tuple[float, float, object]],
+):
+    """Grow the window until the caller's edge test passes on zeta = omega + i eta.
 
-    T_far(zeta) = c2 / ((zeta - p1)(zeta - p2)) matches T to order 1/zeta^2;
-    its inverse transform -i c2/(p1-p2) (e^{-i p1 t} - e^{-i p2 t}) is added
-    analytically so the quadrature only sees a 1/zeta^3 remainder.
+    probe(zeta) returns (edge, peak, payload); the grid passes when
+    peak == 0 or edge <= edge_ratio * peak.  Returns the accepted omega and
+    its payload.  A window fixed in settings is never grown.
     """
     lo, hi = window
-    for attempt in range(settings.max_growth + 1):
+    for attempt in range(_MAX_GROWTH + 1):
         omega = _contour_grid(lo, hi, d_omega)
-        n = omega.size
-        zeta = omega + 1j * eta
-        T = eval_T(zeta)
-        far = c2 / ((zeta - p1) * (zeta - p2))
-        R = T - far
-        peak = float(np.max(np.abs(T)))
-        edge = float(max(abs(R[0]), abs(R[-1])))
+        edge, peak, payload = probe(omega + 1j * eta)
         if peak == 0.0 or edge <= settings.edge_ratio * peak:
-            break
-        if window_fixed or attempt == settings.max_growth:
+            return omega, payload
+        if settings.window is not None or attempt == _MAX_GROWTH:
             raise WindowTooSmallError(
                 f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small: edge "
                 f"magnitude {edge:.3e} exceeds {settings.edge_ratio:.1e} x peak {peak:.3e}"
             )
         center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * settings.growth
+        half = 0.5 * (hi - lo) * _GROWTH
         lo, hi = center - half, center + half
 
-    w_trap = np.full(n, omega[1] - omega[0])
+
+def _phase_rows(omega: np.ndarray, eta: float, times: np.ndarray):
+    """Trapezoid-weighted rows w_k e^{-i t (omega_k - omega_ref)}, one per time,
+    and the prefactors e^{(eta - i omega_ref) t} / 2 pi.
+
+    beta(t) = prefactor * (row . R) for the subtracted integrand R on omega.
+    """
+    w_trap = np.full(omega.size, omega[1] - omega[0])
     w_trap[0] *= 0.5
     w_trap[-1] *= 0.5
-    integ = R * w_trap
     omega_ref = 0.5 * (omega[0] + omega[-1])
-    du = omega - omega_ref
+    rows = np.exp(-1j * np.outer(times, omega - omega_ref))
+    rows *= w_trap
+    return rows, np.exp((eta - 1j * omega_ref) * times) / (2.0 * math.pi)
 
-    times = np.asarray(times, dtype=float)
-    beta = np.empty(times.shape, dtype=complex)
-    step = max(1, 4_000_000 // n)
-    for s in range(0, times.size, step):
-        t_chunk = times[s : s + step]
-        phases = np.exp(-1j * np.outer(t_chunk, du))
-        beta[s : s + step] = (phases @ integ) * np.exp((eta - 1j * omega_ref) * t_chunk) / (
-            2.0 * math.pi
-        )
-    if abs(p1 - p2) == 0.0:
-        # degenerate double pole: -i c2 t e^{-i p t}
-        beta += -1j * c2 * times * np.exp(-1j * p1 * times)
-    else:
-        beta += (-1j * c2 / (p1 - p2)) * (
-            np.exp(-1j * p1 * times) - np.exp(-1j * p2 * times)
-        )
-    return beta
+
+def _two_pole(c2: float, p1: complex, p2: complex, zeta: np.ndarray) -> np.ndarray:
+    return c2 / ((zeta - p1) * (zeta - p2))
+
+
+def _two_pole_inverse(c2: float, p1: complex, p2: complex, t):
+    """Inverse transform of _two_pole: -i c2 (e^{-i p1 t} - e^{-i p2 t})/(p1 - p2),
+    or -i c2 t e^{-i p1 t} for a double pole."""
+    if p1 == p2:
+        return -1j * c2 * t * np.exp(-1j * p1 * t)
+    return (-1j * c2 / (p1 - p2)) * (np.exp(-1j * p1 * t) - np.exp(-1j * p2 * t))
 
 
 def _require_dissipation(cavity: CavityModel) -> None:
@@ -550,99 +565,26 @@ def invert_to_time(
     if t_max <= 0:
         raise ValueError("times must reach beyond t = 0")
     eta, d_omega = _grid_controls(settings, t_max, dist, cavity)
-    window_fixed = settings.window is not None
     window = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, [omega_p])
-
-    p1 = cavity.omega_c - 0.5j * cavity.kappa
-    p2 = _pump_pole(cavity, env, omega_p)
     if mode == MODE_NARROW:
         _check_narrow(dist, env)
-        scale = _narrow_scale(dist, env, omega_p)
-        l1 = env.norm_l1
-        gamma0 = cavity.gamma0
-
-        def eval_T(zeta):
-            W, _ = _node_sums(dist, gamma0, zeta)
-            t1 = 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
-            return 1j * t1 * scale * env.cauchy(zeta - omega_p + 0.5j * gamma0) / l1
-
-        c2 = -scale
-    else:
-        extra, d_norm = _exact_weights(dist, env, omega_p)
-        gamma0 = cavity.gamma0
-
-        def eval_T(zeta):
-            W, N = _node_sums(dist, gamma0, zeta, extra=extra)
-            t1 = 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
-            return 1j * t1 * N / d_norm
-
-        c2 = -float(np.sum(extra)) / d_norm
-
-    beta = _invert_on_grid(
-        eval_T, c2, p1, p2, times, settings, window, eta, d_omega, window_fixed
-    )
-    return TransferResult(omega_p=float(omega_p), times=times, beta=beta, method="contour")
-
-
-def _invert_cavity_response(
-    dist: SpinDistribution,
-    cavity: CavityModel,
-    times,
-    settings: Optional[InversionSettings] = None,
-) -> TransferResult:
-    """Cavity correlation <a(t) a†(0)> by contour inversion of t1.
-
-    Cross-check companion to the time-domain route; the bare-cavity pole is
-    subtracted analytically (T - i/(zeta - p1) decays like 1/zeta^3).
-    """
-    _require_dissipation(cavity)
-    settings = settings or InversionSettings()
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    t_max = float(times.max())
-    if t_max <= 0:
-        raise ValueError("times must reach beyond t = 0")
-    eta, d_omega = _grid_controls(settings, t_max, dist, cavity)
-    window_fixed = settings.window is not None
-    window = settings.window or _auto_window(dist, cavity, 0.0, [])
     p1 = cavity.omega_c - 0.5j * cavity.kappa
-    gamma0 = cavity.gamma0
+    p2 = _pump_pole(cavity, env, omega_p)
 
-    lo, hi = window
-    for attempt in range(settings.max_growth + 1):
-        omega = _contour_grid(lo, hi, d_omega)
-        n = omega.size
-        zeta = omega + 1j * eta
-        W, _ = _node_sums(dist, gamma0, zeta)
-        T = 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
-        R = T - 1j / (zeta - p1)
-        peak = float(np.max(np.abs(T)))
+    def probe(zeta):
+        T, c2 = _pump_transfer(dist, cavity, env, omega_p, zeta, mode)
+        R = T - _two_pole(c2, p1, p2, zeta)
         edge = float(max(abs(R[0]), abs(R[-1])))
-        if edge <= settings.edge_ratio * peak:
-            break
-        if window_fixed or attempt == settings.max_growth:
-            raise WindowTooSmallError(
-                f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small for t1"
-            )
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * settings.growth
-        lo, hi = center - half, center + half
+        return edge, float(np.max(np.abs(T))), (R, c2)
 
-    w_trap = np.full(n, omega[1] - omega[0])
-    w_trap[0] *= 0.5
-    w_trap[-1] *= 0.5
-    integ = R * w_trap
-    omega_ref = 0.5 * (omega[0] + omega[-1])
-    du = omega - omega_ref
+    omega, (R, c2) = _adequate_grid(settings, window, eta, d_omega, probe)
     beta = np.empty(times.shape, dtype=complex)
-    step = max(1, 4_000_000 // n)
+    step = max(1, 4_000_000 // omega.size)
     for s in range(0, times.size, step):
-        t_chunk = times[s : s + step]
-        phases = np.exp(-1j * np.outer(t_chunk, du))
-        beta[s : s + step] = (phases @ integ) * np.exp((eta - 1j * omega_ref) * t_chunk) / (
-            2.0 * math.pi
-        )
-    beta += np.exp(-1j * p1 * times)
-    return TransferResult(omega_p=float("nan"), times=times, beta=beta, method="contour")
+        rows, pref = _phase_rows(omega, eta, times[s : s + step])
+        beta[s : s + step] = pref * (rows @ R)
+    beta += _two_pole_inverse(c2, p1, p2, times)
+    return TransferResult(omega_p=float(omega_p), times=times, beta=beta, method="contour")
 
 
 def transfer_sweep(
@@ -653,13 +595,13 @@ def transfer_sweep(
     tau: float,
     mode: str = MODE_NARROW,
     settings: Optional[InversionSettings] = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """beta(omega_p, tau) for many pump frequencies at one interaction time.
 
-    Shares the inversion grid and the cavity response t1 across the sweep;
-    in narrow-pulse mode each point then costs O(n_grid).  Points are
-    independent, so results are identical for any thread count.
+    Shares the inversion grid, the cavity response t1 and the phase row for
+    tau across the sweep; in narrow-pulse mode each point then costs
+    O(n_grid).  The window is screened at the outermost pump frequencies,
+    the worst cases for truncation, against a peak estimate from max|t1|.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -669,98 +611,36 @@ def transfer_sweep(
     if not tau > 0:
         raise ValueError("tau must be positive")
     eta, d_omega = _grid_controls(settings, float(tau), dist, cavity)
-    window_fixed = settings.window is not None
-    window = settings.window or _auto_window(
-        dist, cavity, env.bandwidth_scale, [omega_ps.min(), omega_ps.max()]
-    )
+    worst = [float(omega_ps.min()), float(omega_ps.max())]
+    window = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, worst)
     if mode == MODE_NARROW:
         _check_narrow(dist, env)
-    gamma0 = cavity.gamma0
     p1 = cavity.omega_c - 0.5j * cavity.kappa
 
-    lo, hi = window
-    for attempt in range(settings.max_growth + 1):
-        omega = _contour_grid(lo, hi, d_omega)
-        n = omega.size
-        zeta = omega + 1j * eta
-        W, _ = _node_sums(dist, gamma0, zeta)
-        t1 = 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
-        # edge screening: check the subtracted integrand at both edges for the
-        # outermost pump frequencies (worst cases for window truncation)
-        worst = [float(omega_ps.min()), float(omega_ps.max())]
-        edge_ok = True
+    def probe(zeta):
+        t1 = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta)[0])
+        ends = zeta[[0, -1]]
         for wp in worst:
-            p2 = _pump_pole(cavity, env, wp)
-            if mode == MODE_NARROW:
-                scale = _narrow_scale(dist, env, wp)
-                c2 = -scale
-                Tedge = (
-                    1j
-                    * t1[[0, -1]]
-                    * scale
-                    * env.cauchy(zeta[[0, -1]] - wp + 0.5j * gamma0)
-                    / env.norm_l1
-                )
-            else:
-                extra, d_norm = _exact_weights(dist, env, wp)
-                _, Ne = _node_sums(dist, gamma0, zeta[[0, -1]], extra=extra)
-                c2 = -float(np.sum(extra)) / d_norm
-                Tedge = 1j * t1[[0, -1]] * Ne / d_norm
-            far = c2 / ((zeta[[0, -1]] - p1) * (zeta[[0, -1]] - p2))
-            peak_guess = max(
+            T, c2 = _pump_transfer(dist, cavity, env, wp, ends, mode, t1=t1[[0, -1]])
+            far = _two_pole(c2, p1, _pump_pole(cavity, env, wp), ends)
+            edge = float(np.max(np.abs(T - far)))
+            peak = max(
                 float(np.max(np.abs(t1))) * abs(c2) / (eta + env.bandwidth_scale), 1e-300
             )
-            if float(np.max(np.abs(Tedge - far))) > settings.edge_ratio * peak_guess:
-                edge_ok = False
+            if edge > settings.edge_ratio * peak:
                 break
-        if edge_ok:
-            break
-        if window_fixed or attempt == settings.max_growth:
-            raise WindowTooSmallError(
-                f"sweep window [{lo:.6g}, {hi:.6g}] rad/s too small"
-            )
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * settings.growth
-        lo, hi = center - half, center + half
+        return edge, peak, (zeta, t1)
 
-    w_trap = np.full(n, omega[1] - omega[0])
-    w_trap[0] *= 0.5
-    w_trap[-1] *= 0.5
-    omega_ref = 0.5 * (omega[0] + omega[-1])
-    phases = np.exp(-1j * tau * (omega - omega_ref)) * w_trap
-    pref = np.exp((eta - 1j * omega_ref) * tau) / (2.0 * math.pi)
-
-    def one_point(wp: float) -> complex:
-        p2 = _pump_pole(cavity, env, wp)
-        if mode == MODE_NARROW:
-            scale = _narrow_scale(dist, env, wp)
-            c2 = -scale
-            T = 1j * t1 * scale * env.cauchy(zeta - wp + 0.5j * gamma0) / env.norm_l1
-        else:
-            extra, d_norm = _exact_weights(dist, env, wp)
-            _, N = _node_sums(dist, gamma0, zeta, extra=extra)
-            c2 = -float(np.sum(extra)) / d_norm
-            T = 1j * t1 * N / d_norm
-        R = T - c2 / ((zeta - p1) * (zeta - p2))
-        val = pref * np.dot(phases, R)
-        if p1 == p2:
-            val += -1j * c2 * tau * np.exp(-1j * p1 * tau)
-        else:
-            val += (-1j * c2 / (p1 - p2)) * (
-                np.exp(-1j * p1 * tau) - np.exp(-1j * p2 * tau)
-            )
-        return val
-
+    omega, (zeta, t1) = _adequate_grid(settings, window, eta, d_omega, probe)
+    rows, prefs = _phase_rows(omega, eta, np.array([tau], dtype=float))
+    row, pref = rows[0], prefs[0]
     out = np.empty(omega_ps.shape, dtype=complex)
-    if threads <= 1 or omega_ps.size <= 2:
-        for i, wp in enumerate(omega_ps):
-            out[i] = one_point(float(wp))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for i, val in enumerate(ex.map(one_point, [float(w) for w in omega_ps])):
-                out[i] = val
+    for i, wp in enumerate(omega_ps):
+        wp = float(wp)
+        p2 = _pump_pole(cavity, env, wp)
+        T, c2 = _pump_transfer(dist, cavity, env, wp, zeta, mode, t1=t1)
+        R = T - _two_pole(c2, p1, p2, zeta)
+        out[i] = pref * np.dot(row, R) + _two_pole_inverse(c2, p1, p2, tau)
     return out
 
 

@@ -37,7 +37,7 @@ from .dynamics import (
     transfer_sweep,
 )
 from .errors import NoOscillationError, NumericalGuardError, SaturationError
-from .spin_model import SpinDistribution
+from .spin_model import SpinDistribution, _csv_text
 
 __all__ = [
     "QubitChain",
@@ -134,10 +134,9 @@ class SwapTrace:
         return self.calibration.osc_frequency if self.calibration else None
 
     def to_csv(self, path) -> None:
+        rows = zip(self.taus, self.cavity_abs2, self.pe)
         with open(path, "w", newline="") as fh:
-            fh.write("tau_s,cavity_abs2,p_e\n")
-            for t, c, p in zip(self.taus, self.cavity_abs2, self.pe):
-                fh.write(f"{float(t)!r},{float(c)!r},{float(p)!r}\n")
+            fh.write(_csv_text("tau_s,cavity_abs2,p_e", rows))
 
 
 def _refine_parabolic(x: np.ndarray, y: np.ndarray, i: int) -> Tuple[float, float]:
@@ -270,10 +269,9 @@ class SpectrumResult:
             raise ValueError("omega_p, abs2_beta and pe must have matching shapes")
 
     def to_csv(self, path) -> None:
+        rows = zip(self.omega_p, self.abs2_beta, self.pe)
         with open(path, "w", newline="") as fh:
-            fh.write("omega_p_rad_per_s,abs2_beta,p_e\n")
-            for w, a, p in zip(self.omega_p, self.abs2_beta, self.pe):
-                fh.write(f"{float(w)!r},{float(a)!r},{float(p)!r}\n")
+            fh.write(_csv_text("omega_p_rad_per_s,abs2_beta,p_e", rows))
 
 
 def esr_spectrum(
@@ -286,7 +284,6 @@ def esr_spectrum(
     n_pump: float = 1.0,
     mode: str = MODE_NARROW,
     settings: Optional[InversionSettings] = None,
-    threads: int = 1,
 ) -> SpectrumResult:
     """P_e versus pump frequency: pump -> ensemble -> cavity -> qubit.
 
@@ -305,9 +302,7 @@ def esr_spectrum(
             omega_p=omega_ps, abs2_beta=abs2, pe=pe, tau_s=float(tau_s),
             n_excitations_peak=0.0, scale=0.0,
         )
-    beta = transfer_sweep(
-        dist, cavity, env, omega_ps, tau_s, mode=mode, settings=settings, threads=threads
-    )
+    beta = transfer_sweep(dist, cavity, env, omega_ps, tau_s, mode=mode, settings=settings)
     abs2 = np.abs(beta) ** 2
     try:
         pe = chain.excited_probability(abs2, n_pump=n_pump)

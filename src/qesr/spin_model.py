@@ -25,7 +25,6 @@ __all__ = [
     "EnsembleCatalog",
     "build_distribution",
     "density_at",
-    "collective_coupling",
 ]
 
 LINE_SHAPES = ("lorentzian", "gaussian")
@@ -33,6 +32,14 @@ LINE_SHAPES = ("lorentzian", "gaussian")
 # Coverage margin (in FWHM) below which the grid window triggers a warning.
 _COVERAGE_FWHM = 5.0
 _GAUSS_SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+
+def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
+    """CSV text of numeric rows; each value is written as repr(float(v)),
+    which round-trips exactly."""
+    lines = [header + "\n"]
+    lines.extend(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -139,9 +146,7 @@ class SpinDistribution:
     def to_csv(self, path) -> None:
         """Write the node table as CSV with columns omega_rad_per_s, weight."""
         with open(path, "w", newline="") as fh:
-            fh.write("omega_rad_per_s,weight\n")
-            for om, w in zip(self.omega_nodes, self.weights):
-                fh.write(f"{float(om)!r},{float(w)!r}\n")
+            fh.write(_csv_text("omega_rad_per_s,weight", zip(self.omega_nodes, self.weights)))
 
 
 @dataclass(frozen=True)
@@ -293,8 +298,3 @@ def density_at(dist: SpinDistribution, omega):
     om = np.asarray(omega, dtype=float)
     out = _mixture(dist.lines, dist.shape, om)
     return float(out) if np.isscalar(omega) else out
-
-
-def collective_coupling(dist: SpinDistribution) -> float:
-    """Collective coupling g_K = sqrt(sum_j g_j^2) in rad/s."""
-    return dist.g_collective

@@ -14,7 +14,6 @@ from qesr.spin_model import (
     SpinDistribution,
     SpinLine,
     build_distribution,
-    collective_coupling,
     density_at,
 )
 
@@ -202,7 +201,6 @@ def test_collective_coupling_reconstruction(scen_I, scen_III):
     for dist in (scen_I.dist, scen_III.dist):
         recon = math.sqrt(float(np.sum(dist.couplings_sq)))
         assert recon == pytest.approx(dist.g_collective, rel=1e-9)
-        assert collective_coupling(dist) == pytest.approx(dist.g_collective, rel=1e-12)
 
 
 def test_collective_coupling_random_weights():
@@ -235,7 +233,7 @@ def test_quadrature_sum_identity():
     )
     per_node = np.sqrt(dist.couplings_sq)
     np.testing.assert_allclose(per_node, g_single, rtol=1e-12)
-    assert collective_coupling(dist) == pytest.approx(g_k, rel=1e-12)
+    assert dist.g_collective == pytest.approx(g_k, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
