@@ -2,13 +2,17 @@
 
 Subcommands: spectrum, swap, transfer, sensitivity, density.  Every
 subcommand reads one JSON config (see `qesr.config`), writes CSV data plus a
-JSON summary into --out, and prints the summary to stdout.  Outputs are
-deterministic: an identical config gives byte-identical files.  --threads
-(and numerics.threads) is accepted for compatibility and has no effect.
+JSON summary into --out, and prints the summary to stdout.  spectrum, swap,
+transfer and density run once per ensemble (or for --ensemble only) and write
+`<command>_<name>.csv` each; sensitivity writes one `sensitivity.csv`.
+Outputs are deterministic: an identical config gives byte-identical files.
+--threads (and numerics.threads) is accepted for compatibility and has no
+effect.
 
 Exit codes: 0 success; 2 configuration error; 3 numerical-guard violation
-(saturation, overdamped swap, window too small, pole collision); 4 I/O
-error.
+(saturation, overdamped swap, window too small, pole collision, a grid or
+ODE node cap, a pulse with no overlap with the spectral grid, an ODE
+integrator failure); 4 I/O error.
 """
 from __future__ import annotations
 
@@ -27,12 +31,7 @@ from .config import TWO_PI, RunConfig, parse_config
 from .dynamics import MODE_EXACT, MODE_NARROW, invert_to_time, time_domain_propagate
 from .errors import ConfigError, NumericalGuardError
 from .protocol import esr_spectrum, find_swap_time, simulate_swap, spectrum_peaks
-from .sensitivity import (
-    PeakPhotons,
-    WeakCouplingScenario,
-    min_detectable_spins,
-    peak_photon_number,
-)
+from .sensitivity import WeakCouplingScenario, min_detectable_spins, peak_photon_number
 from .spin_model import _csv_text
 
 __all__ = ["main", "build_parser"]
@@ -123,130 +122,118 @@ def _select_ensembles(cfg: RunConfig, only: Optional[str]):
     return [catalog[only]]
 
 
-def _resolve_tau_s(cfg: RunConfig, dist, cavity) -> float:
-    tau = cfg.sweep_tau_s
-    if tau is not None:
-        return tau
-    return find_swap_time(dist, cavity, rtol=cfg.ode_rtol).tau_swap
+def _time_span(given: Optional[float], periods: float, dist, cavity) -> float:
+    """given, else periods * pi / g_K, else 10 / kappa, else 1 us (lossless)."""
+    if given is not None:
+        return given
+    if dist.g_collective > 0:
+        return periods * math.pi / dist.g_collective
+    return 10.0 / cavity.kappa if cavity.kappa > 0 else 1e-6
 
 
-def _cmd_spectrum(cfg: RunConfig, args, out_dir) -> dict:
-    mode = args.mode or cfg.mode
-    env = cfg.pulse()
-    chain = cfg.chain()
-    settings = cfg.inversion_settings()
-    summary = {}
-    for ens in _select_ensembles(cfg, args.ensemble):
-        dist = ens.distribution
-        cavity = cfg.cavity_for(ens)
-        tau_s = _resolve_tau_s(cfg, dist, cavity)
-        omegas = cfg.sweep_omegas(ens)
-        result = esr_spectrum(
+# Per-ensemble commands: (cfg, args, ensemble, dist, cavity) -> (result, summary
+# entry); `run` writes result.to_csv(<command>_<name>.csv).
+
+
+def _spectrum(cfg: RunConfig, args, ens, dist, cavity):
+    tau_s = cfg.sweep_tau_s
+    if tau_s is None:
+        tau_s = find_swap_time(dist, cavity, rtol=cfg.ode_rtol).tau_swap
+    result = esr_spectrum(
+        dist,
+        cavity,
+        cfg.pulse(),
+        cfg.chain(),
+        cfg.sweep_omegas(ens),
+        tau_s,
+        n_pump=cfg.sweep_n_pump,
+        mode=args.mode or cfg.mode,
+        settings=cfg.inversion_settings(),
+    )
+    pos, height = spectrum_peaks(result)
+    i_max = int(np.argmax(result.pe))
+    return result, {
+        "tau_s_s": tau_s,
+        "n_points": int(result.omega_p.size),
+        "n_excitations_peak": result.n_excitations_peak,
+        "scale": result.scale,
+        "peaks_hz": [p / TWO_PI for p in pos],
+        "peak_pe": list(map(float, height)),
+        "max_pe": float(result.pe[i_max]),
+        "n_transferred_peak": float(result.n_excitations_peak * result.abs2_beta[i_max]),
+    }
+
+
+def _swap(cfg: RunConfig, args, ens, dist, cavity):
+    taus = np.linspace(0.0, _time_span(args.tau_max_s, 1.2, dist, cavity), args.n_taus)
+    trace = simulate_swap(dist, cavity, cfg.chain(), taus, rtol=cfg.ode_rtol)
+    cal = trace.calibration
+    return trace, {
+        "tau_swap_s": cal.tau_swap if cal else None,
+        "osc_frequency_hz": cal.osc_frequency / TWO_PI if cal else None,
+        "pop_min": cal.pop_min if cal else None,
+        "return_time_s": cal.return_time if cal else None,
+        "return_pe": cal.return_pe if cal else None,
+    }
+
+
+def _transfer(cfg: RunConfig, args, ens, dist, cavity):
+    omega_p = TWO_PI * args.omega_p_hz if args.omega_p_hz is not None else ens.center
+    times = np.linspace(0.0, _time_span(args.t_max_s, 1.5, dist, cavity), args.n_times)
+    if args.method == "contour":
+        result = invert_to_time(
             dist,
             cavity,
-            env,
-            chain,
-            omegas,
-            tau_s,
-            n_pump=cfg.sweep_n_pump,
-            mode=mode,
-            settings=settings,
+            cfg.pulse(),
+            omega_p,
+            times,
+            mode=args.mode or cfg.mode,
+            settings=cfg.inversion_settings(),
         )
-        result.to_csv(out_dir / f"spectrum_{_safe_name(ens.name)}.csv")
-        pos, height = spectrum_peaks(result)
-        i_max = int(np.argmax(result.pe)) if result.pe.size else 0
-        summary[ens.name] = {
-            "tau_s_s": tau_s,
-            "n_points": int(result.omega_p.size),
-            "n_excitations_peak": result.n_excitations_peak,
-            "scale": result.scale,
-            "peaks_hz": [p / TWO_PI for p in pos],
-            "peak_pe": list(map(float, height)),
-            "max_pe": float(result.pe[i_max]) if result.pe.size else None,
-            "n_transferred_peak": float(result.n_excitations_peak * result.abs2_beta[i_max])
-            if result.abs2_beta.size
-            else None,
-        }
-    return summary
-
-
-def _cmd_swap(cfg: RunConfig, args, out_dir) -> dict:
-    chain = cfg.chain()
-    summary = {}
-    for ens in _select_ensembles(cfg, args.ensemble):
-        dist = ens.distribution
-        cavity = cfg.cavity_for(ens)
-        if args.tau_max_s is not None:
-            tau_max = args.tau_max_s
-        elif dist.g_collective > 0:
-            tau_max = 1.2 * math.pi / dist.g_collective
-        else:
-            tau_max = 10.0 / cavity.kappa if cavity.kappa > 0 else 1e-6
-        taus = np.linspace(0.0, tau_max, args.n_taus)
-        trace = simulate_swap(dist, cavity, chain, taus, rtol=cfg.ode_rtol)
-        trace.to_csv(out_dir / f"swap_{_safe_name(ens.name)}.csv")
-        cal = trace.calibration
-        summary[ens.name] = {
-            "tau_swap_s": cal.tau_swap if cal else None,
-            "osc_frequency_hz": cal.osc_frequency / TWO_PI if cal else None,
-            "pop_min": cal.pop_min if cal else None,
-            "return_time_s": cal.return_time if cal else None,
-            "return_pe": cal.return_pe if cal else None,
-        }
-    return summary
-
-
-def _cmd_transfer(cfg: RunConfig, args, out_dir) -> dict:
-    mode = args.mode or cfg.mode
-    env = cfg.pulse()
-    settings = cfg.inversion_settings()
-    summary = {}
-    for ens in _select_ensembles(cfg, args.ensemble):
-        dist = ens.distribution
-        cavity = cfg.cavity_for(ens)
-        omega_p = (
-            TWO_PI * args.omega_p_hz if args.omega_p_hz is not None else ens.center
+    else:
+        result = time_domain_propagate(
+            dist, cavity, "pulse", times, env=cfg.pulse(), omega_p=omega_p, rtol=cfg.ode_rtol
         )
-        if args.t_max_s is not None:
-            t_max = args.t_max_s
-        elif dist.g_collective > 0:
-            t_max = 1.5 * math.pi / dist.g_collective
-        else:
-            t_max = 10.0 / cavity.kappa if cavity.kappa > 0 else 1e-6
-        times = np.linspace(0.0, t_max, args.n_times)
-        if args.method == "contour":
-            result = invert_to_time(
-                dist, cavity, env, omega_p, times, mode=mode, settings=settings
-            )
-        else:
-            result = time_domain_propagate(
-                dist, cavity, "pulse", times, env=env, omega_p=omega_p, rtol=cfg.ode_rtol
-            )
-        result.to_csv(out_dir / f"transfer_{_safe_name(ens.name)}.csv")
-        abs_beta = np.abs(result.beta)
-        i = int(np.argmax(abs_beta))
-        summary[ens.name] = {
-            "omega_p_hz": omega_p / TWO_PI,
-            "method": result.method,
-            "abs_beta_max": float(abs_beta[i]),
-            "t_at_max_s": float(result.times[i]),
-            "abs_beta_final": float(abs_beta[-1]),
-        }
-    return summary
+    abs_beta = np.abs(result.beta)
+    i = int(np.argmax(abs_beta))
+    return result, {
+        "omega_p_hz": omega_p / TWO_PI,
+        "method": result.method,
+        "abs_beta_max": float(abs_beta[i]),
+        "t_at_max_s": float(result.times[i]),
+        "abs_beta_final": float(abs_beta[-1]),
+    }
 
 
-def _cmd_sensitivity(cfg: RunConfig, args, out_dir) -> dict:
-    rows = cfg.sensitivity_rows()
+def _density(cfg: RunConfig, args, ens, dist, cavity):
+    return dist, {
+        "center_hz": ens.center / TWO_PI,
+        "g_collective_hz": dist.g_collective / TWO_PI,
+        "n_nodes": dist.n_nodes,
+        "n_lines": len(dist.lines),
+        "n_spins_physical": dist.n_spins_physical,
+    }
+
+
+_PER_ENSEMBLE = {
+    "spectrum": _spectrum,
+    "swap": _swap,
+    "transfer": _transfer,
+    "density": _density,
+}
+
+
+def _sensitivity(cfg: RunConfig, out_dir: Path) -> dict:
+    """One table over all (g, Delta, n_threshold) rows; the summary is row 0."""
     kappa = cfg.sensitivity_kappa
     n_spins = cfg.sensitivity_n_spins
-    lines = []
     detail = kappa is not None and n_spins is not None
-    header = "g_hz,delta_hz,n_threshold,n_min"
+    columns = ["g_hz", "delta_hz", "n_threshold", "n_min"]
     if detail:
-        header += ",nbar_analytic,nbar_exact,t_peak_s"
-    for g, delta, nth in rows:
-        n_min = min_detectable_spins(g, delta, nth)
-        row = [g / TWO_PI, delta / TWO_PI, nth, n_min]
+        columns += ["nbar_analytic", "nbar_exact", "t_peak_s"]
+    rows = []
+    for g, delta, nth in cfg.sensitivity_rows():
+        row = [g / TWO_PI, delta / TWO_PI, nth, min_detectable_spins(g, delta, nth)]
         if detail:
             scenario = WeakCouplingScenario(
                 coupling=g,
@@ -257,53 +244,14 @@ def _cmd_sensitivity(cfg: RunConfig, args, out_dir) -> dict:
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                peak: PeakPhotons = peak_photon_number(scenario)
+                peak = peak_photon_number(scenario)
             row += [peak.analytic_estimate, peak.exact_max, peak.t_peak]
-        lines.append(row)
-    _write_text(out_dir / "sensitivity.csv", _csv_text(header, lines))
-    first = lines[0]
-    summary = {
-        "rows": len(lines),
-        "g_hz": first[0],
-        "delta_hz": first[1],
-        "n_threshold": first[2],
-        "n_min": first[3],
-    }
+        rows.append(row)
+    _write_text(out_dir / "sensitivity.csv", _csv_text(",".join(columns), rows))
+    summary = {"rows": len(rows), **dict(zip(columns, rows[0]))}
     if detail:
-        summary.update(
-            {
-                "n_spins": n_spins,
-                "kappa_hz": kappa / TWO_PI,
-                "nbar_analytic": first[4],
-                "nbar_exact": first[5],
-                "t_peak_s": first[6],
-            }
-        )
+        summary.update({"n_spins": n_spins, "kappa_hz": kappa / TWO_PI})
     return summary
-
-
-def _cmd_density(cfg: RunConfig, args, out_dir) -> dict:
-    summary = {}
-    for ens in _select_ensembles(cfg, args.ensemble):
-        dist = ens.distribution
-        dist.to_csv(out_dir / f"density_{_safe_name(ens.name)}.csv")
-        summary[ens.name] = {
-            "center_hz": ens.center / TWO_PI,
-            "g_collective_hz": dist.g_collective / TWO_PI,
-            "n_nodes": dist.n_nodes,
-            "n_lines": len(dist.lines),
-            "n_spins_physical": dist.n_spins_physical,
-        }
-    return summary
-
-
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "swap": _cmd_swap,
-    "transfer": _cmd_transfer,
-    "sensitivity": _cmd_sensitivity,
-    "density": _cmd_density,
-}
 
 
 def run(args) -> int:
@@ -313,7 +261,16 @@ def run(args) -> int:
         return 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _COMMANDS[args.command](cfg, args, out_dir)
+    if args.command == "sensitivity":
+        summary = _sensitivity(cfg, out_dir)
+    else:
+        command = _PER_ENSEMBLE[args.command]
+        summary = {}
+        for ens in _select_ensembles(cfg, args.ensemble):
+            result, summary[ens.name] = command(
+                cfg, args, ens, ens.distribution, cfg.cavity_for(ens)
+            )
+            result.to_csv(out_dir / f"{args.command}_{_safe_name(ens.name)}.csv")
     text = _dump_json(summary)
     _write_text(out_dir / f"{args.command}_summary.json", text)
     sys.stdout.write(text)

@@ -122,13 +122,9 @@ def _window(value: Any, path: str) -> Optional[List[float]]:
     """An optional [lo_hz, hi_hz] window with hi > lo."""
     if value is None:
         return None
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, list) or len(value) != 2:
         _fail(path, "must be null or [lo_hz, hi_hz]")
-    lo, hi = float(value[0]), float(value[1])
+    lo, hi = (_number(v, f"{path}[{i}]") for i, v in enumerate(value))
     if not hi > lo:
         _fail(path, "must satisfy hi > lo")
     return [lo, hi]
@@ -206,6 +202,9 @@ def _resolve_ensemble(raw: Any, path: str) -> dict:
     if center is None:
         wsum = sum(ln["weight"] for ln in lines)
         center = sum(ln["weight"] * ln["center_hz"] for ln in lines) / wsum
+        # the weighted mean can overflow or underflow; the effective config
+        # must still resolve again
+        _number(center, f"{path}.center_hz (weighted line mean)", positive=True)
     n_phys = _number(
         obj.get("n_spins_physical"), f"{path}.n_spins_physical", positive=True, allow_none=True
     )
@@ -362,7 +361,10 @@ def _resolve_sensitivity(raw: Any) -> dict:
         _fail("sensitivity", "give delta_hz or linewidth_mt, not both")
     if obj.get("linewidth_mt") is not None:
         lws = _number_list(obj["linewidth_mt"], "sensitivity.linewidth_mt", positive=True)
-        delta = [lw * per_mt for lw in lws]
+        delta = [
+            _number(lw * per_mt, "sensitivity.linewidth_mt x delta_hz_per_mt", positive=True)
+            for lw in lws
+        ]
     elif obj.get("delta_hz") is not None:
         delta = _number_list(obj["delta_hz"], "sensitivity.delta_hz", positive=True)
     else:

@@ -4,6 +4,16 @@ The CLI maps these onto exit codes: ConfigError -> 2, any
 NumericalGuardError subclass -> 3, OSError -> 4.
 """
 
+__all__ = [
+    "QesrError",
+    "ConfigError",
+    "NumericalGuardError",
+    "PoleCollisionError",
+    "WindowTooSmallError",
+    "SaturationError",
+    "NoOscillationError",
+]
+
 
 class QesrError(Exception):
     """Base class for package-specific errors."""

@@ -311,6 +311,53 @@ def test_saturating_pump_exit_3(tmp_path, capsys):
     assert "numerical guard" in capsys.readouterr().err
 
 
+ZERO_COUPLING_RUNS = {
+    "transfer-exact": ["transfer", "--method", "contour", "--mode", "exact-convolution"],
+    "transfer-ode": ["transfer", "--method", "time-domain"],
+    "spectrum-exact": ["spectrum", "--mode", "exact-convolution"],
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_COUPLING_RUNS.values(), ids=ZERO_COUPLING_RUNS.keys())
+def test_zero_coupling_gives_zero_beta(tmp_path, argv):
+    raw = json.loads(json.dumps(SMALL))
+    raw["ensembles"][0]["g_collective_hz"] = 0.0
+    raw["sweep"]["n_points"] = 3  # sweep.tau_s_s is set, so nothing calibrates
+    cfg = write_cfg(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == 0
+    summary = json.loads((out / f"{argv[0]}_summary.json").read_text())["demo"]
+    if argv[0] == "transfer":
+        assert summary["abs_beta_max"] == 0.0
+    else:
+        assert summary["max_pe"] == 0.0
+
+
+def test_pulse_without_overlap_exit_3(tmp_path, capsys):
+    """A 10 kHz gaussian pulse 590 MHz from the line sees no node at all."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["pulse"] = {"shape": "gaussian", "fwhm_hz": 1e4}
+    raw["sweep"].update(center_hz=3.5e9, n_points=3)
+    cfg = write_cfg(tmp_path, raw)
+    for argv in (
+        ["spectrum", "--mode", "exact-convolution"],
+        ["transfer", "--method", "time-domain", "--omega-p-hz", "3.5e9"],
+    ):
+        rc = main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"), *argv[1:]])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "no overlap" in err and "omega_p = " in err and "spectral grid [" in err
+
+
+def test_ode_node_cap_exit_3(tmp_path, capsys):
+    raw = json.loads(json.dumps(SMALL))
+    raw["ensembles"][0]["grid"]["n_nodes"] = 300000
+    cfg = write_cfg(tmp_path, raw)
+    rc = main(["transfer", "--config", cfg, "--out", str(tmp_path), "--method", "time-domain"])
+    assert rc == 3
+    assert "memory budget" in capsys.readouterr().err
+
+
 def test_out_path_is_a_file_exit_4(tmp_path, small_cfg, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("in the way")

@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qesr.config import canonical_json, parse_config, resolve
 from qesr.errors import ConfigError
@@ -302,3 +305,183 @@ def test_window_ordering_enforced():
 def test_resolve_rejects_non_object_root():
     with pytest.raises(ConfigError, match="expected an object"):
         resolve([1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# properties over generated configs
+# ---------------------------------------------------------------------------
+
+PROPERTY = hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def _num(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+def _some(strategy, max_size=2):
+    return st.lists(strategy, min_size=1, max_size=max_size)
+
+
+def _ensemble(name):
+    grid = st.fixed_dictionaries({}, optional={
+        "n_nodes": st.integers(2, 10_000),
+        "span_fwhm": _num(0.5, 20.0),
+        "window_hz": st.none() | _num(1e9, 2e9).map(lambda lo: [lo, lo + 1e8]),
+    })
+    line = st.fixed_dictionaries(
+        {"center_hz": _num(1e9, 1e10), "fwhm_hz": _num(1e4, 1e7)},
+        optional={"weight": _num(0.1, 10.0)},
+    )
+    satellite = st.fixed_dictionaries({"offset_hz": _num(-1e7, 1e7), "weight": _num(0.01, 0.3)})
+    return st.fixed_dictionaries(
+        {
+            "name": st.just(name),
+            "lines": _some(line, 3),
+            "g_collective_hz": _num(0.0, 1e7) | st.integers(0, 10**7),
+        },
+        optional={
+            "satellites": st.lists(satellite, max_size=2),
+            "shape": st.sampled_from(["lorentzian", "gaussian"]),
+            "center_hz": _num(1e9, 1e10) | st.none(),
+            "n_spins_physical": _num(1.0, 1e18) | st.none(),
+            "grid": grid,
+        },
+    )
+
+
+_CAVITY = {"omega_c_hz": _num(1e9, 1e10) | st.none(), "gamma0_hz": _num(0.0, 1e6)}
+_SENSITIVITY = {
+    "coupling_hz": _num(1e-3, 1e6) | _some(_num(1e-3, 1e6), 3),
+    "delta_hz_per_mt": _num(1.0, 1e9),
+    "n_threshold": _some(_num(1e-3, 1.0)),
+    "kappa_hz": _num(1.0, 1e7) | st.none(),
+    "n_spins": _num(1.0, 1e18) | st.none(),
+}
+SECTIONS = {
+    "cavity": st.one_of(  # q or kappa_hz, never both
+        st.fixed_dictionaries({}, optional={"q": _num(1e-3, 1e9), **_CAVITY}),
+        st.fixed_dictionaries({"kappa_hz": _num(1e-3, 1e9)}, optional=_CAVITY),
+    ),
+    "pulse": st.one_of(
+        st.fixed_dictionaries({"shape": st.just("rectangular"), "duration_s": _num(1e-9, 1e-3)}),
+        st.fixed_dictionaries(
+            {"shape": st.sampled_from(["lorentzian", "gaussian"])},
+            optional={"fwhm_hz": _num(1e3, 1e7)},
+        ),
+    ),
+    "qubit": st.fixed_dictionaries({}, optional={
+        "swap_efficiency": _num(1e-3, 1.0),
+        "readout_fidelity": _num(1e-3, 1.0),
+        "baseline": _num(0.0, 0.99),
+        "saturation_guard": _num(1e-3, 1.0),
+    }),
+    "sweep": st.fixed_dictionaries({}, optional={
+        "span_hz": _num(1.0, 1e9),
+        "n_points": st.integers(3, 10_000),
+        "n_pump": _num(0.0, 1e3),
+        "center_hz": _num(1e9, 1e10) | st.none(),
+        "tau_s_s": _num(1e-9, 1e-5) | st.none(),
+    }),
+    "numerics": st.fixed_dictionaries({}, optional={
+        "mode": st.sampled_from(["narrow-pulse", "exact-convolution"]),
+        "window_hz": st.none() | st.just([2.8e9, 3.0e9]),
+        "d_omega_hz": _num(1.0, 1e5) | st.none(),
+        "contour_offset_hz": _num(1.0, 1e6) | st.none(),
+        "edge_ratio": _num(1e-8, 1e-1),
+        "ode_rtol": _num(1e-12, 1e-3),
+        "threads": st.integers(1, 8),
+    }),
+    "sensitivity": st.one_of(  # delta_hz or linewidth_mt, never both
+        st.fixed_dictionaries({}, optional={"delta_hz": _some(_num(1e-3, 1e9)), **_SENSITIVITY}),
+        st.fixed_dictionaries({"linewidth_mt": _some(_num(1e-3, 1e3))}, optional=_SENSITIVITY),
+    ),
+}
+
+
+@st.composite
+def valid_configs(draw):
+    names = draw(
+        st.lists(st.text("abcXYZ_-.", min_size=1, max_size=6), min_size=1, max_size=3, unique=True)
+    )
+    ensembles = st.tuples(*map(_ensemble, names)).map(list)
+    return draw(st.fixed_dictionaries({"ensembles": ensembles}, optional=SECTIONS))
+
+
+@PROPERTY
+@given(valid_configs())
+def test_resolve_idempotent_and_canonical_round_trip(raw):
+    effective = resolve(raw)
+    assert resolve(effective) == effective
+    text = canonical_json(effective)
+    assert canonical_json(resolve(json.loads(text))) == text
+    assert parse_config(text).to_json() == text
+
+
+def _paths(node, prefix=()):
+    """Every key/index path into a parsed JSON tree (objects and lists too)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _replaced(raw, path, value):
+    out = json.loads(json.dumps(raw))
+    _at(out, path[:-1])[path[-1]] = value
+    return out
+
+
+# Never valid anywhere in the schema: every leaf is a number, string, list or
+# object, and no number may be non-finite.
+NEVER_VALID = [True, False, math.nan, math.inf, -math.inf]
+# Valid in some places, invalid in others.
+SOMETIMES_VALID = [None, "x", -1.0, 0, 0.5, 1e308, 5e-324, [], [1.0], {}, {"x": 1}]
+SWEEP = hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+@SWEEP
+@given(valid_configs())
+def test_invalid_values_raise_config_error(raw):
+    for path in _paths(raw):
+        for bad in NEVER_VALID:
+            # NaN/Infinity arrive through json.loads, which accepts them
+            mutated = json.loads(json.dumps(_replaced(raw, path, bad)))
+            with pytest.raises(ConfigError):
+                resolve(mutated)
+
+
+@SWEEP
+@given(valid_configs())
+def test_unknown_keys_raise_config_error(raw):
+    for path in [()] + list(_paths(raw)):
+        mutated = json.loads(json.dumps(raw))
+        target = _at(mutated, path)
+        if isinstance(target, dict):
+            target["no_such_key"] = 1.0
+            with pytest.raises(ConfigError, match="unknown key 'no_such_key'"):
+                resolve(mutated)
+
+
+@SWEEP
+@given(valid_configs())
+def test_any_value_resolves_or_raises_config_error(raw):
+    """Whatever value lands wherever, resolve either accepts it (and the result
+    resolves to itself) or raises ConfigError, never another exception."""
+    for path in _paths(raw):
+        for value in SOMETIMES_VALID:
+            try:
+                effective = resolve(_replaced(raw, path, value))
+            except ConfigError:
+                continue
+            assert resolve(effective) == effective, (path, value)

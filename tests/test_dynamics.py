@@ -3,6 +3,8 @@ contour inversion vs direct ODE propagation, and the numerical guards."""
 from __future__ import annotations
 
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from qesr.dynamics import (
     transfer_spectrum_t,
     transfer_sweep,
 )
-from qesr.dynamics import _initial_vector, _propagate_state
+from qesr.dynamics import _initial_vector, _propagate_state, _two_pole_inverse
 from qesr.errors import (
     NumericalGuardError,
     PoleCollisionError,
@@ -233,6 +235,52 @@ def test_pulse_envelope_validation():
         PulseEnvelope(shape="gaussian", fwhm=1.0, duration=1.0)
 
 
+def _cauchy_quad(env, u, half_width):
+    """integral of alpha(x)/(u - x): adaptive quadrature on [-L, L], plus the
+    rectangular pulse's sinc tails |x| > L by the oscillatory (Fourier) rule."""
+    f = lambda x: complex(env.amplitude(x)) / (u - x)  # noqa: E731
+    lo, hi = -half_width, half_width
+    val = quad(f, lo, hi, points=[u.real], limit=2000, complex_func=True,
+               epsabs=1e-13, epsrel=1e-11)[0]
+    if env.shape == "rectangular":
+        k = 0.5 * env.duration  # alpha(x) = sin(k x) / (k x)
+        for sign in (1.0, -1.0):  # x = sign * y, y > L; alpha is even
+            g = lambda y: 1.0 / (k * y * (u - sign * y))  # noqa: E731
+            val += quad(lambda y: g(y).real, hi, np.inf, weight="sin", wvar=k)[0]
+            val += 1j * quad(lambda y: g(y).imag, hi, np.inf, weight="sin", wvar=k)[0]
+    return val
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+def test_pulse_cauchy_matches_quadrature(shape):
+    if shape == "rectangular":
+        env = PulseEnvelope(shape=shape, duration=1.0)
+        half_width = 200.0
+    else:
+        env = PulseEnvelope(shape=shape, fwhm=2.0)
+        half_width = 40.0 * env.bandwidth_scale  # alpha underflows beyond
+    scale = env.bandwidth_scale
+    for u in (0.3 + 0.5j, -2.0 + 0.1j, 5.0 + 3.0j, 0.05 + 2.0j):
+        u = complex(u) * scale
+        expected = _cauchy_quad(env, u, half_width)
+        assert abs(env.cauchy(u) - expected) < 1e-9 * abs(expected), u
+
+
+def test_pulse_cauchy_rectangular_small_argument_series():
+    """Below |z| = |u T/2| = 1e-6 the rectangular transform switches to its
+    series; it must agree with (1 - e^{iz})/z evaluated without cancellation,
+    and reach the real-axis boundary value -i pi alpha(0) at u = 0."""
+    env = PulseEnvelope(shape="rectangular", duration=2.0)
+    for z in (0.0, 3e-7 + 4e-7j, -9.9e-7 + 1e-9j, 1e-6j * 0.999):
+        a, b = z.real, z.imag
+        # e^{iz} - 1 = expm1(-b) cos a - 2 sin^2(a/2) + i e^{-b} sin a
+        em1 = math.expm1(-b) * math.cos(a) - 2.0 * math.sin(0.5 * a) ** 2
+        em1 += 1j * math.exp(-b) * math.sin(a)
+        expected = -1j * math.pi if z == 0 else -math.pi * em1 / z
+        got = env.cauchy(2.0 * z / env.duration)
+        assert abs(got - expected) < 1e-12, z
+
+
 # ---------------------------------------------------------------------------
 # spectral transfer function
 # ---------------------------------------------------------------------------
@@ -245,6 +293,25 @@ def test_transfer_spectrum_narrow_mode_warning():
     zeta = np.array([W0 + 1j * cavity.kappa])
     with pytest.warns(UserWarning, match="narrow-pulse"):
         transfer_spectrum_t(dist, cavity, env, W0, zeta, mode=MODE_NARROW)
+
+
+def test_narrow_guard_matches_documented_regime(scen_I):
+    """The bundled 150 kHz pulse is 1/10.7 of the 1.6 MHz lines: outside the
+    fwhm/20 regime, so a narrow sweep warns; exactly fwhm/20 does not."""
+    wps = scen_I.omegas[::200]
+    with pytest.warns(UserWarning, match="narrow-pulse"):
+        transfer_sweep(
+            scen_I.dist, scen_I.cavity, scen_I.env, wps, 9e-8,
+            mode=MODE_NARROW, settings=scen_I.settings,
+        )
+    fwhm = min(ln.fwhm for ln in scen_I.dist.lines)
+    env = PulseEnvelope(shape="lorentzian", fwhm=fwhm / 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transfer_sweep(
+            scen_I.dist, scen_I.cavity, env, wps, 9e-8,
+            mode=MODE_NARROW, settings=scen_I.settings,
+        )
 
 
 def test_transfer_spectrum_far_off_resonance_suppressed():
@@ -328,6 +395,29 @@ def test_inversion_narrow_vs_exact_small_bandwidth():
     exact = invert_to_time(dist, cavity, env, W0, times, mode=MODE_EXACT).beta
     rel = float(np.max(np.abs(narrow - exact)) / np.max(np.abs(exact)))
     assert rel < 0.02
+
+
+def test_sweep_narrow_vs_exact_gaussian_small_bandwidth():
+    fwhm = TWO_PI * 1.6e6
+    dist = single_line_dist(fwhm=fwhm, n_nodes=2001)
+    cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
+    env = PulseEnvelope(shape="gaussian", fwhm=fwhm / 20.0)
+    wps = W0 + fwhm * np.array([-1.0, 0.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        narrow = transfer_sweep(dist, cavity, env, wps, 90e-9, mode=MODE_NARROW)
+    exact = transfer_sweep(dist, cavity, env, wps, 90e-9, mode=MODE_EXACT)
+    rel = float(np.max(np.abs(narrow - exact)) / np.max(np.abs(exact)))
+    assert rel < 0.02
+
+
+def test_two_pole_inverse_double_pole_is_the_limit():
+    t = np.linspace(0.0, 5.0, 11)
+    p1 = 3.0 - 0.2j
+    double = _two_pole_inverse(1.7, p1, p1, t)
+    for dp in (1e-6, -1e-6j):
+        near = _two_pole_inverse(1.7, p1, p1 + dp, t)
+        assert float(np.max(np.abs(double - near))) < 1e-5
 
 
 def test_inversion_damped_oscillation_first_max_below_one(scen_III):
@@ -489,7 +579,38 @@ def test_time_domain_input_validation(scen_I):
         time_domain_propagate(scen_I.dist, scen_I.cavity, "pulse", [0.0, 1e-9])
     with pytest.raises(ValueError):
         time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [1e-9, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalGuardError, match="memory budget"):
         time_domain_propagate(
             scen_I.dist, scen_I.cavity, "cavity", [0.0, 1e-9], max_nodes=100
         )
+
+
+def test_time_domain_integrator_failure_is_a_guard(scen_I, monkeypatch):
+    failed = SimpleNamespace(success=False, message="step size underflow")
+    monkeypatch.setattr("qesr.dynamics.solve_ivp", lambda *a, **k: failed)
+    with pytest.raises(NumericalGuardError, match="step size underflow"):
+        time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [0.0, 1e-9])
+
+
+def test_zero_coupling_gives_zero_beta_on_both_routes():
+    dist = single_line_dist(g=0.0, n_nodes=501)
+    cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
+    env = PulseEnvelope(shape="lorentzian", fwhm=TWO_PI * 5e4)
+    times = np.linspace(0.0, 1e-7, 11)
+    for mode in (MODE_NARROW, MODE_EXACT):
+        beta = invert_to_time(dist, cavity, env, W0, times, mode=mode).beta
+        assert not np.any(beta), mode
+    ode = time_domain_propagate(dist, cavity, "pulse", times, env=env, omega_p=W0)
+    assert not np.any(ode.beta)
+
+
+def test_pulse_without_overlap_is_a_guard():
+    dist = single_line_dist(n_nodes=501)
+    cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
+    env = PulseEnvelope(shape="gaussian", fwhm=TWO_PI * 1e4)
+    wp = TWO_PI * 3.5e9
+    with pytest.raises(NumericalGuardError, match="no overlap") as exc:
+        invert_to_time(dist, cavity, env, wp, [0.0, 1e-7], mode=MODE_EXACT)
+    assert repr(wp) in str(exc.value)
+    with pytest.raises(NumericalGuardError, match="no overlap"):
+        time_domain_propagate(dist, cavity, "pulse", [0.0, 1e-7], env=env, omega_p=wp)
