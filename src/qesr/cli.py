@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TWO_PI, RunConfig, parse_config
+from .config import _POSITIVE, TWO_PI, RunConfig, _integer, parse_config
 from .dynamics import MODE_EXACT, MODE_NARROW, invert_to_time, time_domain_propagate
 from .errors import ConfigError, NumericalGuardError
 from .protocol import esr_spectrum, find_swap_time, simulate_swap, spectrum_peaks
@@ -109,6 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default=None)
 
     return parser
+
+
+# Numeric options, checked by the config schema's own field checks.
+_OPTIONS = {
+    "tau_max_s": _POSITIVE,
+    "n_taus": _integer(3),
+    "omega_p_hz": _POSITIVE,
+    "t_max_s": _POSITIVE,
+    "n_times": _integer(2),
+}
 
 
 def _select_ensembles(cfg: RunConfig, only: Optional[str]):
@@ -255,6 +265,10 @@ def _sensitivity(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def run(args) -> int:
+    for dest, check in _OPTIONS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            check(value, "--" + dest.replace("_", "-"))
     cfg = parse_config(args.config)
     if args.print_effective_config:
         sys.stdout.write(cfg.to_json())

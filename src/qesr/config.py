@@ -13,24 +13,15 @@ it again and serializing once more is byte-identical, which is what
 
 Sections and defaults
 ---------------------
-ensembles (required, non-empty list): name; lines (center_hz, fwhm_hz,
-  weight=1.0); g_collective_hz; satellites (offset_hz/weight pairs, default
-  []); shape ("lorentzian"); center_hz (default: weight-averaged line
-  center); grid {n_nodes=5001, span_fwhm=8.0, window_hz=null};
-  n_spins_physical (reporting only, default null).
-cavity: q or kappa_hz (exactly one); omega_c_hz (default null = tuned to
-  each ensemble's center); gamma0_hz = 0.
-pulse: shape ("lorentzian"|"gaussian"|"rectangular"); fwhm_hz (lorentzian/
-  gaussian); duration_s (rectangular).
-qubit: swap_efficiency=0.7, readout_fidelity=0.7, baseline=0.0,
-  saturation_guard=1.0.
-sweep: span_hz=1.4e7, n_points=401, n_pump=15.0, center_hz=null (per
-  ensemble), tau_s_s=null (null = calibrate via the swap-trace minimum).
-numerics: mode="narrow-pulse"; window_hz=null; d_omega_hz=null;
-  contour_offset_hz=null; edge_ratio=1e-4; ode_rtol=1e-9; threads=1.
-sensitivity: coupling_hz=[10.0]; delta_hz=[2.8e6] or linewidth_mt (times
-  delta_hz_per_mt=2.8e7 Hz/mT, a documented conversion constant, not
-  derived physics); n_threshold=[0.05]; kappa_hz=null; n_spins=null.
+The tables `_ROOT`, `_ENSEMBLE`, `_LINE`, `_SATELLITE`, `_GRID`, `_CAVITY`,
+`_PULSE`, `_QUBIT`, `_SWEEP`, `_NUMERICS` and `_SENSITIVITY` below are the
+single in-code list of keys, defaults and checks, and `_section` is the one
+resolver that reads them.  Cross-field rules set the three defaults that
+depend on another key: cavity q=1e4 unless kappa_hz is given, pulse
+fwhm_hz=1.5e5 unless the shape is rectangular (which takes duration_s), and
+sensitivity delta_hz=[2.8e6] unless linewidth_mt is given (times
+delta_hz_per_mt=2.8e7 Hz/mT, a documented conversion constant, not derived
+physics).  The README's configuration reference describes every key.
 """
 from __future__ import annotations
 
@@ -38,7 +29,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 from .dynamics import CavityModel, InversionSettings, PulseEnvelope
 from .errors import ConfigError
@@ -49,36 +40,21 @@ __all__ = ["RunConfig", "parse_config", "resolve", "canonical_json"]
 
 TWO_PI = 2.0 * math.pi
 
+_REQUIRED = object()  # table default of a key that must be present
+
 
 def _fail(path: str, msg: str) -> None:
     raise ConfigError(f"{path}: {msg}")
 
 
-def _require_mapping(value: Any, path: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    return value
+# -- field checks: check(value, path) returns the resolved value; _integer,
+# _string, _num, _object and _list_of build one from their arguments
 
 
-def _check_keys(obj: Mapping, allowed: Sequence[str], path: str) -> None:
-    unknown = [k for k in obj if k not in allowed]
-    if unknown:
-        _fail(path, f"unknown key {unknown[0]!r} (allowed: {', '.join(allowed)})")
-
-
-def _number(
-    value: Any,
-    path: str,
-    positive: bool = False,
-    nonnegative: bool = False,
-    allow_none: bool = False,
-) -> Optional[float]:
-    if value is None:
-        if allow_none:
-            return None
-        _fail(path, "must be a number, got null")
+def _number(value: Any, path: str, positive=False, nonnegative=False, below=None, at_most=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"must be a number, got {type(value).__name__}")
+        got = "null" if value is None else type(value).__name__
+        _fail(path, f"must be a number, got {got}")
     v = float(value)
     if not math.isfinite(v):
         _fail(path, "must be finite")
@@ -86,42 +62,52 @@ def _number(
         _fail(path, f"must be > 0, got {v!r}")
     if nonnegative and v < 0:
         _fail(path, f"must be >= 0, got {v!r}")
+    if below is not None and v >= below:
+        _fail(path, f"must be < {below}")
+    if at_most is not None and v > at_most:
+        _fail(path, f"must be <= {at_most}")
     return v
 
 
-def _integer(value: Any, path: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"must be an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return int(value)
+def _integer(minimum: int) -> Callable:
+    def check(value: Any, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(path, f"must be an integer, got {type(value).__name__}")
+        if value < minimum:
+            _fail(path, f"must be >= {minimum}, got {value}")
+        return int(value)
+
+    return check
 
 
-def _string(value: Any, path: str, choices: Optional[Sequence[str]] = None) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"must be a string, got {type(value).__name__}")
-    if choices is not None and value not in choices:
-        _fail(path, f"must be one of {list(choices)}, got {value!r}")
-    return value
+def _string(*choices: str) -> Callable:
+    """A string, one of `choices` when given, else any non-empty one."""
+
+    def check(value: Any, path: str) -> str:
+        if not isinstance(value, str):
+            _fail(path, f"must be a string, got {type(value).__name__}")
+        if choices and value not in choices:
+            _fail(path, f"must be one of {list(choices)}, got {value!r}")
+        if not value:
+            _fail(path, "must be non-empty")
+        return value
+
+    return check
 
 
-def _number_list(value: Any, path: str, positive: bool = False) -> List[float]:
-    """Accept a scalar or a non-empty list of numbers; normalize to a list."""
+def _positive_list(value: Any, path: str) -> List[float]:
+    """Accept a positive scalar or a non-empty list of them; normalize to a list."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [_number(value, path, positive=positive)]
+        return [_number(value, path, positive=True)]
     if isinstance(value, list):
         if not value:
             _fail(path, "must not be an empty list")
-        return [
-            _number(v, f"{path}[{i}]", positive=positive) for i, v in enumerate(value)
-        ]
+        return [_number(v, f"{path}[{i}]", positive=True) for i, v in enumerate(value)]
     _fail(path, f"must be a number or list of numbers, got {type(value).__name__}")
 
 
-def _window(value: Any, path: str) -> Optional[List[float]]:
-    """An optional [lo_hz, hi_hz] window with hi > lo."""
-    if value is None:
-        return None
+def _window(value: Any, path: str) -> List[float]:
+    """A [lo_hz, hi_hz] window with hi > lo."""
     if not isinstance(value, list) or len(value) != 2:
         _fail(path, "must be null or [lo_hz, hi_hz]")
     lo, hi = (_number(v, f"{path}[{i}]") for i, v in enumerate(value))
@@ -130,292 +116,212 @@ def _window(value: Any, path: str) -> Optional[List[float]]:
     return [lo, hi]
 
 
-def _resolve_line(raw: Any, path: str) -> dict:
-    obj = _require_mapping(raw, path)
-    _check_keys(obj, ("center_hz", "fwhm_hz", "weight"), path)
-    if "center_hz" not in obj or "fwhm_hz" not in obj:
-        _fail(path, "requires center_hz and fwhm_hz")
-    return {
-        "center_hz": _number(obj["center_hz"], f"{path}.center_hz", positive=True),
-        "fwhm_hz": _number(obj["fwhm_hz"], f"{path}.fwhm_hz", positive=True),
-        "weight": _number(obj.get("weight", 1.0), f"{path}.weight", positive=True),
-    }
+def _num(**bounds) -> Callable:
+    return lambda value, path: _number(value, path, **bounds)
 
 
-def _resolve_satellite(raw: Any, path: str) -> dict:
-    obj = _require_mapping(raw, path)
-    _check_keys(obj, ("offset_hz", "weight"), path)
-    if "offset_hz" not in obj or "weight" not in obj:
-        _fail(path, "requires offset_hz and weight")
-    wt = _number(obj["weight"], f"{path}.weight", positive=True)
-    if wt >= 1.0:
-        _fail(f"{path}.weight", "must be < 1")
-    return {
-        "offset_hz": _number(obj["offset_hz"], f"{path}.offset_hz"),
-        "weight": wt,
-    }
+def _object(fields: Mapping, rule: Optional[Callable] = None) -> Callable:
+    """A nested object; null reads as {}, i.e. every default."""
+    return lambda value, path: _section({} if value is None else value, path, fields, rule)
 
 
-def _resolve_grid(raw: Any, path: str) -> dict:
-    obj = _require_mapping(raw, path) if raw is not None else {}
-    _check_keys(obj, ("n_nodes", "span_fwhm", "window_hz"), path)
-    window = _window(obj.get("window_hz"), f"{path}.window_hz")
-    return {
-        "n_nodes": _integer(obj.get("n_nodes", 5001), f"{path}.n_nodes", minimum=2),
-        "span_fwhm": _number(obj.get("span_fwhm", 8.0), f"{path}.span_fwhm", positive=True),
-        "window_hz": window,
-    }
+def _list_of(fields: Mapping, rule: Optional[Callable] = None, empty_ok: bool = False):
+    """A list whose every item is an object resolved against `fields`."""
+
+    def check(value: Any, path: str) -> list:
+        if not isinstance(value, list) or not (value or empty_ok):
+            _fail(path, "must be a list" if empty_ok else "must be a non-empty list")
+        return [_section(v, f"{path}[{i}]", fields, rule) for i, v in enumerate(value)]
+
+    return check
 
 
-def _resolve_ensemble(raw: Any, path: str) -> dict:
-    obj = _require_mapping(raw, path)
-    allowed = (
-        "name",
-        "lines",
-        "g_collective_hz",
-        "satellites",
-        "shape",
-        "center_hz",
-        "grid",
-        "n_spins_physical",
-    )
-    _check_keys(obj, allowed, path)
-    for req in ("name", "lines", "g_collective_hz"):
-        if req not in obj:
-            _fail(path, f"requires {req}")
-    name = _string(obj["name"], f"{path}.name")
-    if not name:
-        _fail(f"{path}.name", "must be non-empty")
-    lines_raw = obj["lines"]
-    if not isinstance(lines_raw, list) or not lines_raw:
-        _fail(f"{path}.lines", "must be a non-empty list")
-    lines = [_resolve_line(ln, f"{path}.lines[{i}]") for i, ln in enumerate(lines_raw)]
-    sats_raw = obj.get("satellites", [])
-    if not isinstance(sats_raw, list):
-        _fail(f"{path}.satellites", "must be a list")
-    sats = [
-        _resolve_satellite(s, f"{path}.satellites[{i}]") for i, s in enumerate(sats_raw)
-    ]
-    if sum(s["weight"] for s in sats) >= 1.0:
+_POSITIVE = _num(positive=True)
+_NONNEGATIVE = _num(nonnegative=True)
+
+
+def _section(raw: Any, path: str, fields: Mapping, rule: Optional[Callable] = None) -> dict:
+    """Resolve one object against its table of `key: (default, check)`.
+
+    Unknown keys are rejected.  A missing key takes its default, and a
+    `_REQUIRED` one fails.  With a None default, null and a missing key both
+    resolve to None unchecked; every other value goes through its check.
+    `rule(out, path)` then applies the object's cross-field rules.
+    """
+    where = path or "<root>"
+    if not isinstance(raw, Mapping):
+        _fail(where, f"expected an object, got {type(raw).__name__}")
+    unknown = [k for k in raw if k not in fields]
+    if unknown:
+        _fail(where, f"unknown key {unknown[0]!r} (allowed: {', '.join(fields)})")
+    out = {}
+    for key, (default, check) in fields.items():
+        if default is _REQUIRED and key not in raw:
+            _fail(where, f"requires {key}")
+        value = raw.get(key, default)
+        sub = f"{path}.{key}" if path else key
+        out[key] = None if value is None and default is None else check(value, sub)
+    if rule is not None:
+        rule(out, path)
+    return out
+
+
+# -- cross-field rules: rule(out, path) checks and completes a resolved object
+
+
+def _ensemble_rule(ens: dict, path: str) -> None:
+    if sum(s["weight"] for s in ens["satellites"]) >= 1.0:
         _fail(f"{path}.satellites", "total satellite weight must be < 1")
-    center = _number(obj.get("center_hz"), f"{path}.center_hz", positive=True, allow_none=True)
-    if center is None:
+    if ens["center_hz"] is None:
+        lines = ens["lines"]
         wsum = sum(ln["weight"] for ln in lines)
         center = sum(ln["weight"] * ln["center_hz"] for ln in lines) / wsum
         # the weighted mean can overflow or underflow; the effective config
         # must still resolve again
         _number(center, f"{path}.center_hz (weighted line mean)", positive=True)
-    n_phys = _number(
-        obj.get("n_spins_physical"), f"{path}.n_spins_physical", positive=True, allow_none=True
-    )
-    return {
-        "name": name,
-        "lines": lines,
-        "g_collective_hz": _number(
-            obj["g_collective_hz"], f"{path}.g_collective_hz", nonnegative=True
-        ),
-        "satellites": sats,
-        "shape": _string(
-            obj.get("shape", "lorentzian"), f"{path}.shape", ("lorentzian", "gaussian")
-        ),
-        "center_hz": center,
-        "grid": _resolve_grid(obj.get("grid"), f"{path}.grid"),
-        "n_spins_physical": n_phys,
-    }
+        ens["center_hz"] = center
 
 
-def _resolve_cavity(raw: Any) -> dict:
-    obj = _require_mapping(raw, "cavity") if raw is not None else {}
-    _check_keys(obj, ("omega_c_hz", "q", "kappa_hz", "gamma0_hz"), "cavity")
-    q = _number(obj.get("q"), "cavity.q", positive=True, allow_none=True)
-    kappa = _number(obj.get("kappa_hz"), "cavity.kappa_hz", positive=True, allow_none=True)
-    if q is None and kappa is None:
-        q = 1e4
-    if q is not None and kappa is not None:
-        _fail("cavity", "give q or kappa_hz, not both")
-    return {
-        "omega_c_hz": _number(
-            obj.get("omega_c_hz"), "cavity.omega_c_hz", positive=True, allow_none=True
-        ),
-        "q": q,
-        "kappa_hz": kappa,
-        "gamma0_hz": _number(obj.get("gamma0_hz", 0.0), "cavity.gamma0_hz", nonnegative=True),
-    }
+def _cavity_rule(cavity: dict, path: str) -> None:
+    if cavity["q"] is not None and cavity["kappa_hz"] is not None:
+        _fail(path, "give q or kappa_hz, not both")
+    if cavity["q"] is None and cavity["kappa_hz"] is None:
+        cavity["q"] = 1e4
 
 
-def _resolve_pulse(raw: Any) -> dict:
-    obj = _require_mapping(raw, "pulse") if raw is not None else {}
-    _check_keys(obj, ("shape", "fwhm_hz", "duration_s"), "pulse")
-    shape = _string(
-        obj.get("shape", "lorentzian"),
-        "pulse.shape",
-        ("lorentzian", "gaussian", "rectangular"),
-    )
-    fwhm = _number(obj.get("fwhm_hz"), "pulse.fwhm_hz", positive=True, allow_none=True)
-    duration = _number(obj.get("duration_s"), "pulse.duration_s", positive=True, allow_none=True)
-    if shape == "rectangular":
-        if duration is None:
-            _fail("pulse.duration_s", "required for the rectangular shape")
-        if fwhm is not None:
-            _fail("pulse.fwhm_hz", "not allowed for the rectangular shape (derived)")
-    else:
-        if duration is not None:
-            _fail("pulse.duration_s", "only allowed for the rectangular shape")
-        if fwhm is None:
-            fwhm = 1.5e5
-    return {"shape": shape, "fwhm_hz": fwhm, "duration_s": duration}
+def _pulse_rule(pulse: dict, path: str) -> None:
+    if pulse["shape"] == "rectangular":
+        if pulse["duration_s"] is None:
+            _fail(f"{path}.duration_s", "required for the rectangular shape")
+        if pulse["fwhm_hz"] is not None:
+            _fail(f"{path}.fwhm_hz", "not allowed for the rectangular shape (derived)")
+    elif pulse["duration_s"] is not None:
+        _fail(f"{path}.duration_s", "only allowed for the rectangular shape")
+    elif pulse["fwhm_hz"] is None:
+        pulse["fwhm_hz"] = 1.5e5
 
 
-def _resolve_qubit(raw: Any) -> dict:
-    obj = _require_mapping(raw, "qubit") if raw is not None else {}
-    _check_keys(
-        obj,
-        ("swap_efficiency", "readout_fidelity", "baseline", "saturation_guard"),
-        "qubit",
-    )
-    out = {
-        "swap_efficiency": _number(
-            obj.get("swap_efficiency", 0.7), "qubit.swap_efficiency", positive=True
-        ),
-        "readout_fidelity": _number(
-            obj.get("readout_fidelity", 0.7), "qubit.readout_fidelity", positive=True
-        ),
-        "baseline": _number(obj.get("baseline", 0.0), "qubit.baseline", nonnegative=True),
-        "saturation_guard": _number(
-            obj.get("saturation_guard", 1.0), "qubit.saturation_guard", positive=True
-        ),
-    }
-    for key in ("swap_efficiency", "readout_fidelity", "saturation_guard"):
-        if out[key] > 1.0:
-            _fail(f"qubit.{key}", "must be <= 1")
-    if out["baseline"] >= 1.0:
-        _fail("qubit.baseline", "must be < 1")
-    return out
+def _sensitivity(value: Any, path: str) -> dict:
+    # the conflict is reported before either list is checked
+    raw = {} if value is None else value
+    both = isinstance(raw, Mapping) and raw.get("delta_hz") is not None
+    if both and raw.get("linewidth_mt") is not None:
+        _fail(path, "give delta_hz or linewidth_mt, not both")
+    return _section(raw, path, _SENSITIVITY, _sensitivity_rule)
 
 
-def _resolve_sweep(raw: Any) -> dict:
-    obj = _require_mapping(raw, "sweep") if raw is not None else {}
-    _check_keys(obj, ("span_hz", "n_points", "n_pump", "center_hz", "tau_s_s"), "sweep")
-    return {
-        "span_hz": _number(obj.get("span_hz", 1.4e7), "sweep.span_hz", positive=True),
-        "n_points": _integer(obj.get("n_points", 401), "sweep.n_points", minimum=3),
-        "n_pump": _number(obj.get("n_pump", 15.0), "sweep.n_pump", nonnegative=True),
-        "center_hz": _number(
-            obj.get("center_hz"), "sweep.center_hz", positive=True, allow_none=True
-        ),
-        "tau_s_s": _number(obj.get("tau_s_s"), "sweep.tau_s_s", positive=True, allow_none=True),
-    }
+def _sensitivity_rule(sens: dict, path: str) -> None:
+    lws, per_mt = sens["linewidth_mt"], sens["delta_hz_per_mt"]
+    if lws is not None:
+        where = f"{path}.linewidth_mt x delta_hz_per_mt"
+        sens["delta_hz"] = [_number(lw * per_mt, where, positive=True) for lw in lws]
+    elif sens["delta_hz"] is None:
+        sens["delta_hz"] = [2.8e6]
+    sens["linewidth_mt"] = None
 
 
-def _resolve_numerics(raw: Any) -> dict:
-    obj = _require_mapping(raw, "numerics") if raw is not None else {}
-    allowed = (
-        "mode",
-        "window_hz",
-        "d_omega_hz",
-        "contour_offset_hz",
-        "edge_ratio",
-        "ode_rtol",
-        "threads",
-    )
-    _check_keys(obj, allowed, "numerics")
-    window = _window(obj.get("window_hz"), "numerics.window_hz")
-    return {
-        "mode": _string(
-            obj.get("mode", "narrow-pulse"),
-            "numerics.mode",
-            ("narrow-pulse", "exact-convolution"),
-        ),
-        "window_hz": window,
-        "d_omega_hz": _number(
-            obj.get("d_omega_hz"), "numerics.d_omega_hz", positive=True, allow_none=True
-        ),
-        "contour_offset_hz": _number(
-            obj.get("contour_offset_hz"),
-            "numerics.contour_offset_hz",
-            positive=True,
-            allow_none=True,
-        ),
-        "edge_ratio": _number(obj.get("edge_ratio", 1e-4), "numerics.edge_ratio", positive=True),
-        "ode_rtol": _number(obj.get("ode_rtol", 1e-9), "numerics.ode_rtol", positive=True),
-        "threads": _integer(obj.get("threads", 1), "numerics.threads", minimum=1),
-    }
+def _root_rule(cfg: dict, path: str) -> None:
+    names = [e["name"] for e in cfg["ensembles"]]
+    if len(set(names)) != len(names):
+        _fail("ensembles", f"names must be unique, got {names}")
 
 
-def _resolve_sensitivity(raw: Any) -> dict:
-    obj = _require_mapping(raw, "sensitivity") if raw is not None else {}
-    allowed = (
-        "coupling_hz",
-        "delta_hz",
-        "linewidth_mt",
-        "delta_hz_per_mt",
-        "n_threshold",
-        "kappa_hz",
-        "n_spins",
-    )
-    _check_keys(obj, allowed, "sensitivity")
-    per_mt = _number(
-        obj.get("delta_hz_per_mt", 2.8e7), "sensitivity.delta_hz_per_mt", positive=True
-    )
-    if obj.get("delta_hz") is not None and obj.get("linewidth_mt") is not None:
-        _fail("sensitivity", "give delta_hz or linewidth_mt, not both")
-    if obj.get("linewidth_mt") is not None:
-        lws = _number_list(obj["linewidth_mt"], "sensitivity.linewidth_mt", positive=True)
-        delta = [
-            _number(lw * per_mt, "sensitivity.linewidth_mt x delta_hz_per_mt", positive=True)
-            for lw in lws
-        ]
-    elif obj.get("delta_hz") is not None:
-        delta = _number_list(obj["delta_hz"], "sensitivity.delta_hz", positive=True)
-    else:
-        delta = [2.8e6]
-    return {
-        "coupling_hz": _number_list(
-            obj.get("coupling_hz", [10.0]), "sensitivity.coupling_hz", positive=True
-        ),
-        "delta_hz": delta,
-        "linewidth_mt": None,
-        "delta_hz_per_mt": per_mt,
-        "n_threshold": _number_list(
-            obj.get("n_threshold", [0.05]), "sensitivity.n_threshold", positive=True
-        ),
-        "kappa_hz": _number(
-            obj.get("kappa_hz"), "sensitivity.kappa_hz", positive=True, allow_none=True
-        ),
-        "n_spins": _number(
-            obj.get("n_spins"), "sensitivity.n_spins", positive=True, allow_none=True
-        ),
-    }
+# -- the schema: every key, its default and its check, in message order ------
+# (the rules above supply cavity.q = 1e4, pulse.fwhm_hz = 1.5e5 and
+# sensitivity.delta_hz = [2.8e6], which depend on other keys)
+
+_LINE = {
+    "center_hz": (_REQUIRED, _POSITIVE),
+    "fwhm_hz": (_REQUIRED, _POSITIVE),
+    "weight": (1.0, _POSITIVE),
+}
+_SATELLITE = {
+    "offset_hz": (_REQUIRED, _num()),
+    "weight": (_REQUIRED, _num(positive=True, below=1)),
+}
+_GRID = {
+    "n_nodes": (5001, _integer(2)),
+    "span_fwhm": (8.0, _POSITIVE),
+    "window_hz": (None, _window),
+}
+_ENSEMBLE = {
+    "name": (_REQUIRED, _string()),
+    "lines": (_REQUIRED, _list_of(_LINE)),
+    "g_collective_hz": (_REQUIRED, _NONNEGATIVE),
+    "satellites": ([], _list_of(_SATELLITE, empty_ok=True)),
+    "shape": ("lorentzian", _string("lorentzian", "gaussian")),
+    "center_hz": (None, _POSITIVE),
+    "grid": ({}, _object(_GRID)),
+    "n_spins_physical": (None, _POSITIVE),
+}
+_CAVITY = {
+    "omega_c_hz": (None, _POSITIVE),
+    "q": (None, _POSITIVE),
+    "kappa_hz": (None, _POSITIVE),
+    "gamma0_hz": (0.0, _NONNEGATIVE),
+}
+_PULSE = {
+    "shape": ("lorentzian", _string("lorentzian", "gaussian", "rectangular")),
+    "fwhm_hz": (None, _POSITIVE),
+    "duration_s": (None, _POSITIVE),
+}
+_QUBIT = {
+    "swap_efficiency": (0.7, _num(positive=True, at_most=1)),
+    "readout_fidelity": (0.7, _num(positive=True, at_most=1)),
+    "baseline": (0.0, _num(nonnegative=True, below=1)),
+    "saturation_guard": (1.0, _num(positive=True, at_most=1)),
+}
+_SWEEP = {
+    "span_hz": (1.4e7, _POSITIVE),
+    "n_points": (401, _integer(3)),
+    "n_pump": (15.0, _NONNEGATIVE),
+    "center_hz": (None, _POSITIVE),
+    "tau_s_s": (None, _POSITIVE),
+}
+_NUMERICS = {
+    "mode": ("narrow-pulse", _string("narrow-pulse", "exact-convolution")),
+    "window_hz": (None, _window),
+    "d_omega_hz": (None, _POSITIVE),
+    "contour_offset_hz": (None, _POSITIVE),
+    "edge_ratio": (1e-4, _POSITIVE),
+    "ode_rtol": (1e-9, _POSITIVE),
+    "threads": (1, _integer(1)),
+}
+_SENSITIVITY = {
+    "coupling_hz": ([10.0], _positive_list),
+    "delta_hz": (None, _positive_list),
+    "linewidth_mt": (None, _positive_list),
+    "delta_hz_per_mt": (2.8e7, _POSITIVE),
+    "n_threshold": ([0.05], _positive_list),
+    "kappa_hz": (None, _POSITIVE),
+    "n_spins": (None, _POSITIVE),
+}
+_ROOT = {
+    "ensembles": ([], _list_of(_ENSEMBLE, _ensemble_rule)),
+    "cavity": ({}, _object(_CAVITY, _cavity_rule)),
+    "pulse": ({}, _object(_PULSE, _pulse_rule)),
+    "qubit": ({}, _object(_QUBIT)),
+    "sweep": ({}, _object(_SWEEP)),
+    "numerics": ({}, _object(_NUMERICS)),
+    "sensitivity": ({}, _sensitivity),
+}
 
 
 def resolve(raw: Any) -> dict:
     """Validate a parsed JSON object and fill every default (strict)."""
-    obj = _require_mapping(raw, "<root>")
-    allowed = ("ensembles", "cavity", "pulse", "qubit", "sweep", "numerics", "sensitivity")
-    _check_keys(obj, allowed, "<root>")
-    ens_raw = obj.get("ensembles")
-    if not isinstance(ens_raw, list) or not ens_raw:
-        _fail("ensembles", "must be a non-empty list")
-    ensembles = [
-        _resolve_ensemble(e, f"ensembles[{i}]") for i, e in enumerate(ens_raw)
-    ]
-    names = [e["name"] for e in ensembles]
-    if len(set(names)) != len(names):
-        _fail("ensembles", f"names must be unique, got {names}")
-    return {
-        "ensembles": ensembles,
-        "cavity": _resolve_cavity(obj.get("cavity")),
-        "pulse": _resolve_pulse(obj.get("pulse")),
-        "qubit": _resolve_qubit(obj.get("qubit")),
-        "sweep": _resolve_sweep(obj.get("sweep")),
-        "numerics": _resolve_numerics(obj.get("numerics")),
-        "sensitivity": _resolve_sensitivity(obj.get("sensitivity")),
-    }
+    return _section(raw, "", _ROOT, _root_rule)
 
 
 def canonical_json(effective: Mapping) -> str:
     """Deterministic serialization of an effective config (ends with newline)."""
     return json.dumps(effective, indent=2, sort_keys=True) + "\n"
+
+
+def _rad(hz):
+    """Hz to rad/s: None stays None, a [lo, hi] window becomes a tuple."""
+    if isinstance(hz, list):
+        return tuple(TWO_PI * x for x in hz)
+    return None if hz is None else TWO_PI * hz
 
 
 @dataclass(frozen=True)
@@ -430,81 +336,55 @@ class RunConfig:
         entries = {}
         for spec in self.effective["ensembles"]:
             lines = [
-                SpinLine(
-                    center=TWO_PI * ln["center_hz"],
-                    fwhm=TWO_PI * ln["fwhm_hz"],
-                    weight=ln["weight"],
-                )
+                SpinLine(_rad(ln["center_hz"]), _rad(ln["fwhm_hz"]), ln["weight"])
                 for ln in spec["lines"]
             ]
-            sats = [
-                (TWO_PI * s["offset_hz"], s["weight"]) for s in spec["satellites"]
-            ]
+            sats = [(_rad(s["offset_hz"]), s["weight"]) for s in spec["satellites"]]
             g = spec["grid"]
-            window = g["window_hz"]
-            grid = GridSpec(
-                n_nodes=g["n_nodes"],
-                window=(TWO_PI * window[0], TWO_PI * window[1]) if window else None,
-                span_fwhm=g["span_fwhm"],
-            )
+            grid = GridSpec(g["n_nodes"], window=_rad(g["window_hz"]), span_fwhm=g["span_fwhm"])
             dist = build_distribution(
                 lines,
-                g_collective=TWO_PI * spec["g_collective_hz"],
+                g_collective=_rad(spec["g_collective_hz"]),
                 satellites=sats or None,
                 grid=grid,
                 shape=spec["shape"],
                 n_spins_physical=spec["n_spins_physical"],
             )
             name = spec["name"]
-            entries[name] = Ensemble(
-                name=name, center=TWO_PI * spec["center_hz"], distribution=dist
-            )
+            entries[name] = Ensemble(name=name, center=_rad(spec["center_hz"]), distribution=dist)
         return EnsembleCatalog(entries)
 
     def cavity_for(self, ensemble: Ensemble) -> CavityModel:
         spec = self.effective["cavity"]
-        omega_c = (
-            TWO_PI * spec["omega_c_hz"] if spec["omega_c_hz"] is not None else ensemble.center
-        )
-        gamma0 = TWO_PI * spec["gamma0_hz"]
+        omega_c = _rad(spec["omega_c_hz"])
+        if omega_c is None:
+            omega_c = ensemble.center
+        gamma0 = _rad(spec["gamma0_hz"])
         if spec["q"] is not None:
             return CavityModel.from_quality(omega_c, spec["q"], gamma0=gamma0)
-        return CavityModel(omega_c, TWO_PI * spec["kappa_hz"], gamma0=gamma0)
+        return CavityModel(omega_c, _rad(spec["kappa_hz"]), gamma0=gamma0)
 
     def pulse(self) -> PulseEnvelope:
         spec = self.effective["pulse"]
         if spec["shape"] == "rectangular":
             return PulseEnvelope(shape="rectangular", duration=spec["duration_s"])
-        return PulseEnvelope(shape=spec["shape"], fwhm=TWO_PI * spec["fwhm_hz"])
+        return PulseEnvelope(shape=spec["shape"], fwhm=_rad(spec["fwhm_hz"]))
 
     def chain(self) -> QubitChain:
-        spec = self.effective["qubit"]
-        return QubitChain(
-            swap_efficiency=spec["swap_efficiency"],
-            readout_fidelity=spec["readout_fidelity"],
-            baseline=spec["baseline"],
-            saturation_guard=spec["saturation_guard"],
-        )
+        return QubitChain(**self.effective["qubit"])
 
     def inversion_settings(self) -> InversionSettings:
         spec = self.effective["numerics"]
-        window = spec["window_hz"]
         return InversionSettings(
-            window=(TWO_PI * window[0], TWO_PI * window[1]) if window else None,
-            d_omega=TWO_PI * spec["d_omega_hz"] if spec["d_omega_hz"] else None,
-            contour_offset=(
-                TWO_PI * spec["contour_offset_hz"] if spec["contour_offset_hz"] else None
-            ),
+            window=_rad(spec["window_hz"]),
+            d_omega=_rad(spec["d_omega_hz"]),
+            contour_offset=_rad(spec["contour_offset_hz"]),
             edge_ratio=spec["edge_ratio"],
         )
 
     @property
     def mode(self) -> str:
         return self.effective["numerics"]["mode"]
-
-    @property
-    def threads(self) -> int:
-        return self.effective["numerics"]["threads"]
 
     @property
     def ode_rtol(self) -> float:
@@ -515,10 +395,10 @@ class RunConfig:
         import numpy as np
 
         spec = self.effective["sweep"]
-        center = (
-            TWO_PI * spec["center_hz"] if spec["center_hz"] is not None else ensemble.center
-        )
-        half = 0.5 * TWO_PI * spec["span_hz"]
+        center = _rad(spec["center_hz"])
+        if center is None:
+            center = ensemble.center
+        half = 0.5 * _rad(spec["span_hz"])
         return np.linspace(center - half, center + half, spec["n_points"])
 
     @property
@@ -534,7 +414,7 @@ class RunConfig:
         """Cartesian (g, Delta, n_threshold) grid in rad/s, fixed order."""
         spec = self.effective["sensitivity"]
         return [
-            (TWO_PI * g, TWO_PI * d, nth)
+            (_rad(g), _rad(d), nth)
             for g in spec["coupling_hz"]
             for d in spec["delta_hz"]
             for nth in spec["n_threshold"]
@@ -542,8 +422,7 @@ class RunConfig:
 
     @property
     def sensitivity_kappa(self) -> Optional[float]:
-        k = self.effective["sensitivity"]["kappa_hz"]
-        return TWO_PI * k if k is not None else None
+        return _rad(self.effective["sensitivity"]["kappa_hz"])
 
     @property
     def sensitivity_n_spins(self) -> Optional[float]:

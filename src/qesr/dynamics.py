@@ -473,14 +473,15 @@ _MAX_GRID_POINTS = 4_000_000
 
 def _contour_grid(lo: float, hi: float, d_omega: float) -> np.ndarray:
     """Uniform frequency grid over [lo, hi], guarded against memory blow-up."""
-    n = int(math.ceil((hi - lo) / d_omega)) + 1
-    if n > _MAX_GRID_POINTS:
+    steps = (hi - lo) / d_omega
+    if not steps <= _MAX_GRID_POINTS - 1:  # an infinite or NaN span fails too
+        n = math.ceil(steps) + 1 if math.isfinite(steps) else steps
         raise NumericalGuardError(
             f"inversion grid would need {n} points "
             f"(window {hi - lo:.3e} rad/s wide at step {d_omega:.3e}); "
             "pass a coarser d_omega or a narrower window in InversionSettings"
         )
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, math.ceil(steps) + 1)
 
 
 # The contour primitive, in three parts: an adequate grid, the Fourier sum on
@@ -763,7 +764,8 @@ def time_domain_propagate(
         raise ValueError("times must be non-negative and non-decreasing")
     x0 = _initial_vector(dist, initial, env, omega_p)
     y = _propagate_state(dist, cavity, x0, times, rtol, atol)
-    beta = y[0] * np.exp(-1j * cavity.omega_c * times)
+    # + 0.0 turns the -0.0 parts of a zero amplitude into 0.0, as on the contour route
+    beta = y[0] * np.exp(-1j * cavity.omega_c * times) + 0.0
     return TransferResult(
         omega_p=float(omega_p) if omega_p is not None else float("nan"),
         times=times,

@@ -331,6 +331,8 @@ def test_zero_coupling_gives_zero_beta(tmp_path, argv):
         assert summary["abs_beta_max"] == 0.0
     else:
         assert summary["max_pe"] == 0.0
+    rows = (out / f"{argv[0]}_demo.csv").read_text().splitlines()[1:]
+    assert "-0.0" not in {field for row in rows for field in row.split(",")}
 
 
 def test_pulse_without_overlap_exit_3(tmp_path, capsys):
@@ -364,6 +366,40 @@ def test_out_path_is_a_file_exit_4(tmp_path, small_cfg, capsys):
     rc = main(["density", "--config", small_cfg, "--out", str(blocker)])
     assert rc == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+BAD_OPTIONS = [  # (argv, the option it must name)
+    (["swap", "--n-taus", "2"], "--n-taus"),
+    (["transfer", "--n-times", "0"], "--n-times"),
+    (["transfer", "--n-times", "1"], "--n-times"),
+    (["transfer", "--method", "time-domain", "--n-times", "1"], "--n-times"),
+    (["transfer", "--t-max-s", "0"], "--t-max-s"),
+    (["transfer", "--t-max-s=-1e-7"], "--t-max-s"),
+    (["swap", "--tau-max-s=-1e-7"], "--tau-max-s"),
+    (["swap", "--tau-max-s", "inf"], "--tau-max-s"),
+    (["transfer", "--omega-p-hz", "inf"], "--omega-p-hz"),
+    (["transfer", "--omega-p-hz", "nan"], "--omega-p-hz"),
+    (["transfer", "--omega-p-hz=-1e9"], "--omega-p-hz"),
+]
+
+
+@pytest.mark.parametrize("argv,option", BAD_OPTIONS, ids=[" ".join(a) for a, _ in BAD_OPTIONS])
+def test_bad_numeric_option_exit_2(tmp_path, small_cfg, capsys, argv, option):
+    out = tmp_path / "out"
+    rc = main([argv[0], "--config", small_cfg, "--out", str(out), *argv[1:]])
+    assert rc == 2
+    assert f"config error: {option}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["--omega-p-hz", "1e308"], ["--t-max-s", "1e300", "--n-times", "5"]]
+)
+def test_overflowing_option_hits_grid_guard(tmp_path, small_cfg, capsys, argv):
+    """2 pi x 1e308 overflows to inf; the contour grid cap reports it, exit 3."""
+    rc = main(["transfer", "--config", small_cfg, "--out", str(tmp_path), *argv])
+    assert rc == 3
+    assert "inversion grid would need inf points" in capsys.readouterr().err
 
 
 def test_argparse_rejects_bad_usage(small_cfg):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def test_numerics_to_inversion_settings():
     assert settings.d_omega == pytest.approx(TWO_PI * 1000.0, rel=1e-15)
     assert settings.contour_offset == pytest.approx(TWO_PI * 5e4, rel=1e-15)
     assert settings.edge_ratio == 1e-3
-    assert cfg.threads == 3
+    assert cfg.effective["numerics"]["threads"] == 3
 
 
 def test_rectangular_pulse_built():
@@ -255,6 +256,21 @@ def test_errors_name_the_offending_key():
     raw2["ensembles"][0]["lines"][0]["weight"] = True
     with pytest.raises(ConfigError, match="must be a number, got bool"):
         parse_raw(raw2)
+    # a null list item, and a missing required key, are named by the object's path
+    ensemble, line = ("ensembles", 0), ("ensembles", 0, "lines", 0)
+    satellites = ("ensembles", 0, "satellites")
+    nameless = {"lines": [{"center_hz": 2.9e9, "fwhm_hz": 1e6}], "g_collective_hz": 1e6}
+    named = {
+        "ensembles[0]: expected an object, got NoneType": (ensemble, None),
+        "ensembles[0].lines[0]: expected an object, got NoneType": (line, None),
+        "ensembles[0].satellites[0]: expected an object, got NoneType": (satellites, [None]),
+        "ensembles[0]: requires name": (ensemble, nameless),
+        "ensembles[0].lines[0]: requires fwhm_hz": (line, {"center_hz": 2.9e9}),
+        "ensembles[0].satellites[0]: requires weight": (satellites, [{"offset_hz": 1e5}]),
+    }
+    for message, (path, value) in named.items():
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            resolve(_replaced(minimal(), path, value))
 
 
 def test_cavity_q_kappa_conflict():
