@@ -2,9 +2,9 @@
 
 Config files are JSON (conventionally with a .cfg extension).  Frequencies
 are given in Hz (cycles) and converted to angular rad/s when domain objects
-are built: omega_rad = 2*pi*value_hz.  Durations are seconds.  Unknown keys
-are rejected with the offending path so physics parameters cannot be
-silently misspelled.
+are built: omega_rad = 2*pi*value_hz, which must be finite (`_hz`; the sweep's
+pump edges too).  Durations are seconds.  Unknown keys are rejected with the
+offending path so physics parameters cannot be silently misspelled.
 
 `resolve(raw)` returns the effective configuration: every default filled in,
 keys in a fixed canonical order.  Serializing the effective config, parsing
@@ -136,8 +136,26 @@ def _list_of(fields: Mapping, rule: Optional[Callable] = None, empty_ok: bool = 
     return check
 
 
+def _hz(check: Callable) -> Callable:
+    """A frequency in Hz (or a list of them): `check`, then 2*pi*x must be finite.
+
+    The builders convert every Hz value to rad/s (`_rad`), which overflows
+    above ~2.9e307 Hz.
+    """
+
+    def hz_check(value: Any, path: str):
+        out = check(value, path)
+        for hz in out if isinstance(out, list) else [out]:
+            if not math.isfinite(TWO_PI * hz):
+                _fail(path, f"{hz!r} Hz overflows in rad/s (2*pi*x must be finite)")
+        return out
+
+    return hz_check
+
+
 _POSITIVE = _num(positive=True)
 _NONNEGATIVE = _num(nonnegative=True)
+_HZ = _hz(_POSITIVE)
 
 
 def _section(raw: Any, path: str, fields: Mapping, rule: Optional[Callable] = None) -> dict:
@@ -178,7 +196,7 @@ def _ensemble_rule(ens: dict, path: str) -> None:
         center = sum(ln["weight"] * ln["center_hz"] for ln in lines) / wsum
         # the weighted mean can overflow or underflow; the effective config
         # must still resolve again
-        _number(center, f"{path}.center_hz (weighted line mean)", positive=True)
+        _HZ(center, f"{path}.center_hz (weighted line mean)")
         ens["center_hz"] = center
 
 
@@ -214,7 +232,7 @@ def _sensitivity_rule(sens: dict, path: str) -> None:
     lws, per_mt = sens["linewidth_mt"], sens["delta_hz_per_mt"]
     if lws is not None:
         where = f"{path}.linewidth_mt x delta_hz_per_mt"
-        sens["delta_hz"] = [_number(lw * per_mt, where, positive=True) for lw in lws]
+        sens["delta_hz"] = [_HZ(lw * per_mt, where) for lw in lws]
     elif sens["delta_hz"] is None:
         sens["delta_hz"] = [2.8e6]
     sens["linewidth_mt"] = None
@@ -224,6 +242,12 @@ def _root_rule(cfg: dict, path: str) -> None:
     names = [e["name"] for e in cfg["ensembles"]]
     if len(set(names)) != len(names):
         _fail("ensembles", f"names must be unique, got {names}")
+    sweep = cfg["sweep"]
+    for ens in cfg["ensembles"]:
+        center = _rad(ens["center_hz"] if sweep["center_hz"] is None else sweep["center_hz"])
+        lo, hi = _pump_edges(center, sweep["span_hz"])
+        if not math.isfinite(hi - lo):
+            _fail("sweep", f"pump edges center_hz +/- span_hz/2 overflow in rad/s ({ens['name']})")
 
 
 # -- the schema: every key, its default and its check, in message order ------
@@ -231,38 +255,38 @@ def _root_rule(cfg: dict, path: str) -> None:
 # sensitivity.delta_hz = [2.8e6], which depend on other keys)
 
 _LINE = {
-    "center_hz": (_REQUIRED, _POSITIVE),
-    "fwhm_hz": (_REQUIRED, _POSITIVE),
+    "center_hz": (_REQUIRED, _HZ),
+    "fwhm_hz": (_REQUIRED, _HZ),
     "weight": (1.0, _POSITIVE),
 }
 _SATELLITE = {
-    "offset_hz": (_REQUIRED, _num()),
+    "offset_hz": (_REQUIRED, _hz(_num())),
     "weight": (_REQUIRED, _num(positive=True, below=1)),
 }
 _GRID = {
     "n_nodes": (5001, _integer(2)),
     "span_fwhm": (8.0, _POSITIVE),
-    "window_hz": (None, _window),
+    "window_hz": (None, _hz(_window)),
 }
 _ENSEMBLE = {
     "name": (_REQUIRED, _string()),
     "lines": (_REQUIRED, _list_of(_LINE)),
-    "g_collective_hz": (_REQUIRED, _NONNEGATIVE),
+    "g_collective_hz": (_REQUIRED, _hz(_NONNEGATIVE)),
     "satellites": ([], _list_of(_SATELLITE, empty_ok=True)),
     "shape": ("lorentzian", _string("lorentzian", "gaussian")),
-    "center_hz": (None, _POSITIVE),
+    "center_hz": (None, _HZ),
     "grid": ({}, _object(_GRID)),
     "n_spins_physical": (None, _POSITIVE),
 }
 _CAVITY = {
-    "omega_c_hz": (None, _POSITIVE),
+    "omega_c_hz": (None, _HZ),
     "q": (None, _POSITIVE),
-    "kappa_hz": (None, _POSITIVE),
-    "gamma0_hz": (0.0, _NONNEGATIVE),
+    "kappa_hz": (None, _HZ),
+    "gamma0_hz": (0.0, _hz(_NONNEGATIVE)),
 }
 _PULSE = {
     "shape": ("lorentzian", _string("lorentzian", "gaussian", "rectangular")),
-    "fwhm_hz": (None, _POSITIVE),
+    "fwhm_hz": (None, _HZ),
     "duration_s": (None, _POSITIVE),
 }
 _QUBIT = {
@@ -272,28 +296,28 @@ _QUBIT = {
     "saturation_guard": (1.0, _num(positive=True, at_most=1)),
 }
 _SWEEP = {
-    "span_hz": (1.4e7, _POSITIVE),
+    "span_hz": (1.4e7, _HZ),
     "n_points": (401, _integer(3)),
     "n_pump": (15.0, _NONNEGATIVE),
-    "center_hz": (None, _POSITIVE),
+    "center_hz": (None, _HZ),
     "tau_s_s": (None, _POSITIVE),
 }
 _NUMERICS = {
     "mode": ("narrow-pulse", _string("narrow-pulse", "exact-convolution")),
-    "window_hz": (None, _window),
-    "d_omega_hz": (None, _POSITIVE),
-    "contour_offset_hz": (None, _POSITIVE),
+    "window_hz": (None, _hz(_window)),
+    "d_omega_hz": (None, _HZ),
+    "contour_offset_hz": (None, _HZ),
     "edge_ratio": (1e-4, _POSITIVE),
     "ode_rtol": (1e-9, _POSITIVE),
     "threads": (1, _integer(1)),
 }
 _SENSITIVITY = {
-    "coupling_hz": ([10.0], _positive_list),
-    "delta_hz": (None, _positive_list),
+    "coupling_hz": ([10.0], _hz(_positive_list)),
+    "delta_hz": (None, _hz(_positive_list)),
     "linewidth_mt": (None, _positive_list),
     "delta_hz_per_mt": (2.8e7, _POSITIVE),
     "n_threshold": ([0.05], _positive_list),
-    "kappa_hz": (None, _POSITIVE),
+    "kappa_hz": (None, _HZ),
     "n_spins": (None, _POSITIVE),
 }
 _ROOT = {
@@ -322,6 +346,12 @@ def _rad(hz):
     if isinstance(hz, list):
         return tuple(TWO_PI * x for x in hz)
     return None if hz is None else TWO_PI * hz
+
+
+def _pump_edges(center: float, span_hz: float) -> Tuple[float, float]:
+    """First and last pump frequency (rad/s) of a sweep around `center` (rad/s)."""
+    half = 0.5 * _rad(span_hz)
+    return center - half, center + half
 
 
 @dataclass(frozen=True)
@@ -398,8 +428,7 @@ class RunConfig:
         center = _rad(spec["center_hz"])
         if center is None:
             center = ensemble.center
-        half = 0.5 * _rad(spec["span_hz"])
-        return np.linspace(center - half, center + half, spec["n_points"])
+        return np.linspace(*_pump_edges(center, spec["span_hz"]), spec["n_points"])
 
     @property
     def sweep_n_pump(self) -> float:

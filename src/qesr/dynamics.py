@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import wofz
 
 from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError
 from .spin_model import SpinDistribution, _csv_text, density_at
@@ -176,6 +174,8 @@ class PulseEnvelope:
             a = self._lor_hwhm
             return math.pi * a / (u + 1j * a)
         if self.shape == "gaussian":
+            from scipy.special import wofz  # imported here: only this branch needs it
+
             s = self._gauss_sigma
             return -1j * math.pi * wofz(u / (s * math.sqrt(2.0)))
         z = 0.5 * u * self.duration
@@ -708,6 +708,8 @@ def _propagate_state(
     lab-frame amplitudes are Y * exp(-i omega_c t).  The arrow structure of M
     keeps each right-hand side O(N).
     """
+    from scipy.integrate import solve_ivp  # imported here: only the ODE route needs it
+
     g = dist.g_collective * np.sqrt(dist.weights)
     det = dist.omega_nodes - cavity.omega_c
     diag_spins = -1j * det - 0.5 * cavity.gamma0

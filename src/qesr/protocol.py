@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .dynamics import (
     MODE_EXACT,
@@ -151,13 +150,42 @@ def _refine_parabolic(x: np.ndarray, y: np.ndarray, i: int) -> Tuple[float, floa
     return float(x[i] + delta * (x[i + 1] - x[i])), y1 - 0.25 * (y0 - y2) * delta
 
 
+def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the peaks of x whose prominence is at least `prominence`.
+
+    The rules of SciPy's find_peaks(x, prominence=...): a peak is a strict
+    local maximum, a flat top counts once at its middle sample (rounded
+    down), and the end points are never peaks.  Each base is the lowest
+    sample on its side before the first strictly higher one (or the end of
+    x); the prominence is the peak's height above the higher base.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    # runs of equal samples; a run is a peak when both neighbouring runs are lower
+    last = np.flatnonzero(x[1:] != x[:-1])
+    starts = np.concatenate(([0], last + 1))
+    ends = np.concatenate((last, [x.size - 1]))
+    v = x[starts]
+    top = np.flatnonzero((v[:-2] < v[1:-1]) & (v[2:] < v[1:-1])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    keep = np.zeros(peaks.size, dtype=bool)
+    for k, p in enumerate(peaks):
+        higher = np.flatnonzero(x[:p] > x[p])
+        left = x[higher[-1] + 1 if higher.size else 0 : p + 1].min()
+        higher = np.flatnonzero(x[p:] > x[p])
+        right = x[p : p + higher[0] if higher.size else x.size].min()
+        keep[k] = x[p] - max(left, right) >= prominence
+    return peaks[keep]
+
+
 def _calibrate_trace(
     taus: np.ndarray, pop: np.ndarray, pe: np.ndarray, min_drop: float
 ) -> Optional[SwapCalibration]:
     top = float(np.max(pop))
     if top <= 0.0:
         return None
-    dips, _ = find_peaks(-pop, prominence=min_drop * top)
+    dips = _prominent_peaks(-pop, min_drop * top)
     if dips.size == 0:
         return None
     i = int(dips[0])
@@ -166,7 +194,7 @@ def _calibrate_trace(
         return None
     ret_t = ret_pe = None
     later = pop[i:]
-    tops, _ = find_peaks(later, prominence=min_drop * top)
+    tops = _prominent_peaks(later, min_drop * top)
     if tops.size:
         j = i + int(tops[0])
         ret_t, _ = _refine_parabolic(taus, pop, j)
@@ -336,7 +364,7 @@ def spectrum_peaks(
     span = float(np.max(pe) - np.min(pe))
     if span <= 0.0:
         return np.empty(0), np.empty(0)
-    idx, _ = find_peaks(pe, prominence=min_prominence * span)
+    idx = _prominent_peaks(pe, min_prominence * span)
     pos, height = [], []
     for i in idx:
         wi, hi = _refine_parabolic(w, pe, int(i))

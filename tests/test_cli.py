@@ -409,3 +409,43 @@ def test_argparse_rejects_bad_usage(small_cfg):
         main(["spectrum", "--config", small_cfg, "--mode", "bogus"])
     with pytest.raises(SystemExit):
         main(["unknown-command"])
+
+
+OVERFLOWING_HZ = [  # (command, path to the value set to 1e308, the key named)
+    ("density", ("cavity", "omega_c_hz"), "cavity.omega_c_hz"),
+    ("density", ("ensembles", 0, "center_hz"), "ensembles[0].center_hz"),
+    ("density", ("ensembles", 0, "lines", 0, "center_hz"), "ensembles[0].lines[0].center_hz"),
+    ("density", ("ensembles", 0, "lines", 0, "fwhm_hz"), "ensembles[0].lines[0].fwhm_hz"),
+    ("spectrum", ("sweep", "span_hz"), "sweep.span_hz"),
+    ("spectrum", ("sweep", "center_hz"), "sweep.center_hz"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,path,key", OVERFLOWING_HZ, ids=[key for _, _, key in OVERFLOWING_HZ]
+)
+def test_hz_overflowing_in_rad_exit_2(tmp_path, capsys, command, path, key):
+    """2 pi x 1e308 is inf: the config is rejected, not a traceback (exit 1)
+    from a domain object or a NaN inversion window (exit 3)."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["cavity"] = {}
+    obj = raw
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = 1e308
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, raw), "--out", str(out)])
+    assert rc == 2
+    assert f"config error: {key}: 1e+308 Hz overflows in rad/s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pump_edges_overflowing_in_rad_exit_2(tmp_path, capsys):
+    """Centre and span each convert to finite rad/s, but centre + span/2 does not."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["sweep"].update(center_hz=2.8e307, span_hz=2.8e307)
+    rc = main(["spectrum", "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error: sweep: pump edges center_hz +/- span_hz/2 overflow" in (
+        capsys.readouterr().err
+    )

@@ -587,7 +587,7 @@ def test_time_domain_input_validation(scen_I):
 
 def test_time_domain_integrator_failure_is_a_guard(scen_I, monkeypatch):
     failed = SimpleNamespace(success=False, message="step size underflow")
-    monkeypatch.setattr("qesr.dynamics.solve_ivp", lambda *a, **k: failed)
+    monkeypatch.setattr("scipy.integrate.solve_ivp", lambda *a, **k: failed)
     with pytest.raises(NumericalGuardError, match="step size underflow"):
         time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [0.0, 1e-9])
 

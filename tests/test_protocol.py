@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qesr.dynamics import MODE_EXACT, CavityModel, PulseEnvelope
 from qesr.errors import NoOscillationError, NumericalGuardError, SaturationError
@@ -13,6 +16,7 @@ from qesr.protocol import (
     QubitChain,
     SpectrumResult,
     SwapTrace,
+    _prominent_peaks,
     esr_spectrum,
     excitation_budget,
     find_swap_time,
@@ -474,3 +478,75 @@ def test_chain_probability_model():
 def test_chain_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         QubitChain(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the peak finder: SciPy's find_peaks(x, prominence=p) indices
+# ---------------------------------------------------------------------------
+
+
+def assert_same_peaks(x, prominence):
+    from scipy.signal import find_peaks  # qesr itself never imports scipy.signal
+
+    x = np.asarray(x, dtype=float)
+    got = _prominent_peaks(x, prominence)
+    assert got.dtype.kind == "i"
+    np.testing.assert_array_equal(got, find_peaks(x, prominence=prominence)[0])
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_peak_finder_matches_find_peaks_on_bundled_data(request, name):
+    scen = request.getfixturevalue(f"scen_{name}")
+    cal = request.getfixturevalue(f"swap_cal_{name}")
+    taus = np.linspace(0.0, 1.2 * math.pi / scen.dist.g_collective, 481)
+    trace = simulate_swap(scen.dist, scen.cavity, scen.chain, taus)
+    pop = trace.cavity_abs2
+    res = esr_spectrum(
+        scen.dist, scen.cavity, scen.env, scen.chain, scen.omegas, cal.tau_swap,
+        n_pump=scen.n_pump, settings=scen.settings,
+    )
+    i = int(_prominent_peaks(-pop, 0.05 * pop.max())[0])
+    for x in (-pop, pop[i:], trace.pe, res.pe, res.abs2_beta):
+        span = float(np.ptp(x))
+        for frac in (0.0, 1e-3, 0.05, 0.3, 1.0):
+            assert_same_peaks(x, frac * span)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [],
+        [1.0],
+        [1.0, 2.0],
+        [2.0, 1.0],
+        [3.0, 3.0, 3.0, 3.0],
+        [2.0, 2.0, 1.0, 0.0],  # plateau at the start
+        [0.0, 1.0, 2.0, 2.0],  # plateau at the end
+        [2.0, 2.0, 1.0, 2.0, 2.0],
+        [0.0, 2.0, 2.0, 0.0],  # even plateau: the middle rounds down
+        [0.0, 2.0, 2.0, 2.0, 0.0],
+        [0.0, 2.0, 2.0, 3.0, 0.0],  # a plateau that rises is no peak
+        [0.0, 3.0, 1.0, 2.0, 0.0],  # the right peak's left base stops at 3
+        [0.0, 5.0, 1.0, 3.0, 2.0, 4.0, 0.0],
+        [1.0, 0.0, 1.0, 0.0, 1.0],
+    ],
+)
+@pytest.mark.parametrize("prominence", [0.0, 0.5, 1.0, 2.0, 2.5])
+def test_peak_finder_edge_cases(x, prominence):
+    assert_same_peaks(x, prominence)
+
+
+def test_peak_finder_keeps_a_prominence_at_the_threshold():
+    x = [0.0, 3.0, 1.0, 2.0, 0.0]  # prominences 3 and 1
+    np.testing.assert_array_equal(_prominent_peaks(x, 1.0), [1, 3])
+    np.testing.assert_array_equal(_prominent_peaks(x, np.nextafter(1.0, 2.0)), [1])
+    assert_same_peaks(x, np.nextafter(1.0, 2.0))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.lists(st.integers(0, 4), max_size=30),
+    st.integers(0, 8).map(lambda k: k / 2.0),
+)
+def test_peak_finder_matches_find_peaks_on_integer_arrays(x, prominence):
+    assert_same_peaks(x, prominence)
