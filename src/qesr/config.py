@@ -243,7 +243,15 @@ def _root_rule(cfg: dict, path: str) -> None:
     if len(set(names)) != len(names):
         _fail("ensembles", f"names must be unique, got {names}")
     sweep = cfg["sweep"]
-    for ens in cfg["ensembles"]:
+    for i, ens in enumerate(cfg["ensembles"]):
+        for k, sat in enumerate(ens["satellites"]):
+            # build_distribution replicates every line at center + offset
+            for ln in ens["lines"]:
+                if not math.isfinite(_rad(ln["center_hz"]) + _rad(sat["offset_hz"])):
+                    _fail(
+                        f"ensembles[{i}].satellites[{k}]",
+                        f"line center_hz + offset_hz overflows in rad/s ({ens['name']})",
+                    )
         center = _rad(ens["center_hz"] if sweep["center_hz"] is None else sweep["center_hz"])
         lo, hi = _pump_edges(center, sweep["span_hz"])
         if not math.isfinite(hi - lo):
@@ -363,8 +371,9 @@ class RunConfig:
     # -- builders -----------------------------------------------------------
 
     def catalog(self) -> EnsembleCatalog:
+        """The ensembles; a grid that cannot be discretized is a ConfigError."""
         entries = {}
-        for spec in self.effective["ensembles"]:
+        for i, spec in enumerate(self.effective["ensembles"]):
             lines = [
                 SpinLine(_rad(ln["center_hz"]), _rad(ln["fwhm_hz"]), ln["weight"])
                 for ln in spec["lines"]
@@ -372,15 +381,18 @@ class RunConfig:
             sats = [(_rad(s["offset_hz"]), s["weight"]) for s in spec["satellites"]]
             g = spec["grid"]
             grid = GridSpec(g["n_nodes"], window=_rad(g["window_hz"]), span_fwhm=g["span_fwhm"])
-            dist = build_distribution(
-                lines,
-                g_collective=_rad(spec["g_collective_hz"]),
-                satellites=sats or None,
-                grid=grid,
-                shape=spec["shape"],
-                n_spins_physical=spec["n_spins_physical"],
-            )
             name = spec["name"]
+            try:
+                dist = build_distribution(
+                    lines,
+                    g_collective=_rad(spec["g_collective_hz"]),
+                    satellites=sats or None,
+                    grid=grid,
+                    shape=spec["shape"],
+                    n_spins_physical=spec["n_spins_physical"],
+                )
+            except ValueError as exc:  # a window that overflows, collapses or misses the lines
+                raise ConfigError(f"ensembles[{i}] ({name}): {exc}") from None
             entries[name] = Ensemble(name=name, center=_rad(spec["center_hz"]), distribution=dist)
         return EnsembleCatalog(entries)
 

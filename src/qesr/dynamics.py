@@ -25,6 +25,7 @@ All frequencies are angular (rad/s); times are seconds.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -348,21 +349,25 @@ def _pump_transfer(
     zeta: np.ndarray,
     mode: str,
     t1: Optional[np.ndarray] = None,
+    sums: Optional[Callable] = None,
 ) -> Tuple[np.ndarray, float]:
     """T = t_wp(-i zeta) at one pump, and its far-field coefficient c2.
 
-    T tends to c2 / zeta^2 far from the spectrum.  A t1 precomputed on the
-    same zeta is shared as given; otherwise it comes from the same kernel pass
-    that yields the exact-mode numerator N.
+    T tends to c2 / zeta^2 far from the spectrum.  sums(extra) returns the
+    node sums (W, N) on zeta, N of the weights extra: the dense `_node_sums`
+    by default, `_ContourGrid.sums` on a contour grid.  A t1 precomputed on
+    the same zeta is shared as given; otherwise it comes from W.
     """
+    if sums is None:
+        sums = functools.partial(_node_sums, dist, cavity.gamma0, zeta)
     if mode == MODE_NARROW:
         if t1 is None:
-            t1 = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta)[0])
+            t1 = _t1(cavity, zeta, sums()[0])
         scale = _narrow_scale(dist, env, omega_p)
         shape = env.cauchy(zeta - omega_p + 0.5j * cavity.gamma0)
         return 1j * t1 * scale * shape / env.norm_l1, -scale
     extra, d_norm = _exact_weights(dist, env, omega_p)
-    W, N = _node_sums(dist, cavity.gamma0, zeta, extra=extra)
+    W, N = sums(extra)
     if t1 is None:
         t1 = _t1(cavity, zeta, W)
     return 1j * t1 * N / d_norm, -float(np.sum(extra)) / d_norm
@@ -418,6 +423,11 @@ class InversionSettings:
     factor 1.6 up to 6 times until the subtracted integrand at the edges
     drops below edge_ratio times the spectrum peak.  A window given here is
     used as is: if it fails that test, WindowTooSmallError is raised.
+
+    Every grid, automatic or given, is snapped to the node lattice (see
+    `_ContourGrid`): the step becomes the largest m h / q <= d_omega, for
+    the smallest integer q that keeps it >= 3/4 d_omega (h = node spacing),
+    and the window edges move outward onto the lattice, by less than a step.
     """
 
     window: Optional[Tuple[float, float]] = None
@@ -469,19 +479,127 @@ def _grid_controls(
 
 
 _MAX_GRID_POINTS = 4_000_000
+# The kernel convolution runs over about (window + node span) / delta lattice
+# points; its FFT work arrays take ~64 bytes per point.
+_MAX_LATTICE_POINTS = 4 * _MAX_GRID_POINTS
 
 
-def _contour_grid(lo: float, hi: float, d_omega: float) -> np.ndarray:
-    """Uniform frequency grid over [lo, hi], guarded against memory blow-up."""
-    steps = (hi - lo) / d_omega
-    if not steps <= _MAX_GRID_POINTS - 1:  # an infinite or NaN span fails too
-        n = math.ceil(steps) + 1 if math.isfinite(steps) else steps
-        raise NumericalGuardError(
-            f"inversion grid would need {n} points "
-            f"(window {hi - lo:.3e} rad/s wide at step {d_omega:.3e}); "
-            "pass a coarser d_omega or a narrower window in InversionSettings"
+def _size_guard(what: str, n, lo: float, hi: float, step: float) -> NumericalGuardError:
+    return NumericalGuardError(
+        f"{what} would need {n} points "
+        f"(window {hi - lo:.3e} rad/s wide at step {step:.3e}); "
+        "pass a coarser d_omega or a narrower window in InversionSettings"
+    )
+
+
+def _node_lattice(nodes: np.ndarray) -> Tuple[float, float]:
+    """Origin and spacing h of uniformly spaced nodes, as build_distribution
+    makes them (np.linspace); other node sets cannot take the FFT kernel."""
+    x0 = float(nodes[0])
+    h = (float(nodes[-1]) - x0) / (nodes.size - 1)
+    drift = float(np.max(np.abs(nodes - (x0 + h * np.arange(nodes.size)))))
+    if drift > 8.0 * np.spacing(max(abs(x0), abs(float(nodes[-1])))):
+        raise ValueError(
+            "contour inversion needs uniformly spaced omega_nodes "
+            f"(node {drift:.3e} rad/s off the lattice of spacing {h:.3e})"
         )
-    return np.linspace(lo, hi, math.ceil(steps) + 1)
+    return x0, h
+
+
+def _snap(d_omega: float, h: float) -> Tuple[int, int]:
+    """(m, q) with m h / q in [3/4 d_omega, d_omega] and q as small as possible."""
+    q = max(1, math.floor(h / d_omega))  # any smaller q leaves m = 0
+    while True:
+        m = math.floor(d_omega * q / h)
+        if m * h / q > d_omega:  # rounding in the floor's argument
+            m -= 1
+        if m >= 1 and m * h / q >= 0.75 * d_omega:
+            return m, q
+        q += 1
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+class _ContourGrid:
+    """The contour zeta_k = omega_k + i eta on the node lattice, and its kernel.
+
+    With nodes w_j = x0 + q j delta (delta = h / q) and grid points
+    omega_k = x0 + (s + m k) delta, every denominator is
+    zeta_k - w_j + i gamma0/2 = delta (s + m k - q j) + i b, b = eta + gamma0/2.
+    A node sum sum_j x_j / (zeta_k - w_j + i gamma0/2) is then a strided
+    Toeplitz product: the Cauchy row 1/(delta n + i b), n from s - q (N - 1)
+    to s + m (K - 1), convolved with the weights x_j stuffed with q - 1 zeros
+    and read every m-th point.  The row is transformed once per grid, so W and
+    each exact-mode numerator N cost one FFT product.  The grid covers
+    [lo, hi] and exceeds it by less than one step on each side.
+    """
+
+    def __init__(self, dist: SpinDistribution, gamma0: float, eta: float,
+                 d_omega: float, lo: float, hi: float):
+        nodes = dist.omega_nodes
+        x0, h = _node_lattice(nodes)
+        # the snapped step is <= d_omega, so this bounds the snapped count from
+        # below; it also keeps an infinite or NaN span away from floor/ceil
+        steps = (hi - lo) / d_omega
+        if not steps <= _MAX_GRID_POINTS - 1:
+            n = math.ceil(steps) + 1 if math.isfinite(steps) else steps
+            raise _size_guard("inversion grid", n, lo, hi, d_omega)
+        m, q = _snap(d_omega, h)
+        delta = h / q
+        step = m * h / q
+        # first lattice position s and last grid index k: the grid points
+        # x0 + delta s and x0 + delta (s + m k) bracket [lo, hi]
+        s = math.floor((lo - x0) / delta)
+        while x0 + delta * s > lo:
+            s -= 1
+        k = math.ceil(((hi - x0) / delta - s) / m)
+        while x0 + delta * (s + m * k) < hi:
+            k += 1
+        if k + 1 > _MAX_GRID_POINTS:
+            raise _size_guard("inversion grid", k + 1, lo, hi, step)
+        self._first = q * (nodes.size - 1)  # row index of the grid's first point
+        length = self._first + m * k + 1
+        if length > _MAX_LATTICE_POINTS:
+            raise _size_guard("kernel lattice", length, lo, hi, delta)
+        b = eta + 0.5 * gamma0
+        if b == 0.0 and s - self._first <= 0 <= s + m * k:
+            raise PoleCollisionError(
+                "the contour runs through the spectral nodes (eta + gamma_0/2 = 0); "
+                "use a positive contour offset"
+            )
+        # lattice positions as floats: exact below 2^53, and never an overflow
+        self.positions = float(s) + m * np.arange(k + 1, dtype=float)
+        self.omega = x0 + delta * self.positions
+        self.zeta = self.omega + 1j * eta
+        self.step, self.delta, self.m, self.q, self.b = step, delta, m, q, b
+        row = 1.0 / (delta * (float(s - self._first) + np.arange(length, dtype=float)) + 1j * b)
+        self._size = _fast_length(length)
+        self._row_hat = np.fft.fft(row, self._size)
+        self.W = self._convolve(dist.couplings_sq)
+
+    def _convolve(self, weights: np.ndarray) -> np.ndarray:
+        stuffed = np.zeros(self._size)
+        stuffed[: self._first + 1 : self.q] = weights
+        out = np.fft.ifft(np.fft.fft(stuffed) * self._row_hat)
+        return out[self._first : self._first + self.m * (self.omega.size - 1) + 1 : self.m]
+
+    def sums(self, extra: Optional[np.ndarray] = None):
+        """(W, N) on zeta, as `_node_sums` returns them; N is None without extra."""
+        return self.W, (None if extra is None else self._convolve(extra))
 
 
 # The contour primitive, in three parts: an adequate grid, the Fourier sum on
@@ -492,23 +610,25 @@ def _contour_grid(lo: float, hi: float, d_omega: float) -> np.ndarray:
 
 def _adequate_grid(
     settings: InversionSettings,
+    dist: SpinDistribution,
+    gamma0: float,
     window: Tuple[float, float],
     eta: float,
     d_omega: float,
-    probe: Callable[[np.ndarray], Tuple[float, float, object]],
+    probe: Callable[[_ContourGrid], Tuple[float, float, object]],
 ):
-    """Grow the window until the caller's edge test passes on zeta = omega + i eta.
+    """Grow the window until the caller's edge test passes on the contour.
 
-    probe(zeta) returns (edge, peak, payload); the grid passes when
-    peak == 0 or edge <= edge_ratio * peak.  Returns the accepted omega and
-    its payload.  A window fixed in settings is never grown.
+    probe(grid) returns (edge, peak, payload); the grid passes when
+    peak == 0 or edge <= edge_ratio * peak.  Returns the accepted
+    `_ContourGrid` and its payload.  A window fixed in settings is never grown.
     """
     lo, hi = window
     for attempt in range(_MAX_GROWTH + 1):
-        omega = _contour_grid(lo, hi, d_omega)
-        edge, peak, payload = probe(omega + 1j * eta)
+        grid = _ContourGrid(dist, gamma0, eta, d_omega, lo, hi)
+        edge, peak, payload = probe(grid)
         if peak == 0.0 or edge <= settings.edge_ratio * peak:
-            return omega, payload
+            return grid, payload
         if settings.window is not None or attempt == _MAX_GROWTH:
             raise WindowTooSmallError(
                 f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small: edge "
@@ -519,13 +639,14 @@ def _adequate_grid(
         lo, hi = center - half, center + half
 
 
-def _phase_rows(omega: np.ndarray, eta: float, times: np.ndarray):
+def _phase_rows(grid: _ContourGrid, eta: float, times: np.ndarray):
     """Trapezoid-weighted rows w_k e^{-i t (omega_k - omega_ref)}, one per time,
     and the prefactors e^{(eta - i omega_ref) t} / 2 pi.
 
     beta(t) = prefactor * (row . R) for the subtracted integrand R on omega.
     """
-    w_trap = np.full(omega.size, omega[1] - omega[0])
+    omega = grid.omega
+    w_trap = np.full(omega.size, grid.step)
     w_trap[0] *= 0.5
     w_trap[-1] *= 0.5
     omega_ref = 0.5 * (omega[0] + omega[-1])
@@ -556,6 +677,11 @@ def _require_dissipation(cavity: CavityModel) -> None:
 
 def _pump_pole(cavity: CavityModel, env: PulseEnvelope, omega_p: float) -> complex:
     return omega_p - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+
+
+# Entries of one chunk of phase rows in invert_to_time; the outer product, its
+# -1j multiple and its exponential each hold a chunk at a time.
+_PHASE_CHUNK = 500_000
 
 
 def invert_to_time(
@@ -591,17 +717,17 @@ def invert_to_time(
     p1 = cavity.omega_c - 0.5j * cavity.kappa
     p2 = _pump_pole(cavity, env, omega_p)
 
-    def probe(zeta):
-        T, c2 = _pump_transfer(dist, cavity, env, omega_p, zeta, mode)
-        R = T - _two_pole(c2, p1, p2, zeta)
+    def probe(grid):
+        T, c2 = _pump_transfer(dist, cavity, env, omega_p, grid.zeta, mode, sums=grid.sums)
+        R = T - _two_pole(c2, p1, p2, grid.zeta)
         edge = float(max(abs(R[0]), abs(R[-1])))
         return edge, float(np.max(np.abs(T))), (R, c2)
 
-    omega, (R, c2) = _adequate_grid(settings, window, eta, d_omega, probe)
+    grid, (R, c2) = _adequate_grid(settings, dist, cavity.gamma0, window, eta, d_omega, probe)
     beta = np.empty(times.shape, dtype=complex)
-    step = max(1, 4_000_000 // omega.size)
+    step = max(1, _PHASE_CHUNK // grid.omega.size)
     for s in range(0, times.size, step):
-        rows, pref = _phase_rows(omega, eta, times[s : s + step])
+        rows, pref = _phase_rows(grid, eta, times[s : s + step])
         beta[s : s + step] = pref * (rows @ R)
     beta += _two_pole_inverse(c2, p1, p2, times)
     return TransferResult(omega_p=float(omega_p), times=times, beta=beta, method="contour")
@@ -619,8 +745,8 @@ def transfer_sweep(
     """beta(omega_p, tau) for many pump frequencies at one interaction time.
 
     Shares the inversion grid, the cavity response t1 and the phase row for
-    tau across the sweep; in narrow-pulse mode each point then costs
-    O(n_grid).  The window is screened at the outermost pump frequencies,
+    tau across the sweep; each point then costs O(n_grid) in narrow-pulse
+    mode, plus one FFT product for N in exact-convolution mode.  The window is screened at the outermost pump frequencies,
     the worst cases for truncation, against a peak estimate from max|t1|.
     """
     if mode not in _MODES:
@@ -637,9 +763,9 @@ def transfer_sweep(
         _check_narrow(dist, env)
     p1 = cavity.omega_c - 0.5j * cavity.kappa
 
-    def probe(zeta):
-        t1 = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta)[0])
-        ends = zeta[[0, -1]]
+    def probe(grid):
+        t1 = _t1(cavity, grid.zeta, grid.W)
+        ends = grid.zeta[[0, -1]]
         for wp in worst:
             T, c2 = _pump_transfer(dist, cavity, env, wp, ends, mode, t1=t1[[0, -1]])
             far = _two_pole(c2, p1, _pump_pole(cavity, env, wp), ends)
@@ -649,16 +775,17 @@ def transfer_sweep(
             )
             if edge > settings.edge_ratio * peak:
                 break
-        return edge, peak, (zeta, t1)
+        return edge, peak, t1
 
-    omega, (zeta, t1) = _adequate_grid(settings, window, eta, d_omega, probe)
-    rows, prefs = _phase_rows(omega, eta, np.array([tau], dtype=float))
+    grid, t1 = _adequate_grid(settings, dist, cavity.gamma0, window, eta, d_omega, probe)
+    zeta = grid.zeta
+    rows, prefs = _phase_rows(grid, eta, np.array([tau], dtype=float))
     row, pref = rows[0], prefs[0]
     out = np.empty(omega_ps.shape, dtype=complex)
     for i, wp in enumerate(omega_ps):
         wp = float(wp)
         p2 = _pump_pole(cavity, env, wp)
-        T, c2 = _pump_transfer(dist, cavity, env, wp, zeta, mode, t1=t1)
+        T, c2 = _pump_transfer(dist, cavity, env, wp, zeta, mode, t1=t1, sums=grid.sums)
         R = T - _two_pole(c2, p1, p2, zeta)
         out[i] = pref * np.dot(row, R) + _two_pole_inverse(c2, p1, p2, tau)
     return out

@@ -263,7 +263,14 @@ def build_distribution(
                 stacklevel=2,
             )
 
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"grid window [{lo:.6g}, {hi:.6g}] rad/s is not finite")
     nodes = np.linspace(lo, hi, grid.n_nodes)
+    if not np.all(np.diff(nodes) > 0):
+        raise ValueError(
+            f"grid window [{lo!r}, {hi!r}] rad/s is too narrow for "
+            f"{grid.n_nodes} distinct nodes at this frequency"
+        )
     dens = _mixture(full, shape, nodes)
     trap = np.full(grid.n_nodes, nodes[1] - nodes[0])
     trap[0] *= 0.5
@@ -271,7 +278,7 @@ def build_distribution(
     wts = dens * trap
     total = wts.sum()
     if not total > 0:
-        raise ValueError("grid window carries no spectral weight")
+        raise ValueError(f"grid window [{lo:.6g}, {hi:.6g}] rad/s carries no spectral weight")
     wts = wts / total
     return SpinDistribution(
         lines=full,

@@ -449,3 +449,42 @@ def test_pump_edges_overflowing_in_rad_exit_2(tmp_path, capsys):
     assert "config error: sweep: pump edges center_hz +/- span_hz/2 overflow" in (
         capsys.readouterr().err
     )
+
+
+UNBUILDABLE_GRIDS = [  # (path to the value, the value, the cause named)
+    (("grid", "span_fwhm"), 1e308, "grid window [-inf, inf] rad/s is not finite"),
+    (("lines", 0, "fwhm_hz"), 5e-324, "is too narrow for 1501 distinct nodes"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,cause", UNBUILDABLE_GRIDS, ids=["span_fwhm", "fwhm_hz"]
+)
+def test_unbuildable_grid_exit_2(tmp_path, capsys, path, value, cause):
+    """A node window that overflows, or collapses below float resolution, is a
+    config error naming the ensemble, not a traceback from build_distribution."""
+    raw = json.loads(json.dumps(SMALL))
+    obj = raw["ensembles"][0]
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+    out = tmp_path / "out"
+    rc = main(["density", "--config", write_cfg(tmp_path, raw), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: ensembles[0] (demo): grid window" in err and cause in err
+    assert not (out / "density_demo.csv").exists()
+
+
+def test_satellite_replica_overflowing_in_rad_exit_2(tmp_path, capsys):
+    """Line centre and satellite offset each convert to finite rad/s, their sum does not."""
+    raw = json.loads(json.dumps(SMALL))
+    ens = raw["ensembles"][0]
+    ens["lines"][0]["center_hz"] = 2.8e307
+    ens.update(satellites=[{"offset_hz": 2.8e307, "weight": 0.1}], center_hz=2.9e9)
+    rc = main(["density", "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert (
+        "config error: ensembles[0].satellites[0]: line center_hz + offset_hz "
+        "overflows in rad/s (demo)"
+    ) in capsys.readouterr().err

@@ -6,8 +6,11 @@ import math
 import warnings
 from types import SimpleNamespace
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import find_peaks
 
@@ -25,7 +28,16 @@ from qesr.dynamics import (
     transfer_spectrum_t,
     transfer_sweep,
 )
-from qesr.dynamics import _initial_vector, _propagate_state, _two_pole_inverse
+from qesr.dynamics import (
+    _auto_window,
+    _ContourGrid,
+    _exact_weights,
+    _grid_controls,
+    _initial_vector,
+    _node_sums,
+    _propagate_state,
+    _two_pole_inverse,
+)
 from qesr.errors import (
     NumericalGuardError,
     PoleCollisionError,
@@ -112,6 +124,123 @@ def test_kernel_pole_collision():
     # finite gamma0 moves the poles off the real axis
     damped = CavityModel(omega_c=W0, kappa=0.0, gamma0=TWO_PI * 1e3)
     assert np.isfinite(memory_kernel_W(dist, damped, node).real)
+
+
+# ---------------------------------------------------------------------------
+# the contour grid on the node lattice, and its FFT kernel
+# ---------------------------------------------------------------------------
+
+
+def _lattice_case(request, case):
+    """(dist, gamma0, eta, d_omega, window) of the contour grid to check, and
+    the exact-mode weights alpha_j g_j^2 of a pump at the ensemble centre."""
+    scen = request.getfixturevalue("scen_III" if case.startswith("III") else "scen_I")
+    dist, cavity = scen.dist, scen.cavity
+    if case == "I_gamma0":
+        cavity = CavityModel(cavity.omega_c, cavity.kappa, gamma0=TWO_PI * 2e5)
+    eta, d_omega = _grid_controls(scen.settings, 90e-9, dist, cavity)
+    window = _auto_window(dist, cavity, scen.env.bandwidth_scale, [scen.ens.center])
+    if case == "III_fine_step":  # a user-fixed step below the node spacing
+        h = (dist.omega_nodes[-1] - dist.omega_nodes[0]) / (dist.n_nodes - 1)
+        d_omega = h / 2.7
+        window = (scen.ens.center - TWO_PI * 1e7, scen.ens.center + TWO_PI * 1e7)
+    extra, _ = _exact_weights(dist, scen.env, scen.ens.center)
+    return dist, cavity.gamma0, eta, d_omega, window, extra
+
+
+@pytest.mark.parametrize("case", ["I", "III", "I_gamma0", "III_fine_step"])
+def test_lattice_kernel_matches_references(request, case):
+    """W and an exact-mode numerator N from the FFT convolution agree with an
+    exact-difference reference, built from the integer lattice offsets, and
+    with the dense node sums at the same zeta, to 1e-12 of max|W| (max|N|)."""
+    dist, gamma0, eta, d_omega, (lo, hi), extra = _lattice_case(request, case)
+    grid = _ContourGrid(dist, gamma0, eta, d_omega, lo, hi)
+    if case == "III_fine_step":
+        assert grid.q > 1 and grid.step < d_omega
+    W, N = grid.sums(extra)
+    rows = np.unique(np.r_[0 : W.size : 4, W.size - 1, np.argmax(np.abs(W))])
+    j = np.arange(dist.n_nodes)
+    ref = np.empty((2, rows.size), dtype=complex)
+    for a in range(0, rows.size, 200):
+        offsets = grid.positions[rows[a : a + 200], None] - grid.q * j[None, :]
+        inv = 1.0 / (grid.delta * offsets + 1j * grid.b)
+        ref[:, a : a + 200] = [inv @ dist.couplings_sq, inv @ extra]
+    dense = _node_sums(dist, gamma0, grid.zeta[rows], extra=extra)
+    for got, exact, direct in zip((W, N), ref, dense):
+        scale = float(np.max(np.abs(got)))
+        assert float(np.max(np.abs(got[rows] - exact))) <= 1e-12 * scale
+        assert float(np.max(np.abs(got[rows] - direct))) <= 1e-12 * scale
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    ratio=st.floats(1e-3, 1e3),
+    h=st.floats(1e2, 1e5),
+    n_nodes=st.integers(2, 40),
+    lo_steps=st.floats(-50.0, 50.0),
+    width_steps=st.floats(0.01, 60.0),
+)
+def test_snapped_grid_sits_on_the_node_lattice(ratio, h, n_nodes, lo_steps, width_steps):
+    """The step lies in [3/4 d_omega, d_omega] with the smallest such q; the
+    grid covers the requested window, exceeds it by less than a step on each
+    side, and every grid point has an integer lattice position."""
+    d_omega = ratio * h
+    nodes = np.linspace(W0, W0 + (n_nodes - 1) * h, n_nodes)
+    dist = SpinDistribution(
+        lines=(SpinLine(center=W0, fwhm=h, weight=1.0),), g_collective=1e6,
+        omega_nodes=nodes, weights=np.full(n_nodes, 1.0 / n_nodes),
+    )
+    lo = W0 + lo_steps * d_omega
+    hi = lo + width_steps * d_omega
+    grid = _ContourGrid(dist, 0.0, 1e5, d_omega, lo, hi)
+    m, q, h = grid.m, grid.q, (nodes[-1] - nodes[0]) / (n_nodes - 1)
+    assert 0.75 * d_omega <= grid.step <= d_omega
+    assert grid.step == m * h / q
+    for smaller in range(1, q):
+        assert math.floor(d_omega * smaller / h) * h / smaller < 0.75 * d_omega
+    omega, ulp = grid.omega, 4.0 * np.spacing(W0)  # grid points are rounded to ~ulp
+    assert omega[0] <= lo < omega[0] + grid.step + ulp
+    assert omega[-1] - grid.step - ulp < hi <= omega[-1]
+    assert np.array_equal(grid.positions, np.round(grid.positions))
+    assert np.all(np.diff(grid.positions) == m)
+    # the kernel's premise: omega_k - w_j = delta (n_k - q j) up to rounding
+    offsets = grid.positions[:, None] - q * np.arange(n_nodes)[None, :]
+    assert np.all(np.abs(omega[:, None] - nodes[None, :] - grid.delta * offsets) <= 2 * ulp)
+
+
+def test_contour_needs_uniform_nodes(scen_I):
+    nodes = np.array([W0, W0 + 1e4, W0 + 3e4])
+    dist = SpinDistribution(
+        lines=(SpinLine(center=W0, fwhm=1e5, weight=1.0),), g_collective=1e6,
+        omega_nodes=nodes, weights=np.full(3, 1.0 / 3.0),
+    )
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        _ContourGrid(dist, 0.0, 1e5, 1e3, W0 - 1e5, W0 + 1e5)
+
+
+@pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
+def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
+    """On a contour, W and N come from the FFT kernel: the dense node sums
+    only ever see the 2-point edge probe of transfer_sweep."""
+    import qesr.dynamics as dynamics
+
+    seen = []
+
+    def spy(dist, gamma0, zeta, extra=None):
+        seen.append(np.size(zeta))
+        return dense(dist, gamma0, zeta, extra)
+
+    dense = dynamics._node_sums
+    monkeypatch.setattr(dynamics, "_node_sums", spy)
+    wps = scen_I.ens.center + TWO_PI * np.array([-2e6, 0.0, 2e6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        transfer_sweep(scen_I.dist, scen_I.cavity, scen_I.env, wps, 90e-9, mode=mode)
+        invert_to_time(
+            scen_I.dist, scen_I.cavity, scen_I.env, wps[1], np.linspace(0.0, 2e-7, 21),
+            mode=mode,
+        )
+    assert max(seen, default=0) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ COLD_RUNS = {
     "density": ["density", "--config", PLUS_I],
     "sensitivity": ["sensitivity", "--config", PLUS_I],
     "print-effective-config": ["spectrum", "--config", PLUS_I, "--print-effective-config"],
+    # the contour route, FFT kernel included
+    "transfer-contour-exact": [
+        "transfer", "--config", PLUS_I, "--method", "contour", "--mode", "exact-convolution",
+    ],
 }
 
 # runs in a fresh interpreter: the optional CLI call, then the loaded SciPy modules
