@@ -11,8 +11,8 @@ effect.
 
 Exit codes: 0 success; 2 configuration error; 3 numerical-guard violation
 (saturation, overdamped swap, window too small, pole collision, a grid or
-ODE node cap, a pulse with no overlap with the spectral grid, an ODE
-integrator failure); 4 I/O error.
+ODE node cap, a non-finite contour step, a pulse with no overlap with the
+spectral grid, an ODE step-size underflow); 4 I/O error.
 """
 from __future__ import annotations
 

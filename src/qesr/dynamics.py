@@ -15,7 +15,8 @@ routes to the transfer amplitude beta(t) are provided:
   kernel W and the cavity response t1, inverted to the time domain by a
   Bromwich integral evaluated on the line Im(omega) = eta > 0 (exact for any
   eta > 0 since all system poles lie in the closed lower half plane);
-* a brute-force route: direct ODE propagation of dX/dt = -i M X.
+* a brute-force route: direct ODE propagation of dX/dt = -i M X by the
+  8th-order Dormand-Prince method (`qesr._dop853`).
 
 Phase convention: with the matrix above, the degenerate lossless ensemble
 gives beta(t) = +exp(-i w t) sin(g_K t), i.e. beta * exp(+i w t) is real
@@ -33,6 +34,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._dop853 import dop853
 from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError
 from .spin_model import SpinDistribution, _csv_text, density_at
 
@@ -475,6 +477,12 @@ def _grid_controls(
         # affordable.  Floor it at eta/64 so near-singular lines cannot demand
         # astronomically fine grids.
         d_omega = min(d_omega, max(cap, eta / 64.0))
+    if not (math.isfinite(eta) and math.isfinite(d_omega)):
+        # 1/t_max overflows for a subnormal t_max; no grid can be snapped then
+        raise NumericalGuardError(
+            f"inversion grid needs a finite contour offset and step (eta = {eta:.3e}, "
+            f"d_omega = {d_omega:.3e} rad/s at t_max = {t_max:.3e} s)"
+        )
     return eta, d_omega
 
 
@@ -835,32 +843,18 @@ def _propagate_state(
     lab-frame amplitudes are Y * exp(-i omega_c t).  The arrow structure of M
     keeps each right-hand side O(N).
     """
-    from scipy.integrate import solve_ivp  # imported here: only the ODE route needs it
-
     g = dist.g_collective * np.sqrt(dist.weights)
     det = dist.omega_nodes - cavity.omega_c
     diag_spins = -1j * det - 0.5 * cavity.gamma0
     diag_cav = -0.5 * cavity.kappa
 
-    def rhs(t, y):
+    def rhs(y):
         dy = np.empty_like(y)
         dy[0] = diag_cav * y[0] + np.dot(g, y[1:])
         dy[1:] = diag_spins * y[1:] - g * y[0]
         return dy
 
-    t_max = float(times.max())
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        x0,
-        method="DOP853",
-        t_eval=times,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise NumericalGuardError(f"time-domain propagation failed: {sol.message}")
-    return sol.y
+    return dop853(rhs, x0, times, rtol, atol)
 
 
 def time_domain_propagate(
@@ -880,8 +874,9 @@ def time_domain_propagate(
     starts from the pulse-excited spin packet X_j(0) proportional to
     alpha(w_j - w_p) g_j, normalized; with zero coupling beta = 0.  Works for
     lossless systems too (kappa = gamma0 = 0), unlike the contour route.
-    Raises NumericalGuardError above max_nodes, for a pulse with no overlap
-    with the grid, and when the integrator fails.
+    times may repeat; times that are all 0 return the start.  Raises
+    NumericalGuardError above max_nodes, for a pulse with no overlap with the
+    grid, and when the integrator fails.
     """
     if dist.n_nodes > max_nodes:
         raise NumericalGuardError(
@@ -889,8 +884,9 @@ def time_domain_propagate(
             "reduce the grid or raise max_nodes"
         )
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0 or np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-negative and non-decreasing")
+    bad = ~np.isfinite(times) | (times < 0)
+    if times.size == 0 or bad.any() or np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-empty, finite, non-negative and non-decreasing")
     x0 = _initial_vector(dist, initial, env, omega_p)
     y = _propagate_state(dist, cavity, x0, times, rtol, atol)
     # + 0.0 turns the -0.0 parts of a zero amplitude into 0.0, as on the contour route

@@ -402,6 +402,29 @@ def test_overflowing_option_hits_grid_guard(tmp_path, small_cfg, capsys, argv):
     assert "inversion grid would need inf points" in capsys.readouterr().err
 
 
+SUBNORMAL_SPANS = [
+    ["transfer", "--method", "time-domain", "--t-max-s", "5e-324", "--n-times", "3"],
+    ["swap", "--tau-max-s", "5e-324", "--n-taus", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBNORMAL_SPANS, ids=[a[0] for a in SUBNORMAL_SPANS])
+def test_ode_route_on_a_subnormal_span_never_tracebacks(tmp_path, small_cfg, argv):
+    """linspace repeats 0.0 here; the ODE route takes repeated times."""
+    rc = main([argv[0], "--config", small_cfg, "--out", str(tmp_path), *argv[1:]])
+    assert rc in (0, 3)
+
+
+def test_contour_on_a_subnormal_span_exit_3(tmp_path, small_cfg, capsys):
+    """eta = 1/t_max overflows; the grid guard reports it before any snapping."""
+    rc = main([
+        "transfer", "--config", small_cfg, "--out", str(tmp_path),
+        "--method", "contour", "--t-max-s", "5e-324", "--n-times", "3",
+    ])
+    assert rc == 3
+    assert "finite contour offset and step" in capsys.readouterr().err
+
+
 def test_argparse_rejects_bad_usage(small_cfg):
     with pytest.raises(SystemExit):
         main(["spectrum"])  # --config is required

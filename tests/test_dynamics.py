@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import hypothesis
 import numpy as np
@@ -714,11 +713,40 @@ def test_time_domain_input_validation(scen_I):
         )
 
 
-def test_time_domain_integrator_failure_is_a_guard(scen_I, monkeypatch):
-    failed = SimpleNamespace(success=False, message="step size underflow")
-    monkeypatch.setattr("scipy.integrate.solve_ivp", lambda *a, **k: failed)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_time_domain_integrator_failure_is_a_guard():
+    """An infinite coupling makes the right-hand side NaN from the start, so the
+    first step size is NaN: the step-size guard stops it (SciPy's solve_ivp
+    kept stepping by NaN).  tests/test_dop853.py drives the shrink to a real
+    underflow."""
+    dist = single_line_dist(n_nodes=101)
+    object.__setattr__(dist, "g_collective", math.inf)  # past the model's own check
+    cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
     with pytest.raises(NumericalGuardError, match="step size underflow"):
-        time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [0.0, 1e-9])
+        time_domain_propagate(dist, cavity, "cavity", [0.0, 1e-9])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_time_domain_rejects_non_finite_times(scen_I, bad):
+    with pytest.raises(ValueError, match="finite"):
+        time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [0.0, bad])
+
+
+def test_time_domain_at_t0_only_returns_the_start(scen_I):
+    res = time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [0.0])
+    assert res.beta.tolist() == [1.0]
+    res = time_domain_propagate(
+        scen_I.dist, scen_I.cavity, "pulse", [0.0, 0.0], env=scen_I.env, omega_p=W0
+    )
+    assert res.beta.tolist() == [0.0, 0.0]  # the packet starts in the spins
+
+
+def test_time_domain_accepts_repeated_times(scen_I):
+    """Repeated times give repeated values, bit for bit."""
+    times = np.array([0.0, 0.0, 2e-8, 2e-8, 2e-8, 5e-8])
+    res = time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", times)
+    once = time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", np.unique(times))
+    assert np.array_equal(res.beta, once.beta[[0, 0, 1, 1, 1, 2]])
 
 
 def test_zero_coupling_gives_zero_beta_on_both_routes():

@@ -1,5 +1,5 @@
 """The package surface: `qesr` exports each submodule's `__all__`, once, and
-loads no SciPy module on import or on a command that does not need one."""
+loads no SciPy module on import or on any command with a non-gaussian pulse."""
 import importlib
 import json
 import os
@@ -37,6 +37,10 @@ COLD_RUNS = {
     "transfer-contour-exact": [
         "transfer", "--config", PLUS_I, "--method", "contour", "--mode", "exact-convolution",
     ],
+    # the ODE route: the swap-time calibration, the swap trace, the time-domain transfer
+    "spectrum": ["spectrum", "--config", PLUS_I],
+    "swap": ["swap", "--config", PLUS_I],
+    "transfer-time-domain": ["transfer", "--config", PLUS_I, "--method", "time-domain"],
 }
 
 # runs in a fresh interpreter: the optional CLI call, then the loaded SciPy modules
@@ -53,7 +57,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 @pytest.mark.parametrize("argv", COLD_RUNS.values(), ids=COLD_RUNS.keys())
 def test_cold_start_loads_no_scipy(tmp_path, argv):
-    """SciPy is imported only where it is used: the ODE route and gaussian pulses."""
+    """SciPy is imported only where it is used: by gaussian pulses (wofz)."""
     if argv:
         argv = argv + ["--out", str(tmp_path)]
     env = dict(os.environ, PYTHONPATH=str(Path(qesr.__file__).resolve().parents[1]))
