@@ -310,13 +310,13 @@ def _narrow_scale(dist: SpinDistribution, env: PulseEnvelope, omega_p: float) ->
 _NARROW_RATIO = 20.0
 
 
-def _check_narrow(dist: SpinDistribution, env: PulseEnvelope) -> None:
+def _check_narrow(dist: SpinDistribution, env: PulseEnvelope, stacklevel: int) -> None:
     min_fwhm = min(ln.fwhm for ln in dist.lines)
     if env.fwhm > min_fwhm / _NARROW_RATIO:
         warnings.warn(
             f"pulse bandwidth exceeds 1/{_NARROW_RATIO:g} of the narrowest line; "
             "narrow-pulse mode is inaccurate, use exact-convolution",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -395,7 +395,7 @@ def transfer_spectrum_t(
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     if mode == MODE_NARROW:
-        _check_narrow(dist, env)
+        _check_narrow(dist, env, stacklevel=3)
     scalar = np.isscalar(omega)
     out, _ = _pump_transfer(dist, cavity, env, omega_p, np.asarray(omega, dtype=complex), mode)
     return complex(out) if scalar else out
@@ -420,11 +420,14 @@ class InversionSettings:
     eta = 0.25 / t_max; the step is d_omega = eta / 8, which bounds the
     quadrature aliasing by e^{-eta (2 pi/d_omega - t_max)}, capped further at
     min(kappa, narrowest line FWHM)/20 so every spectral feature is resolved;
-    the window starts from the line/cavity/pump structure plus margins scaled
-    by g_K, the line widths, kappa and the pulse bandwidth, then grows by a
-    factor 1.6 up to 6 times until the subtracted integrand at the edges
-    drops below edge_ratio times the spectrum peak.  A window given here is
-    used as is: if it fails that test, WindowTooSmallError is raised.
+    the window starts from the line/cavity/outermost-pump structure plus
+    margins scaled by g_K, the line widths, kappa and the pulse bandwidth,
+    then grows by a factor 1.6 up to 6 times until, at both outermost pumps,
+    the subtracted integrand at both window edges is at most
+    edge_ratio * max|t1| * |c2| / (eta + pulse bandwidth), with c2 the pump's
+    far-field coefficient (that quotient estimates the spectrum peak).  A
+    window given here is used as is: if it fails that test,
+    WindowTooSmallError is raised.
 
     Every grid, automatic or given, is snapped to the node lattice (see
     `_ContourGrid`): the step becomes the largest m h / q <= d_omega, for
@@ -493,8 +496,11 @@ _MAX_LATTICE_POINTS = 4 * _MAX_GRID_POINTS
 
 
 def _size_guard(what: str, n, lo: float, hi: float, step: float) -> NumericalGuardError:
+    from decimal import Decimal  # imported here: only this error path needs it
+
+    count = f"{Decimal(n):.3e}" if isinstance(n, int) else f"{n:.3e}"  # ints can pass 1.8e308
     return NumericalGuardError(
-        f"{what} would need {n} points "
+        f"{what} would need {count} points "
         f"(window {hi - lo:.3e} rad/s wide at step {step:.3e}); "
         "pass a coarser d_omega or a narrower window in InversionSettings"
     )
@@ -516,6 +522,11 @@ def _node_lattice(nodes: np.ndarray) -> Tuple[float, float]:
 
 def _snap(d_omega: float, h: float) -> Tuple[int, int]:
     """(m, q) with m h / q in [3/4 d_omega, d_omega] and q as small as possible."""
+    if not (math.isfinite(d_omega / h) and math.isfinite(h / d_omega)):
+        raise NumericalGuardError(
+            f"inversion step d_omega = {d_omega:.3e} rad/s is not a finite multiple "
+            f"of the node spacing h = {h:.3e} rad/s"
+        )
     q = max(1, math.floor(h / d_omega))  # any smaller q leaves m = 0
     while True:
         m = math.floor(d_omega * q / h)
@@ -610,41 +621,10 @@ class _ContourGrid:
         return self.W, (None if extra is None else self._convolve(extra))
 
 
-# The contour primitive, in three parts: an adequate grid, the Fourier sum on
+# The contour primitive: one grid for every pump and time, the Fourier sum on
 # it, and the analytic inverse of the subtracted two-pole asymptote
 # T_far(zeta) = c2 / ((zeta - p1)(zeta - p2)), which matches T to order
 # 1/zeta^2 so the quadrature only sees a 1/zeta^3 remainder.
-
-
-def _adequate_grid(
-    settings: InversionSettings,
-    dist: SpinDistribution,
-    gamma0: float,
-    window: Tuple[float, float],
-    eta: float,
-    d_omega: float,
-    probe: Callable[[_ContourGrid], Tuple[float, float, object]],
-):
-    """Grow the window until the caller's edge test passes on the contour.
-
-    probe(grid) returns (edge, peak, payload); the grid passes when
-    peak == 0 or edge <= edge_ratio * peak.  Returns the accepted
-    `_ContourGrid` and its payload.  A window fixed in settings is never grown.
-    """
-    lo, hi = window
-    for attempt in range(_MAX_GROWTH + 1):
-        grid = _ContourGrid(dist, gamma0, eta, d_omega, lo, hi)
-        edge, peak, payload = probe(grid)
-        if peak == 0.0 or edge <= settings.edge_ratio * peak:
-            return grid, payload
-        if settings.window is not None or attempt == _MAX_GROWTH:
-            raise WindowTooSmallError(
-                f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small: edge "
-                f"magnitude {edge:.3e} exceeds {settings.edge_ratio:.1e} x peak {peak:.3e}"
-            )
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * _GROWTH
-        lo, hi = center - half, center + half
 
 
 def _phase_rows(grid: _ContourGrid, eta: float, times: np.ndarray):
@@ -663,33 +643,84 @@ def _phase_rows(grid: _ContourGrid, eta: float, times: np.ndarray):
     return rows, np.exp((eta - 1j * omega_ref) * times) / (2.0 * math.pi)
 
 
-def _two_pole(c2: float, p1: complex, p2: complex, zeta: np.ndarray) -> np.ndarray:
-    return c2 / ((zeta - p1) * (zeta - p2))
-
-
 def _two_pole_inverse(c2: float, p1: complex, p2: complex, t):
-    """Inverse transform of _two_pole: -i c2 (e^{-i p1 t} - e^{-i p2 t})/(p1 - p2),
+    """Inverse transform of T_far: -i c2 (e^{-i p1 t} - e^{-i p2 t})/(p1 - p2),
     or its limit -c2 t e^{-i p1 t} for a double pole."""
     if p1 == p2:
         return -c2 * t * np.exp(-1j * p1 * t)
     return (-1j * c2 / (p1 - p2)) * (np.exp(-1j * p1 * t) - np.exp(-1j * p2 * t))
 
 
-def _require_dissipation(cavity: CavityModel) -> None:
+# Entries of one chunk of phase rows; the outer product, its -1j multiple and
+# its exponential each hold a chunk at a time.
+_PHASE_CHUNK = 500_000
+
+
+def _contour_beta(
+    dist: SpinDistribution,
+    cavity: CavityModel,
+    env: PulseEnvelope,
+    omega_ps: np.ndarray,
+    times: np.ndarray,
+    mode: str,
+    settings: Optional[InversionSettings],
+) -> np.ndarray:
+    """beta(omega_p, t) by contour inversion, shape (pumps, times).
+
+    One grid serves every pump and time; its window passes the edge rule of
+    `InversionSettings` at both outermost pumps.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}")
     if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
         raise ValueError(
             "contour inversion requires kappa > 0 or gamma0 > 0; "
             "use time_domain_propagate for the lossless case"
         )
+    settings = settings or InversionSettings()
+    if times.size == 0 or np.any(times < 0) or not times.max() > 0:
+        raise ValueError("times must be non-empty, non-negative and reach beyond t = 0")
+    eta, d_omega = _grid_controls(settings, float(times.max()), dist, cavity)
+    worst = [float(omega_ps.min()), float(omega_ps.max())]
+    lo, hi = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, worst)
+    if mode == MODE_NARROW:
+        _check_narrow(dist, env, stacklevel=4)  # the public function's caller
+    p1 = cavity.omega_c - 0.5j * cavity.kappa
 
+    def residual(grid: _ContourGrid, t1: np.ndarray, wp: float):
+        T, c2 = _pump_transfer(dist, cavity, env, wp, grid.zeta, mode, t1=t1, sums=grid.sums)
+        p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+        return T - c2 / ((grid.zeta - p1) * (grid.zeta - p2)), c2, p2  # R = T - T_far
 
-def _pump_pole(cavity: CavityModel, env: PulseEnvelope, omega_p: float) -> complex:
-    return omega_p - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+    for attempt in range(_MAX_GROWTH + 1):
+        grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, lo, hi)
+        t1 = _t1(cavity, grid.zeta, grid.W)
+        for wp in worst:
+            R, c2, _ = residual(grid, t1, wp)
+            edge = float(max(abs(R[0]), abs(R[-1])))
+            peak = float(np.max(np.abs(t1))) * abs(c2) / (eta + env.bandwidth_scale)
+            if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
+                break
+        else:
+            break
+        if settings.window is not None or attempt == _MAX_GROWTH:
+            raise WindowTooSmallError(
+                f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small: edge "
+                f"magnitude {edge:.3e} exceeds {settings.edge_ratio:.1e} x peak {peak:.3e}"
+            )
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo) * _GROWTH
+        lo, hi = center - half, center + half
 
-
-# Entries of one chunk of phase rows in invert_to_time; the outer product, its
-# -1j multiple and its exponential each hold a chunk at a time.
-_PHASE_CHUNK = 500_000
+    beta = np.empty((omega_ps.size, times.size), dtype=complex)
+    step = max(1, _PHASE_CHUNK // grid.omega.size)
+    for s in range(0, times.size, step):
+        chunk = times[s : s + step]
+        rows, pref = _phase_rows(grid, eta, chunk)
+        for i, wp in enumerate(omega_ps):
+            R, c2, p2 = residual(grid, t1, float(wp))
+            beta[i, s : s + step] = pref * (rows @ R) + _two_pole_inverse(c2, p1, p2, chunk)
+    return beta
 
 
 def invert_to_time(
@@ -704,41 +735,14 @@ def invert_to_time(
     """Transfer amplitude beta(omega_p, t) by contour inversion of t_wp.
 
     beta(t) = (e^{eta t}/2 pi) * integral e^{-i w t} t_wp(-i(w + i eta)) dw
-    over the window, plus the analytically inverted two-pole asymptote.
-    Raises WindowTooSmallError if the subtracted integrand at the window edge
-    stays above edge_ratio times the spectrum peak after window growth.
+    over the window, plus the analytically inverted two-pole asymptote, with
+    eta set by max(times).  Raises WindowTooSmallError if the subtracted
+    integrand at the window edges stays above edge_ratio times the peak
+    estimate max|t1| |c2| / (eta + pulse bandwidth) after window growth.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    _require_dissipation(cavity)
-    settings = settings or InversionSettings()
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0 or np.any(times < 0):
-        raise ValueError("times must be non-empty and non-negative")
-    t_max = float(times.max())
-    if t_max <= 0:
-        raise ValueError("times must reach beyond t = 0")
-    eta, d_omega = _grid_controls(settings, t_max, dist, cavity)
-    window = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, [omega_p])
-    if mode == MODE_NARROW:
-        _check_narrow(dist, env)
-    p1 = cavity.omega_c - 0.5j * cavity.kappa
-    p2 = _pump_pole(cavity, env, omega_p)
-
-    def probe(grid):
-        T, c2 = _pump_transfer(dist, cavity, env, omega_p, grid.zeta, mode, sums=grid.sums)
-        R = T - _two_pole(c2, p1, p2, grid.zeta)
-        edge = float(max(abs(R[0]), abs(R[-1])))
-        return edge, float(np.max(np.abs(T))), (R, c2)
-
-    grid, (R, c2) = _adequate_grid(settings, dist, cavity.gamma0, window, eta, d_omega, probe)
-    beta = np.empty(times.shape, dtype=complex)
-    step = max(1, _PHASE_CHUNK // grid.omega.size)
-    for s in range(0, times.size, step):
-        rows, pref = _phase_rows(grid, eta, times[s : s + step])
-        beta[s : s + step] = pref * (rows @ R)
-    beta += _two_pole_inverse(c2, p1, p2, times)
-    return TransferResult(omega_p=float(omega_p), times=times, beta=beta, method="contour")
+    beta = _contour_beta(dist, cavity, env, np.array([float(omega_p)]), times, mode, settings)
+    return TransferResult(omega_p=float(omega_p), times=times, beta=beta[0], method="contour")
 
 
 def transfer_sweep(
@@ -752,51 +756,12 @@ def transfer_sweep(
 ) -> np.ndarray:
     """beta(omega_p, tau) for many pump frequencies at one interaction time.
 
-    Shares the inversion grid, the cavity response t1 and the phase row for
-    tau across the sweep; each point then costs O(n_grid) in narrow-pulse
-    mode, plus one FFT product for N in exact-convolution mode.  The window is screened at the outermost pump frequencies,
-    the worst cases for truncation, against a peak estimate from max|t1|.
+    The inversion of `invert_to_time`, sharing the grid, t1 and the phase row
+    across the sweep: a point costs O(n_grid) in narrow-pulse mode, plus one
+    FFT product for N in exact-convolution mode.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    _require_dissipation(cavity)
-    settings = settings or InversionSettings()
     omega_ps = np.asarray(omega_ps, dtype=float)
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    eta, d_omega = _grid_controls(settings, float(tau), dist, cavity)
-    worst = [float(omega_ps.min()), float(omega_ps.max())]
-    window = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, worst)
-    if mode == MODE_NARROW:
-        _check_narrow(dist, env)
-    p1 = cavity.omega_c - 0.5j * cavity.kappa
-
-    def probe(grid):
-        t1 = _t1(cavity, grid.zeta, grid.W)
-        ends = grid.zeta[[0, -1]]
-        for wp in worst:
-            T, c2 = _pump_transfer(dist, cavity, env, wp, ends, mode, t1=t1[[0, -1]])
-            far = _two_pole(c2, p1, _pump_pole(cavity, env, wp), ends)
-            edge = float(np.max(np.abs(T - far)))
-            peak = max(
-                float(np.max(np.abs(t1))) * abs(c2) / (eta + env.bandwidth_scale), 1e-300
-            )
-            if edge > settings.edge_ratio * peak:
-                break
-        return edge, peak, t1
-
-    grid, t1 = _adequate_grid(settings, dist, cavity.gamma0, window, eta, d_omega, probe)
-    zeta = grid.zeta
-    rows, prefs = _phase_rows(grid, eta, np.array([tau], dtype=float))
-    row, pref = rows[0], prefs[0]
-    out = np.empty(omega_ps.shape, dtype=complex)
-    for i, wp in enumerate(omega_ps):
-        wp = float(wp)
-        p2 = _pump_pole(cavity, env, wp)
-        T, c2 = _pump_transfer(dist, cavity, env, wp, zeta, mode, t1=t1, sums=grid.sums)
-        R = T - _two_pole(c2, p1, p2, zeta)
-        out[i] = pref * np.dot(row, R) + _two_pole_inverse(c2, p1, p2, tau)
-    return out
+    return _contour_beta(dist, cavity, env, omega_ps, np.array([float(tau)]), mode, settings)[:, 0]
 
 
 # ---------------------------------------------------------------------------

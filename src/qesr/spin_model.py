@@ -115,10 +115,12 @@ class SpinDistribution:
             raise ValueError("omega_nodes must be a 1-d array with >= 2 entries")
         if wts.shape != nodes.shape:
             raise ValueError("weights must have the same shape as omega_nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("omega_nodes must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("omega_nodes must be strictly increasing")
-        if np.any(wts < 0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(np.isfinite(wts) & (wts >= 0)):
+            raise ValueError("weights must be finite and non-negative")
         total = wts.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1 within 1e-9 (got {total!r})")

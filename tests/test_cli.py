@@ -402,6 +402,32 @@ def test_overflowing_option_hits_grid_guard(tmp_path, small_cfg, capsys, argv):
     assert "inversion grid would need inf points" in capsys.readouterr().err
 
 
+def test_grid_guard_prints_a_short_count(tmp_path, small_cfg, capsys):
+    """The lattice count for t_max = 1e-300 has about 300 digits; the guard
+    prints it in e-notation."""
+    rc = main([
+        "transfer", "--config", small_cfg, "--out", str(tmp_path),
+        "--method", "contour", "--t-max-s", "1e-300",
+    ])
+    assert rc == 3
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert "kernel lattice would need " in line and "e+" in line
+    assert len(line) < 200
+
+
+def test_step_beyond_the_node_lattice_exit_3(tmp_path, capsys):
+    """A step that no finite multiple of the node spacing reaches is a guard
+    naming both, not an OverflowError while snapping the grid."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["ensembles"][0]["grid"]["window_hz"] = [2.9099999e9, 2.9100001e9]
+    raw["numerics"] = {"d_omega_hz": 2.8e307}
+    cfg = write_cfg(tmp_path, raw)
+    for command in ("transfer", "spectrum"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "d_omega = 1.759e+308 rad/s" in err and "node spacing h = " in err
+
+
 SUBNORMAL_SPANS = [
     ["transfer", "--method", "time-domain", "--t-max-s", "5e-324", "--n-times", "3"],
     ["swap", "--tau-max-s", "5e-324", "--n-taus", "3"],

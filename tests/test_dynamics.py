@@ -35,6 +35,7 @@ from qesr.dynamics import (
     _initial_vector,
     _node_sums,
     _propagate_state,
+    _size_guard,
     _two_pole_inverse,
 )
 from qesr.errors import (
@@ -219,8 +220,8 @@ def test_contour_needs_uniform_nodes(scen_I):
 
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
 def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
-    """On a contour, W and N come from the FFT kernel: the dense node sums
-    only ever see the 2-point edge probe of transfer_sweep."""
+    """On a contour, W and N come from the FFT kernel, the window's edge test
+    included: the dense node sums are never called."""
     import qesr.dynamics as dynamics
 
     seen = []
@@ -239,7 +240,7 @@ def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
             scen_I.dist, scen_I.cavity, scen_I.env, wps[1], np.linspace(0.0, 2e-7, 21),
             mode=mode,
         )
-    assert max(seen, default=0) <= 2
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +424,26 @@ def test_transfer_spectrum_narrow_mode_warning():
         transfer_spectrum_t(dist, cavity, env, W0, zeta, mode=MODE_NARROW)
 
 
+def test_narrow_mode_warning_names_the_callers_file(scen_I):
+    """The warning points at the line that called the public function."""
+    wps = scen_I.omegas[::200]
+    calls = [
+        lambda: transfer_spectrum_t(
+            scen_I.dist, scen_I.cavity, scen_I.env, wps[1], W0 + 1e6j, mode=MODE_NARROW
+        ),
+        lambda: transfer_sweep(
+            scen_I.dist, scen_I.cavity, scen_I.env, wps, 9e-8, mode=MODE_NARROW
+        ),
+        lambda: invert_to_time(
+            scen_I.dist, scen_I.cavity, scen_I.env, wps[1], [9e-8], mode=MODE_NARROW
+        ),
+    ]
+    for call in calls:
+        with pytest.warns(UserWarning, match="narrow-pulse") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_narrow_guard_matches_documented_regime(scen_I):
     """The bundled 150 kHz pulse is 1/10.7 of the 1.6 MHz lines: outside the
     fwhm/20 regime, so a narrow sweep warns; exactly fwhm/20 does not."""
@@ -585,6 +606,20 @@ def test_sweep_matches_pointwise(scen_I, mode, n_pumps):
     assert float(np.max(np.abs(sweep - singles))) < 1e-12
 
 
+def test_sweep_matches_pointwise_on_the_degenerate_system(degenerate_factory):
+    """Both entry points test the window by one rule, so a point the sweep
+    accepts inverts pointwise too, and both match the ODE route at the
+    swap time pi / 2 g_K."""
+    dist, cavity, env = degenerate_factory()
+    tau = math.pi / (2.0 * dist.g_collective)
+    wp = cavity.omega_c
+    sweep = transfer_sweep(dist, cavity, env, [wp], tau, mode=MODE_EXACT)[0]
+    single = invert_to_time(dist, cavity, env, wp, [tau], mode=MODE_EXACT).beta[0]
+    assert abs(sweep - single) < 1e-12
+    ode = time_domain_propagate(dist, cavity, "pulse", [0.0, tau], env=env, omega_p=wp)
+    assert abs(abs(single) ** 2 - abs(ode.beta[-1]) ** 2) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # ODE propagation invariants
 # ---------------------------------------------------------------------------
@@ -698,6 +733,11 @@ def test_grid_point_guard_raises(scen_I):
             scen_I.dist, scen_I.cavity, scen_I.env, scen_I.ens.center,
             np.linspace(0.0, 100e-9, 11), mode=MODE_EXACT, settings=settings,
         )
+
+
+def test_size_guard_prints_counts_beyond_the_float_range():
+    for n, count in ((10**400 + 1, "1.000e+400"), (12345, "1.234e+4"), (math.inf, "inf")):
+        assert f"would need {count} points" in str(_size_guard("grid", n, 0.0, 1.0, 0.5))
 
 
 def test_time_domain_input_validation(scen_I):

@@ -306,6 +306,19 @@ def test_bad_line_parameters_rejected(fwhm, weight):
         SpinLine(center=W0, fwhm=fwhm, weight=weight)
 
 
+@pytest.mark.parametrize(
+    "nodes, weights",
+    [([1.0, 2.0], [math.nan, 1.0]), ([1.0, math.inf], [0.5, 0.5])],
+    ids=["nan_weight", "inf_node"],
+)
+def test_non_finite_distribution_rejected(nodes, weights):
+    with pytest.raises(ValueError, match="finite"):
+        SpinDistribution(
+            lines=(SpinLine(center=1.5, fwhm=1.0, weight=1.0),), g_collective=1.0,
+            omega_nodes=np.array(nodes), weights=np.array(weights),
+        )
+
+
 def test_too_few_nodes_rejected():
     with pytest.raises(ValueError):
         build_distribution(
