@@ -95,7 +95,7 @@ _D = _dense(
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # the bounds on one step-size change
 _EXPONENT = -1 / 8  # the error estimate is of order 7
-_MIN_RTOL = 100 * np.finfo(float).eps
+_MIN_RTOL = 100 * float(np.finfo(float).eps)
 
 
 def _rms(x: np.ndarray):
@@ -128,22 +128,25 @@ def _error_norm(K: np.ndarray, h: float, scale: np.ndarray):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, atol: float):
-    """Solve dy/dt = fun(y), y(0) = y0, and return Y with Y[:, i] = y(t_eval[i]).
+def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, atol: float,
+           rows: slice = slice(None)):
+    """Solve dy/dt = fun(y), y(0) = y0, and return Y with Y[:, i] = y(t_eval[i])[rows].
 
     t_eval must be finite, non-negative and non-decreasing; repeated times
-    give repeated columns.  Raises NumericalGuardError when the step size
-    falls below the float spacing of t or is NaN, as it becomes once fun
-    returns non-finite values.
+    give repeated columns.  rows only limits the dense output: the steps
+    are the same, so the rows kept are the same bits.  Raises
+    NumericalGuardError when the step size falls below the float spacing of
+    t or is NaN, as it becomes once fun returns non-finite values.
     """
     y = np.asarray(y0, dtype=complex)
-    out = np.empty((y.size, t_eval.size), dtype=complex)
+    out = np.empty((y[rows].size, t_eval.size), dtype=complex)
     t_bound = float(t_eval[-1])
     if t_bound == 0.0:
-        out[:] = y[:, None]
+        out[:] = y[rows, None]
         return out
     if rtol < _MIN_RTOL:
-        warnings.warn(f"rtol = {rtol!r} is too small; using {_MIN_RTOL!r}", stacklevel=3)
+        msg = f"rtol = {float(rtol)!r} is too small; using {_MIN_RTOL!r}"
+        warnings.warn(msg, stacklevel=4)  # the caller of time_domain_propagate
         rtol = _MIN_RTOL
     K = np.empty((16, y.size), dtype=complex)
     f = fun(y)
@@ -192,12 +195,13 @@ def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, ato
             F[1] = h * f_old - delta_y
             F[2] = 2 * delta_y - h * (f + f_old)
             F[3:] = h * np.dot(_D, K)
+            F = F[:, rows]  # after the product: BLAS may sum a column slice in another order
             x = ((t_eval[done:stop] - t_old) / (t - t_old))[:, None]
-            Y = np.zeros((x.size, y.size), dtype=complex)
+            Y = np.zeros((x.size, F.shape[1]), dtype=complex)
             for i, row in enumerate(reversed(F)):
                 Y += row
                 Y *= x if i % 2 == 0 else 1 - x
-            Y += y_old
+            Y += y_old[rows]
             out[:, done:stop] = Y.T
             done = stop
     return out

@@ -627,20 +627,22 @@ class _ContourGrid:
 # 1/zeta^2 so the quadrature only sees a 1/zeta^3 remainder.
 
 
-def _phase_rows(grid: _ContourGrid, eta: float, times: np.ndarray):
-    """Trapezoid-weighted rows w_k e^{-i t (omega_k - omega_ref)}, one per time,
-    and the prefactors e^{(eta - i omega_ref) t} / 2 pi.
+def _phase_tables(n: int, step: float, times: np.ndarray):
+    """Baby and giant tables of the factored time sum over n uniform points:
+    with k1 = ceil(sqrt(n)) and k = p k1 + r, e^{-i t (k - c) step} (c =
+    (n - 1) // 2) is e^{-i t r step} (baby, r < k1) times e^{-i t (p k1 - c)
+    step} (giant, p < ceil(n / k1)), one row per time."""
+    k1 = math.isqrt(n - 1) + 1
+    giant = k1 * np.arange(-(-n // k1), dtype=float) - (n - 1) // 2
+    ts = step * times[:, None]
+    return np.exp(-1j * (ts * np.arange(k1, dtype=float))), np.exp(-1j * (ts * giant))
 
-    beta(t) = prefactor * (row . R) for the subtracted integrand R on omega.
-    """
-    omega = grid.omega
-    w_trap = np.full(omega.size, grid.step)
-    w_trap[0] *= 0.5
-    w_trap[-1] *= 0.5
-    omega_ref = 0.5 * (omega[0] + omega[-1])
-    rows = np.exp(-1j * np.outer(times, omega - omega_ref))
-    rows *= w_trap
-    return rows, np.exp((eta - 1j * omega_ref) * times) / (2.0 * math.pi)
+
+def _time_sum(z: np.ndarray, baby: np.ndarray, giant: np.ndarray) -> np.ndarray:
+    """sum_k z_k e^{-i t (k - c) step} for each time of the tables, z zero-padded
+    to k1 ceil(n / k1): one GEMM of the baby table with z in rows of k1, then a
+    row-wise dot with the giant table."""
+    return np.einsum("tp,pt->t", giant, z.reshape(giant.shape[1], -1) @ baby.T)
 
 
 def _two_pole_inverse(c2: float, p1: complex, p2: complex, t):
@@ -651,9 +653,9 @@ def _two_pole_inverse(c2: float, p1: complex, p2: complex, t):
     return (-1j * c2 / (p1 - p2)) * (np.exp(-1j * p1 * t) - np.exp(-1j * p2 * t))
 
 
-# Entries of one chunk of phase rows; the outer product, its -1j multiple and
-# its exponential each hold a chunk at a time.
-_PHASE_CHUNK = 500_000
+# Entries of the two phase tables of one chunk of times; each table and its
+# temporaries hold a chunk at a time.
+_PHASE_CHUNK = 131_072
 
 
 def _contour_beta(
@@ -687,10 +689,10 @@ def _contour_beta(
         _check_narrow(dist, env, stacklevel=4)  # the public function's caller
     p1 = cavity.omega_c - 0.5j * cavity.kappa
 
-    def residual(grid: _ContourGrid, t1: np.ndarray, wp: float):
+    def residual(grid: _ContourGrid, t1: np.ndarray, wp: float, out=None):
         T, c2 = _pump_transfer(dist, cavity, env, wp, grid.zeta, mode, t1=t1, sums=grid.sums)
         p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
-        return T - c2 / ((grid.zeta - p1) * (grid.zeta - p2)), c2, p2  # R = T - T_far
+        return np.subtract(T, c2 / ((grid.zeta - p1) * (grid.zeta - p2)), out=out), c2, p2
 
     for attempt in range(_MAX_GROWTH + 1):
         grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, lo, hi)
@@ -712,14 +714,23 @@ def _contour_beta(
         half = 0.5 * (hi - lo) * _GROWTH
         lo, hi = center - half, center + half
 
+    # beta(t) = step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
+    # + the inverse of T_far; trapezoid w_k = 1 (1/2 at the ends), omega_ref at k = c
+    n = grid.omega.size
+    omega_ref = grid.omega[(n - 1) // 2]
     beta = np.empty((omega_ps.size, times.size), dtype=complex)
-    step = max(1, _PHASE_CHUNK // grid.omega.size)
+    step = max(1, _PHASE_CHUNK // (2 * math.isqrt(n) + 2))
     for s in range(0, times.size, step):
         chunk = times[s : s + step]
-        rows, pref = _phase_rows(grid, eta, chunk)
+        baby, giant = _phase_tables(n, grid.step, chunk)
+        z = np.zeros(baby.shape[1] * giant.shape[1], dtype=complex)  # w_k R_k, zero-padded
+        pref = grid.step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
         for i, wp in enumerate(omega_ps):
-            R, c2, p2 = residual(grid, t1, float(wp))
-            beta[i, s : s + step] = pref * (rows @ R) + _two_pole_inverse(c2, p1, p2, chunk)
+            _, c2, p2 = residual(grid, t1, float(wp), out=z[:n])
+            z[0] *= 0.5
+            z[n - 1] *= 0.5
+            far = _two_pole_inverse(c2, p1, p2, chunk) + 0.0  # + 0.0: a zero beta has no -0.0
+            beta[i, s : s + step] = pref * _time_sum(z, baby, giant) + far
     return beta
 
 
@@ -756,9 +767,9 @@ def transfer_sweep(
 ) -> np.ndarray:
     """beta(omega_p, tau) for many pump frequencies at one interaction time.
 
-    The inversion of `invert_to_time`, sharing the grid, t1 and the phase row
-    across the sweep: a point costs O(n_grid) in narrow-pulse mode, plus one
-    FFT product for N in exact-convolution mode.
+    The inversion of `invert_to_time`, sharing the grid, t1 and the phase
+    tables across the sweep: a point costs O(n_grid) in narrow-pulse mode,
+    plus one FFT product for N in exact-convolution mode.
     """
     omega_ps = np.asarray(omega_ps, dtype=float)
     return _contour_beta(dist, cavity, env, omega_ps, np.array([float(tau)]), mode, settings)[:, 0]
@@ -801,12 +812,14 @@ def _propagate_state(
     times: np.ndarray,
     rtol: float,
     atol: float,
+    rows: slice = slice(None),
 ):
     """Propagate dX/dt = -i M X in the frame rotating at omega_c.
 
-    Returns the full state matrix Y with shape (n_nodes + 1, n_times); the
-    lab-frame amplitudes are Y * exp(-i omega_c t).  The arrow structure of M
-    keeps each right-hand side O(N).
+    Returns the state rows `rows` (all by default) at each time, shape
+    (n_rows, n_times); the lab-frame amplitudes are Y * exp(-i omega_c t).
+    The steps do not depend on `rows`, so each row is the same bits either
+    way.  The arrow structure of M keeps each right-hand side O(N).
     """
     g = dist.g_collective * np.sqrt(dist.weights)
     det = dist.omega_nodes - cavity.omega_c
@@ -819,7 +832,7 @@ def _propagate_state(
         dy[1:] = diag_spins * y[1:] - g * y[0]
         return dy
 
-    return dop853(rhs, x0, times, rtol, atol)
+    return dop853(rhs, x0, times, rtol, atol, rows)
 
 
 def time_domain_propagate(
@@ -839,9 +852,11 @@ def time_domain_propagate(
     starts from the pulse-excited spin packet X_j(0) proportional to
     alpha(w_j - w_p) g_j, normalized; with zero coupling beta = 0.  Works for
     lossless systems too (kappa = gamma0 = 0), unlike the contour route.
-    times may repeat; times that are all 0 return the start.  Raises
-    NumericalGuardError above max_nodes, for a pulse with no overlap with the
-    grid, and when the integrator fails.
+    times may repeat; times that are all 0 return the start.  Only the cavity
+    row is interpolated, so memory is O(n_nodes + n_times).  Raises
+    NumericalGuardError above max_nodes (the state size, the cost of every
+    step), for a pulse with no overlap with the grid, and when the
+    integrator fails.
     """
     if dist.n_nodes > max_nodes:
         raise NumericalGuardError(
@@ -853,7 +868,7 @@ def time_domain_propagate(
     if times.size == 0 or bad.any() or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-empty, finite, non-negative and non-decreasing")
     x0 = _initial_vector(dist, initial, env, omega_p)
-    y = _propagate_state(dist, cavity, x0, times, rtol, atol)
+    y = _propagate_state(dist, cavity, x0, times, rtol, atol, rows=slice(0, 1))
     # + 0.0 turns the -0.0 parts of a zero amplitude into 0.0, as on the contour route
     beta = y[0] * np.exp(-1j * cavity.omega_c * times) + 0.0
     return TransferResult(

@@ -56,6 +56,19 @@ def test_bundled_systems_match_scipy_bit_for_bit(request, scen, initial, periods
     assert np.array_equal(ours, scipy_dop853(rhs, x0, times, rtol, 1e-12))
 
 
+@pytest.mark.parametrize("initial,periods,n_times", [("cavity", 1.2, 481), ("pulse", 1.5, 601)])
+@pytest.mark.parametrize("scen", ["scen_I", "scen_III"])
+def test_cavity_row_alone_is_the_same_bits(request, scen, initial, periods, n_times):
+    """Interpolating only row 0, as time_domain_propagate does, leaves it unchanged."""
+    s = request.getfixturevalue(scen)
+    x0 = _initial_vector(s.dist, initial, s.env, s.ens.center)
+    times = np.linspace(0.0, periods * np.pi / s.dist.g_collective, n_times)
+    full = _propagate_state(s.dist, s.cavity, x0, times, s.cfg.ode_rtol, 1e-12)
+    row0 = _propagate_state(s.dist, s.cavity, x0, times, s.cfg.ode_rtol, 1e-12, rows=slice(0, 1))
+    assert row0.shape == (1, n_times)
+    assert np.array_equal(row0, full[:1])
+
+
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
@@ -85,6 +98,17 @@ def test_random_arrow_systems_match_scipy_bit_for_bit(system):
     rhs, y0, times, rtol, atol = system
     ours = dop853(rhs, y0, times, rtol, atol)
     assert np.array_equal(ours, scipy_dop853(rhs, y0, times, rtol, atol))
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(arrow_systems(), st.data())
+def test_selected_rows_are_the_same_bits(system, data):
+    rhs, y0, times, rtol, atol = system
+    full = dop853(rhs, y0, times, rtol, atol)
+    lo = data.draw(st.integers(0, y0.size - 1))
+    hi = data.draw(st.integers(lo + 1, y0.size))
+    for rows in (slice(0, 1), slice(lo, hi)):
+        assert np.array_equal(dop853(rhs, y0, times, rtol, atol, rows=rows), full[rows])
 
 
 def test_too_small_rtol_is_raised_with_a_warning_as_in_scipy():

@@ -3,7 +3,9 @@ contour inversion vs direct ODE propagation, and the numerical guards."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -34,8 +36,10 @@ from qesr.dynamics import (
     _grid_controls,
     _initial_vector,
     _node_sums,
+    _phase_tables,
     _propagate_state,
     _size_guard,
+    _time_sum,
     _two_pole_inverse,
 )
 from qesr.errors import (
@@ -569,6 +573,83 @@ def test_two_pole_inverse_double_pole_is_the_limit():
         assert float(np.max(np.abs(double - near))) < 1e-5
 
 
+def longdouble_time_sum(z, step, times):
+    """sum_k z_k e^{-i t (k - c) step}, c = (n - 1) // 2, with cos and sin of
+    np.longdouble phases over the integer lattice offsets k - c."""
+    offsets = (np.arange(z.size) - (z.size - 1) // 2).astype(np.longdouble)
+    zr, zi = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
+    out = np.empty(times.size, dtype=complex)
+    for a in range(0, times.size, 32):
+        phase = times[a : a + 32, None].astype(np.longdouble) * np.longdouble(step) * offsets
+        c, s = np.cos(phase), np.sin(phase)
+        out[a : a + 32] = (c * zr + s * zi).sum(axis=1) + 1j * (c * zi - s * zr).sum(axis=1)
+    return out
+
+
+def factored_time_sum(z, step, times):
+    baby, giant = _phase_tables(z.size, step, times)
+    padded = np.zeros(baby.shape[1] * giant.shape[1], dtype=complex)
+    padded[: z.size] = z
+    return _time_sum(padded, baby, giant)
+
+
+@pytest.fixture(scope="module")
+def exact_integrands(scen_I, scen_III):
+    """Per bundled config: the integrand z (R, its end points halved) and grid
+    step of the CLI's exact-mode `transfer` (601 times to 1.5 pi / g_K),
+    recorded from its inversion, those times, the oracle's time sum over them
+    and its peak."""
+    import qesr.dynamics as dynamics
+
+    out = {}
+    for name, scen in (("I", scen_I), ("III", scen_III)):
+        seen = {}
+
+        def tables(n, step, times, seen=seen):
+            seen["n"], seen["step"] = n, step
+            return _phase_tables(n, step, times)
+
+        def time_sum(z, baby, giant, seen=seen):
+            seen["z"] = z.copy()
+            return _time_sum(z, baby, giant)
+
+        times = np.linspace(0.0, 1.5 * np.pi / scen.dist.g_collective, 601)
+        with mock.patch.object(dynamics, "_phase_tables", tables), \
+                mock.patch.object(dynamics, "_time_sum", time_sum):
+            invert_to_time(
+                scen.dist, scen.cavity, scen.env, scen.ens.center, times,
+                mode=MODE_EXACT, settings=scen.settings,
+            )
+        z = seen["z"][: seen["n"]]
+        oracle = longdouble_time_sum(z, seen["step"], times)
+        out[name] = z, seen["step"], times, oracle, float(np.max(np.abs(oracle)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_factored_time_sum_matches_a_longdouble_oracle(exact_integrands, name):
+    """On the bundled exact-mode grids at the CLI's 601 times the baby-step /
+    giant-step sum agrees with the extended-precision sum to 1e-14 of its
+    peak; phases from uncentred offsets would miss this by ~10x."""
+    z, step, times, oracle, peak = exact_integrands[name]
+    got = factored_time_sum(z, step, times)
+    assert float(np.max(np.abs(got - oracle))) <= 1e-14 * peak
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(["I", "III"]),
+    fractions=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=10),
+    repeats=st.integers(0, 4),
+)
+def test_factored_time_sum_takes_any_times(exact_integrands, name, fractions, repeats):
+    """Unsorted, non-uniform, repeated and zero times: still 1e-14 of the peak."""
+    z, step, times, _, peak = exact_integrands[name]
+    t = times[-1] * np.array(fractions + fractions[:repeats])
+    got = factored_time_sum(z, step, t)
+    assert float(np.max(np.abs(got - longdouble_time_sum(z, step, t)))) <= 1e-14 * peak
+
+
 def test_inversion_damped_oscillation_first_max_below_one(scen_III):
     times = np.linspace(0.0, 500e-9, 501)
     res = time_domain_propagate(
@@ -787,6 +868,45 @@ def test_time_domain_accepts_repeated_times(scen_I):
     res = time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", times)
     once = time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", np.unique(times))
     assert np.array_equal(res.beta, once.beta[[0, 0, 1, 1, 1, 2]])
+
+
+def test_too_small_rtol_warns_at_the_caller_with_a_plain_float():
+    dist = single_line_dist(n_nodes=11)
+    cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
+    with pytest.warns(UserWarning, match="rtol") as record:
+        time_domain_propagate(dist, cavity, "cavity", [0.0, 1e-9], rtol=1e-18)
+    assert [w.filename for w in record] == [__file__]
+    assert str(record[0].message) == "rtol = 1e-18 is too small; using 2.220446049250313e-14"
+
+
+def traced_peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_time_domain_trace_memory_is_bounded(scen_I):
+    """Only the cavity row is interpolated, so 2,001 times stay far below the
+    160 MB that the full state takes."""
+    times = np.linspace(0.0, 1.5 * np.pi / scen_I.dist.g_collective, 2001)
+    peak = traced_peak_mib(lambda: time_domain_propagate(
+        scen_I.dist, scen_I.cavity, "pulse", times, env=scen_I.env, omega_p=scen_I.ens.center,
+    ))
+    assert peak < 16.0
+
+
+def test_contour_trace_memory_is_bounded(scen_I):
+    """The phase tables are built a chunk of times at a time: 20,001 times fit
+    under the cap that the unchunked tables would exceed."""
+    times = np.linspace(0.0, 1.5 * np.pi / scen_I.dist.g_collective, 20001)
+    peak = traced_peak_mib(lambda: invert_to_time(
+        scen_I.dist, scen_I.cavity, scen_I.env, scen_I.ens.center, times,
+        mode=MODE_EXACT, settings=scen_I.settings,
+    ))
+    assert peak < 16.0
 
 
 def test_zero_coupling_gives_zero_beta_on_both_routes():
