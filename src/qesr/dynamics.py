@@ -26,7 +26,6 @@ All frequencies are angular (rad/s); times are seconds.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -232,22 +231,16 @@ class TransferResult:
 # spectral building blocks
 
 
-def _node_sums(
-    dist: SpinDistribution,
-    gamma0: float,
-    zeta: np.ndarray,
-    extra: Optional[np.ndarray] = None,
-):
-    """Sum g_j^2/(zeta - w_j + i gamma0/2) and optionally extra_j/(...).
+def _node_sums(dist: SpinDistribution, gamma0: float, zeta: np.ndarray, weights: np.ndarray):
+    """sum_j weights_j / (zeta - w_j + i gamma0/2) at every zeta, dense.
 
-    Shares the denominator matrix between the two sums; chunked to bound
-    memory.  Raises PoleCollisionError on an exact real-axis node hit with
-    gamma0 = 0 (the caller must offset or complex-shift instead).
+    Chunked to bound memory.  Raises PoleCollisionError on an exact
+    real-axis node hit with gamma0 = 0 (the caller must offset or
+    complex-shift instead).
     """
     zeta = np.asarray(zeta, dtype=complex)
     flat = zeta.ravel()
     nodes = dist.omega_nodes
-    gsq = dist.couplings_sq
     if gamma0 == 0.0:
         real_mask = flat.imag == 0.0
         if np.any(real_mask) and np.any(np.isin(flat[real_mask].real, nodes)):
@@ -256,18 +249,11 @@ def _node_sums(
                 "evaluate at a complex-shifted or offset frequency"
             )
     shift = 0.5j * gamma0
-    W = np.empty(flat.shape, dtype=complex)
-    E = np.empty(flat.shape, dtype=complex) if extra is not None else None
+    out = np.empty(flat.shape, dtype=complex)
     step = max(1, 2_000_000 // max(nodes.size, 1))
     for s in range(0, flat.size, step):
-        inv = 1.0 / (flat[s : s + step, None] - nodes[None, :] + shift)
-        W[s : s + step] = inv @ gsq
-        if extra is not None:
-            E[s : s + step] = inv @ extra
-    W = W.reshape(zeta.shape)
-    if E is not None:
-        E = E.reshape(zeta.shape)
-    return W, E
+        out[s : s + step] = (1.0 / (flat[s : s + step, None] - nodes[None, :] + shift)) @ weights
+    return out.reshape(zeta.shape)
 
 
 def memory_kernel_W(dist: SpinDistribution, cavity: CavityModel, omega):
@@ -279,7 +265,7 @@ def memory_kernel_W(dist: SpinDistribution, cavity: CavityModel, omega):
     FWHM w that limit is g_K^2 / (omega - w_s + i w/2).
     """
     scalar = np.isscalar(omega)
-    W, _ = _node_sums(dist, cavity.gamma0, np.asarray(omega, dtype=complex))
+    W = _node_sums(dist, cavity.gamma0, omega, dist.couplings_sq)
     return complex(W) if scalar else W
 
 
@@ -293,8 +279,7 @@ def cavity_amplitude_t1(dist: SpinDistribution, cavity: CavityModel, omega):
         raise ValueError("cavity_amplitude_t1 requires kappa > 0 or gamma0 > 0")
     scalar = np.isscalar(omega)
     zeta = np.asarray(omega, dtype=complex)
-    W, _ = _node_sums(dist, cavity.gamma0, zeta)
-    t1 = _t1(cavity, zeta, W)
+    t1 = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta, dist.couplings_sq))
     return complex(t1) if scalar else t1
 
 
@@ -350,29 +335,22 @@ def _pump_transfer(
     omega_p: float,
     zeta: np.ndarray,
     mode: str,
-    t1: Optional[np.ndarray] = None,
-    sums: Optional[Callable] = None,
+    t1: np.ndarray,
+    numerator: Callable[[np.ndarray], np.ndarray],
 ) -> Tuple[np.ndarray, float]:
     """T = t_wp(-i zeta) at one pump, and its far-field coefficient c2.
 
-    T tends to c2 / zeta^2 far from the spectrum.  sums(extra) returns the
-    node sums (W, N) on zeta, N of the weights extra: the dense `_node_sums`
-    by default, `_ContourGrid.sums` on a contour grid.  A t1 precomputed on
-    the same zeta is shared as given; otherwise it comes from W.
+    T tends to c2 / zeta^2 far from the spectrum.  t1 is the cavity response
+    on zeta; numerator(weights) is the node sum of the weights on zeta
+    (`_ContourGrid.convolve` on a contour, the dense `_node_sums` elsewhere),
+    called once in exact mode and never in narrow mode.
     """
-    if sums is None:
-        sums = functools.partial(_node_sums, dist, cavity.gamma0, zeta)
     if mode == MODE_NARROW:
-        if t1 is None:
-            t1 = _t1(cavity, zeta, sums()[0])
         scale = _narrow_scale(dist, env, omega_p)
         shape = env.cauchy(zeta - omega_p + 0.5j * cavity.gamma0)
         return 1j * t1 * scale * shape / env.norm_l1, -scale
     extra, d_norm = _exact_weights(dist, env, omega_p)
-    W, N = sums(extra)
-    if t1 is None:
-        t1 = _t1(cavity, zeta, W)
-    return 1j * t1 * N / d_norm, -float(np.sum(extra)) / d_norm
+    return 1j * t1 * numerator(extra) / d_norm, -float(np.sum(extra)) / d_norm
 
 
 def transfer_spectrum_t(
@@ -397,7 +375,13 @@ def transfer_spectrum_t(
     if mode == MODE_NARROW:
         _check_narrow(dist, env, stacklevel=3)
     scalar = np.isscalar(omega)
-    out, _ = _pump_transfer(dist, cavity, env, omega_p, np.asarray(omega, dtype=complex), mode)
+    zeta = np.asarray(omega, dtype=complex)
+
+    def numerator(weights):
+        return _node_sums(dist, cavity.gamma0, zeta, weights)
+
+    t1 = _t1(cavity, zeta, numerator(dist.couplings_sq))
+    out, _ = _pump_transfer(dist, cavity, env, omega_p, zeta, mode, t1, numerator)
     return complex(out) if scalar else out
 
 
@@ -562,9 +546,10 @@ class _ContourGrid:
     A node sum sum_j x_j / (zeta_k - w_j + i gamma0/2) is then a strided
     Toeplitz product: the Cauchy row 1/(delta n + i b), n from s - q (N - 1)
     to s + m (K - 1), convolved with the weights x_j stuffed with q - 1 zeros
-    and read every m-th point.  The row is transformed once per grid, so W and
-    each exact-mode numerator N cost one FFT product.  The grid covers
-    [lo, hi] and exceeds it by less than one step on each side.
+    and read every m-th point: `convolve`, the grid's one node sum.  The row
+    is transformed once per grid, so W (built here) and each exact-mode
+    numerator N cost one FFT product.  The grid covers [lo, hi] and exceeds
+    it by less than one step on each side.
     """
 
     def __init__(self, dist: SpinDistribution, gamma0: float, eta: float,
@@ -608,17 +593,14 @@ class _ContourGrid:
         row = 1.0 / (delta * (float(s - self._first) + np.arange(length, dtype=float)) + 1j * b)
         self._size = _fast_length(length)
         self._row_hat = np.fft.fft(row, self._size)
-        self.W = self._convolve(dist.couplings_sq)
+        self.W = self.convolve(dist.couplings_sq)
 
-    def _convolve(self, weights: np.ndarray) -> np.ndarray:
+    def convolve(self, weights: np.ndarray) -> np.ndarray:
+        """sum_j weights_j / (zeta_k - w_j + i gamma0/2) on every grid point."""
         stuffed = np.zeros(self._size)
         stuffed[: self._first + 1 : self.q] = weights
         out = np.fft.ifft(np.fft.fft(stuffed) * self._row_hat)
         return out[self._first : self._first + self.m * (self.omega.size - 1) + 1 : self.m]
-
-    def sums(self, extra: Optional[np.ndarray] = None):
-        """(W, N) on zeta, as `_node_sums` returns them; N is None without extra."""
-        return self.W, (None if extra is None else self._convolve(extra))
 
 
 # The contour primitive: one grid for every pump and time, the Fourier sum on
@@ -670,7 +652,10 @@ def _contour_beta(
     """beta(omega_p, t) by contour inversion, shape (pumps, times).
 
     One grid serves every pump and time; its window passes the edge rule of
-    `InversionSettings` at both outermost pumps.
+    `InversionSettings` at both outermost pumps.  Each grid attempt is one
+    pass over the pumps, outermost first: a pump's residual is formed once,
+    tested at the window edges if the pump is outermost, then summed over
+    every chunk of times.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -682,29 +667,51 @@ def _contour_beta(
     settings = settings or InversionSettings()
     if times.size == 0 or np.any(times < 0) or not times.max() > 0:
         raise ValueError("times must be non-empty, non-negative and reach beyond t = 0")
+    if omega_ps.size == 0 or np.any(np.isnan(omega_ps)):
+        raise ValueError("omega_ps must be non-empty and free of NaN")
     eta, d_omega = _grid_controls(settings, float(times.max()), dist, cavity)
-    worst = [float(omega_ps.min()), float(omega_ps.max())]
+    outer = [int(np.argmin(omega_ps)), int(np.argmax(omega_ps))]
+    worst = [float(omega_ps[i]) for i in outer]
     lo, hi = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, worst)
     if mode == MODE_NARROW:
         _check_narrow(dist, env, stacklevel=4)  # the public function's caller
     p1 = cavity.omega_c - 0.5j * cavity.kappa
-
-    def residual(grid: _ContourGrid, t1: np.ndarray, wp: float, out=None):
-        T, c2 = _pump_transfer(dist, cavity, env, wp, grid.zeta, mode, t1=t1, sums=grid.sums)
-        p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
-        return np.subtract(T, c2 / ((grid.zeta - p1) * (grid.zeta - p2)), out=out), c2, p2
-
+    pumps = dict.fromkeys(outer + list(range(omega_ps.size)))  # outermost first, each once
+    beta = np.empty((omega_ps.size, times.size), dtype=complex)
     for attempt in range(_MAX_GROWTH + 1):
         grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, lo, hi)
         t1 = _t1(cavity, grid.zeta, grid.W)
-        for wp in worst:
-            R, c2, _ = residual(grid, t1, wp)
-            edge = float(max(abs(R[0]), abs(R[-1])))
-            peak = float(np.max(np.abs(t1))) * abs(c2) / (eta + env.bandwidth_scale)
-            if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
-                break
+        # beta(t) = step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
+        # + the inverse of T_far; trapezoid w_k = 1 (1/2 at the ends), omega_ref at k = c
+        n = grid.omega.size
+        omega_ref = grid.omega[(n - 1) // 2]
+        step = max(1, _PHASE_CHUNK // (2 * math.isqrt(n) + 2))
+
+        def tables(chunk):
+            baby, giant = _phase_tables(n, grid.step, chunk)
+            return baby, giant, grid.step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
+
+        first = tables(times[:step])  # the only chunk of a sweep, shared by its pumps
+        z = np.zeros(first[0].shape[1] * first[1].shape[1], dtype=complex)  # w_k R_k, zero-padded
+        for i in pumps:
+            wp = float(omega_ps[i])
+            T, c2 = _pump_transfer(dist, cavity, env, wp, grid.zeta, mode, t1, grid.convolve)
+            p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+            np.subtract(T, c2 / ((grid.zeta - p1) * (grid.zeta - p2)), out=z[:n])
+            if i in outer:
+                edge = float(max(abs(z[0]), abs(z[n - 1])))
+                peak = float(np.max(np.abs(t1))) * abs(c2) / (eta + env.bandwidth_scale)
+                if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
+                    break
+            z[0] *= 0.5
+            z[n - 1] *= 0.5
+            for s in range(0, times.size, step):
+                chunk = times[s : s + step]
+                baby, giant, pref = tables(chunk) if s else first
+                far = _two_pole_inverse(c2, p1, p2, chunk) + 0.0  # + 0.0: a zero beta has no -0.0
+                beta[i, s : s + step] = pref * _time_sum(z, baby, giant) + far
         else:
-            break
+            return beta
         if settings.window is not None or attempt == _MAX_GROWTH:
             raise WindowTooSmallError(
                 f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small: edge "
@@ -713,25 +720,6 @@ def _contour_beta(
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo) * _GROWTH
         lo, hi = center - half, center + half
-
-    # beta(t) = step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
-    # + the inverse of T_far; trapezoid w_k = 1 (1/2 at the ends), omega_ref at k = c
-    n = grid.omega.size
-    omega_ref = grid.omega[(n - 1) // 2]
-    beta = np.empty((omega_ps.size, times.size), dtype=complex)
-    step = max(1, _PHASE_CHUNK // (2 * math.isqrt(n) + 2))
-    for s in range(0, times.size, step):
-        chunk = times[s : s + step]
-        baby, giant = _phase_tables(n, grid.step, chunk)
-        z = np.zeros(baby.shape[1] * giant.shape[1], dtype=complex)  # w_k R_k, zero-padded
-        pref = grid.step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
-        for i, wp in enumerate(omega_ps):
-            _, c2, p2 = residual(grid, t1, float(wp), out=z[:n])
-            z[0] *= 0.5
-            z[n - 1] *= 0.5
-            far = _two_pole_inverse(c2, p1, p2, chunk) + 0.0  # + 0.0: a zero beta has no -0.0
-            beta[i, s : s + step] = pref * _time_sum(z, baby, giant) + far
-    return beta
 
 
 def invert_to_time(

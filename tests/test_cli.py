@@ -5,13 +5,20 @@ smoke test.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import shutil
 import subprocess
+import tempfile
+import warnings
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qesr.cli import main
 
@@ -537,3 +544,85 @@ def test_satellite_replica_overflowing_in_rad_exit_2(tmp_path, capsys):
         "config error: ensembles[0].satellites[0]: line center_hz + offset_hz "
         "overflows in rad/s (demo)"
     ) in capsys.readouterr().err
+
+
+def _zero_or(lo, hi):
+    return st.one_of(st.just(0.0), st.floats(lo, hi))
+
+
+def _none_or(lo, hi):
+    return st.one_of(st.none(), st.floats(lo, hi))
+
+
+@st.composite
+def small_runs(draw):
+    """A valid config with at most 300 nodes and 15 pumps, and the argv of one
+    subcommand on it with at most 50 taus or times; over every line, pulse and
+    cavity shape, both modes and both transfer methods."""
+    g_hz = draw(_zero_or(1e6, 6e6))
+    lines = [
+        {
+            "center_hz": draw(st.floats(2.90e9, 2.92e9)),
+            "fwhm_hz": draw(st.floats(2e5, 5e6)),
+            "weight": draw(st.floats(0.2, 2.0)),
+        }
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    cavity = draw(st.one_of(
+        st.builds(lambda q: {"q": q}, st.floats(1e3, 1e5)),
+        st.builds(lambda k: {"kappa_hz": k}, st.floats(3e4, 3e6)),
+    ))
+    cavity["gamma0_hz"] = draw(_zero_or(1e3, 3e5))
+    pulse = draw(st.one_of(
+        st.builds(lambda s, f: {"shape": s, "fwhm_hz": f},
+                  st.sampled_from(["lorentzian", "gaussian"]), st.floats(2e4, 2e6)),
+        st.builds(lambda d: {"shape": "rectangular", "duration_s": d}, st.floats(5e-7, 5e-5)),
+    ))
+    raw = {
+        "ensembles": [{
+            "name": "demo", "lines": lines, "g_collective_hz": g_hz,
+            "shape": draw(st.sampled_from(["lorentzian", "gaussian"])),
+            "grid": {"n_nodes": draw(st.integers(2, 300))},
+        }],
+        "cavity": cavity,
+        "pulse": pulse,
+        "sweep": {
+            "n_points": draw(st.integers(3, 15)),
+            "span_hz": draw(st.floats(2e6, 2e7)),
+            "tau_s_s": draw(_none_or(2e-8, 3e-7)),
+        },
+        "numerics": {"mode": draw(st.sampled_from(["narrow-pulse", "exact-convolution"]))},
+    }
+    if draw(st.booleans()):  # the detail columns of the sensitivity table
+        raw["sensitivity"] = {
+            "kappa_hz": draw(st.floats(1e3, 1e6)), "n_spins": draw(st.floats(1e3, 1e12)),
+        }
+    command = draw(st.sampled_from(["spectrum", "swap", "transfer", "density", "sensitivity"]))
+    # without coupling the default span is 10 / kappa, far beyond a small grid
+    span = draw(_none_or(2e-8, 5e-7) if g_hz else st.floats(2e-8, 5e-7))
+    argv = [command]
+    if command == "swap":
+        argv += ["--n-taus", str(draw(st.integers(3, 50)))]
+        argv += [] if span is None else ["--tau-max-s", repr(span)]
+    if command == "transfer":
+        argv += ["--n-times", str(draw(st.integers(2, 50)))]
+        argv += ["--method", draw(st.sampled_from(["contour", "time-domain"]))]
+        argv += [] if span is None else ["--t-max-s", repr(span)]
+    return raw, argv
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(run=small_runs())
+def test_valid_configs_exit_0_2_or_3(run):
+    """No valid config ends in a traceback (exit 1): every run succeeds, or
+    exits 2 (config) or 3 (numerical guard) with a message."""
+    raw, argv = run
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = f"{tmp}/config.cfg"
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rc = main(argv + ["--config", path, "--out", f"{tmp}/out"])
+    assert rc in (0, 2, 3), sink.getvalue()

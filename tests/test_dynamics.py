@@ -161,7 +161,7 @@ def test_lattice_kernel_matches_references(request, case):
     grid = _ContourGrid(dist, gamma0, eta, d_omega, lo, hi)
     if case == "III_fine_step":
         assert grid.q > 1 and grid.step < d_omega
-    W, N = grid.sums(extra)
+    W, N = grid.W, grid.convolve(extra)
     rows = np.unique(np.r_[0 : W.size : 4, W.size - 1, np.argmax(np.abs(W))])
     j = np.arange(dist.n_nodes)
     ref = np.empty((2, rows.size), dtype=complex)
@@ -169,7 +169,7 @@ def test_lattice_kernel_matches_references(request, case):
         offsets = grid.positions[rows[a : a + 200], None] - grid.q * j[None, :]
         inv = 1.0 / (grid.delta * offsets + 1j * grid.b)
         ref[:, a : a + 200] = [inv @ dist.couplings_sq, inv @ extra]
-    dense = _node_sums(dist, gamma0, grid.zeta[rows], extra=extra)
+    dense = [_node_sums(dist, gamma0, grid.zeta[rows], x) for x in (dist.couplings_sq, extra)]
     for got, exact, direct in zip((W, N), ref, dense):
         scale = float(np.max(np.abs(got)))
         assert float(np.max(np.abs(got[rows] - exact))) <= 1e-12 * scale
@@ -803,6 +803,64 @@ def test_window_too_small_raises(scen_I):
             scen_I.dist, scen_I.cavity, scen_I.env, [scen_I.ens.center], 100e-9,
             mode=MODE_EXACT, settings=settings,
         )
+
+
+@pytest.mark.parametrize("pumps", [[], [math.nan], [W0, math.nan]])
+def test_contour_rejects_empty_or_nan_pumps(scen_I, monkeypatch, pumps):
+    """Empty or NaN pumps are refused by name before any grid is built; no
+    window growth or grid guard gets to see them."""
+    import qesr.dynamics as dynamics
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(dynamics, "_ContourGrid", no_grid)
+    with pytest.raises(ValueError, match="omega_ps must be non-empty and free of NaN"):
+        transfer_sweep(scen_I.dist, scen_I.cavity, scen_I.env, pumps, 90e-9)
+    if len(pumps) == 1:
+        with pytest.raises(ValueError, match="omega_ps"):
+            invert_to_time(
+                scen_I.dist, scen_I.cavity, scen_I.env, pumps[0], np.linspace(0.0, 1e-7, 11)
+            )
+
+
+@pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
+@pytest.mark.parametrize("edge_ratio, n_grids", [(None, 1), (1e-7, 3)])
+def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, edge_ratio, n_grids):
+    """One pass over the pumps per grid: the final grid evaluates every pump
+    once, for every chunk of times, and a failed grid only its outermost
+    pumps until one fails the edge rule."""
+    import qesr.dynamics as dynamics
+
+    grids, calls = [], []
+    pump_transfer, contour_grid = dynamics._pump_transfer, dynamics._ContourGrid
+
+    def spy_pump(*args, **kwargs):
+        calls.append((len(grids), args[3]))
+        return pump_transfer(*args, **kwargs)
+
+    def spy_grid(*args):
+        grids.append(contour_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(dynamics, "_pump_transfer", spy_pump)
+    monkeypatch.setattr(dynamics, "_ContourGrid", spy_grid)
+    settings = scen_I.settings if edge_ratio is None else InversionSettings(edge_ratio=edge_ratio)
+    wps = scen_I.ens.center + TWO_PI * np.array([0.0, -2e6, 2e6])
+    times = np.linspace(0.0, 1.5 * np.pi / scen_I.dist.g_collective, 20001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        transfer_sweep(scen_I.dist, scen_I.cavity, scen_I.env, wps, 90e-9, mode, settings)
+        assert len(grids) == n_grids
+        # each failed grid stops at the lowest pump, tested first
+        assert calls == [(k, wps[1]) for k in range(1, n_grids)] + [
+            (n_grids, wp) for wp in (wps[1], wps[2], wps[0])
+        ]
+        grids.clear()
+        calls.clear()
+        invert_to_time(scen_I.dist, scen_I.cavity, scen_I.env, wps[0], times, mode, settings)
+    assert len(grids) == n_grids
+    assert calls == [(k, wps[0]) for k in range(1, n_grids + 1)]
 
 
 def test_grid_point_guard_raises(scen_I):

@@ -444,6 +444,13 @@ def test_budget_rejects_nonpositive_pump(scen_I):
         )
 
 
+def test_budget_rejects_nan_pump_frequency(scen_I):
+    with pytest.raises(ValueError, match="omega_ps must be non-empty and free of NaN"):
+        excitation_budget(
+            scen_I.dist, scen_I.cavity, scen_I.env, 1.0, math.nan, 90e-9
+        )
+
+
 # ---------------------------------------------------------------------------
 # detection chain
 # ---------------------------------------------------------------------------
