@@ -17,7 +17,6 @@ spectral grid, an ODE step-size underflow); 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -27,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import _POSITIVE, TWO_PI, RunConfig, _integer, parse_config
+from .config import _POSITIVE, TWO_PI, RunConfig, _integer, canonical_json, parse_config
 from .dynamics import MODE_EXACT, MODE_NARROW, invert_to_time, time_domain_propagate
 from .errors import ConfigError, NumericalGuardError
 from .protocol import esr_spectrum, find_swap_time, simulate_swap, spectrum_peaks
@@ -39,10 +38,6 @@ __all__ = ["main", "build_parser"]
 
 def _safe_name(name: str) -> str:
     return re.sub(r"[^\w.-]", "_", name)
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write_text(path, text: str) -> None:
@@ -285,7 +280,7 @@ def run(args) -> int:
                 cfg, args, ens, ens.distribution, cfg.cavity_for(ens)
             )
             result.to_csv(out_dir / f"{args.command}_{_safe_name(ens.name)}.csv")
-    text = _dump_json(summary)
+    text = canonical_json(summary)
     _write_text(out_dir / f"{args.command}_summary.json", text)
     sys.stdout.write(text)
     return 0

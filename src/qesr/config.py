@@ -345,7 +345,7 @@ def resolve(raw: Any) -> dict:
 
 
 def canonical_json(effective: Mapping) -> str:
-    """Deterministic serialization of an effective config (ends with newline)."""
+    """Deterministic JSON of an effective config or a run summary (ends with newline)."""
     return json.dumps(effective, indent=2, sort_keys=True) + "\n"
 
 

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._dop853 import dop853
 from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError
-from .spin_model import SpinDistribution, _csv_text, density_at
+from .spin_model import SpinDistribution, _freeze, _write_csv, density_at
 
 __all__ = [
     "CavityModel",
@@ -99,11 +99,15 @@ class PulseEnvelope:
     * "gaussian": alpha(x) = exp(-4 ln2 x^2 / delta^2), amplitude FWHM delta.
     * "rectangular": a flat drive of `duration` T in time,
       alpha(x) = sinc(x T / 2); `fwhm` is derived (7.5820/T).
+
+    `bandwidth_scale`, derived, is the characteristic spectral half-width
+    (fwhm/4, fwhm/sqrt(8 ln 2) or 2/T); it sets pole offsets and margins.
     """
 
     shape: str
     fwhm: Optional[float] = None
     duration: Optional[float] = None
+    bandwidth_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shape not in ("lorentzian", "gaussian", "rectangular"):
@@ -113,37 +117,22 @@ class PulseEnvelope:
                 raise ValueError("rectangular pulse requires duration > 0")
             # amplitude half max of sinc at x*T/2 = 1.89549
             object.__setattr__(self, "fwhm", 4.0 * 1.8954942670339809 / self.duration)
+            scale = 2.0 / self.duration
         else:
             if not (self.fwhm and self.fwhm > 0):
                 raise ValueError(f"{self.shape} pulse requires fwhm > 0")
             if self.duration is not None:
                 raise ValueError("duration applies to the rectangular shape only")
-
-    @property
-    def _lor_hwhm(self) -> float:
-        return self.fwhm / 4.0
-
-    @property
-    def _gauss_sigma(self) -> float:
-        return self.fwhm / _SQRT_8LN2
-
-    @property
-    def bandwidth_scale(self) -> float:
-        """Characteristic spectral half-width (sets pole offsets and margins)."""
-        if self.shape == "lorentzian":
-            return self._lor_hwhm
-        if self.shape == "gaussian":
-            return self._gauss_sigma
-        return 2.0 / self.duration
+            scale = self.fwhm / (4.0 if self.shape == "lorentzian" else _SQRT_8LN2)
+        object.__setattr__(self, "bandwidth_scale", scale)
 
     def amplitude(self, x):
         """alpha(x); real, peak value 1 at x = 0."""
         x = np.asarray(x, dtype=float)
+        s = self.bandwidth_scale
         if self.shape == "lorentzian":
-            a = self._lor_hwhm
-            return a * a / (x * x + a * a)
+            return s * s / (x * x + s * s)
         if self.shape == "gaussian":
-            s = self._gauss_sigma
             return np.exp(-0.5 * (x / s) ** 2)
         return np.sinc(x * self.duration / (2.0 * np.pi))
 
@@ -151,18 +140,18 @@ class PulseEnvelope:
     def norm_l1(self) -> float:
         """integral of alpha dx."""
         if self.shape == "lorentzian":
-            return math.pi * self._lor_hwhm
+            return math.pi * self.bandwidth_scale
         if self.shape == "gaussian":
-            return self._gauss_sigma * math.sqrt(2.0 * math.pi)
+            return self.bandwidth_scale * math.sqrt(2.0 * math.pi)
         return 2.0 * math.pi / self.duration
 
     @property
     def norm_l2_sq(self) -> float:
         """integral of alpha^2 dx."""
         if self.shape == "lorentzian":
-            return math.pi * self._lor_hwhm / 2.0
+            return math.pi * self.bandwidth_scale / 2.0
         if self.shape == "gaussian":
-            return self._gauss_sigma * math.sqrt(math.pi)
+            return self.bandwidth_scale * math.sqrt(math.pi)
         return 2.0 * math.pi / self.duration
 
     def cauchy(self, u):
@@ -172,13 +161,12 @@ class PulseEnvelope:
         boundary limit from above (PV - i pi alpha).
         """
         u = np.asarray(u, dtype=complex)
+        s = self.bandwidth_scale
         if self.shape == "lorentzian":
-            a = self._lor_hwhm
-            return math.pi * a / (u + 1j * a)
+            return math.pi * s / (u + 1j * s)
         if self.shape == "gaussian":
             from scipy.special import wofz  # imported here: only this branch needs it
 
-            s = self._gauss_sigma
             return -1j * math.pi * wofz(u / (s * math.sqrt(2.0)))
         z = 0.5 * u * self.duration
         small = np.abs(z) < 1e-6
@@ -208,23 +196,17 @@ class TransferResult:
     method: str  # "contour" or "time-domain"
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        b = np.asarray(self.beta, dtype=complex)
-        if t.shape != b.shape:
-            raise ValueError("times and beta must have matching shapes")
-        t.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "beta", b)
+        _freeze(self, times=float, beta=complex)
 
     @property
     def abs2(self) -> np.ndarray:
         return np.abs(self.beta) ** 2
 
     def to_csv(self, path) -> None:
-        rows = ((t, b.real, b.imag, abs(b) ** 2) for t, b in zip(self.times, self.beta))
-        with open(path, "w", newline="") as fh:
-            fh.write(_csv_text("t_s,re_beta,im_beta,abs2_beta", rows))
+        # per-element abs(b) ** 2: np.abs(beta) ** 2 differs in the last bit on some rows
+        b = self.beta
+        abs2 = (abs(x) ** 2 for x in b)
+        _write_csv(path, "t_s,re_beta,im_beta,abs2_beta", self.times, b.real, b.imag, abs2)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +530,10 @@ class _ContourGrid:
     to s + m (K - 1), convolved with the weights x_j stuffed with q - 1 zeros
     and read every m-th point: `convolve`, the grid's one node sum.  The row
     is transformed once per grid, so W (built here) and each exact-mode
-    numerator N cost one FFT product.  The grid covers [lo, hi] and exceeds
-    it by less than one step on each side.
+    numerator N cost one FFT product.  Where n_grid * n_nodes is at most the
+    row's length, as for a few nodes, `direct` is set and `convolve` sums
+    the nodes directly instead (`_node_sums`), with no row.  The grid covers
+    [lo, hi] and exceeds it by less than one step on each side.
     """
 
     def __init__(self, dist: SpinDistribution, gamma0: float, eta: float,
@@ -590,13 +574,19 @@ class _ContourGrid:
         self.omega = x0 + delta * self.positions
         self.zeta = self.omega + 1j * eta
         self.step, self.delta, self.m, self.q, self.b = step, delta, m, q, b
-        row = 1.0 / (delta * (float(s - self._first) + np.arange(length, dtype=float)) + 1j * b)
-        self._size = _fast_length(length)
-        self._row_hat = np.fft.fft(row, self._size)
+        self.direct = (k + 1) * nodes.size <= length
+        if self.direct:
+            self._dist, self._gamma0 = dist, gamma0
+        else:
+            row = 1.0 / (delta * (float(s - self._first) + np.arange(length, dtype=float)) + 1j * b)
+            self._size = _fast_length(length)
+            self._row_hat = np.fft.fft(row, self._size)
         self.W = self.convolve(dist.couplings_sq)
 
     def convolve(self, weights: np.ndarray) -> np.ndarray:
         """sum_j weights_j / (zeta_k - w_j + i gamma0/2) on every grid point."""
+        if self.direct:
+            return _node_sums(self._dist, self._gamma0, self.zeta, weights)
         stuffed = np.zeros(self._size)
         stuffed[: self._first + 1 : self.q] = weights
         out = np.fft.ifft(np.fft.fft(stuffed) * self._row_hat)
@@ -753,13 +743,14 @@ def transfer_sweep(
     mode: str = MODE_NARROW,
     settings: Optional[InversionSettings] = None,
 ) -> np.ndarray:
-    """beta(omega_p, tau) for many pump frequencies at one interaction time.
+    """beta(omega_p, tau) for many pump frequencies (or one scalar) at one
+    interaction time; the result has one entry per pump.
 
     The inversion of `invert_to_time`, sharing the grid, t1 and the phase
     tables across the sweep: a point costs O(n_grid) in narrow-pulse mode,
     plus one FFT product for N in exact-convolution mode.
     """
-    omega_ps = np.asarray(omega_ps, dtype=float)
+    omega_ps = np.atleast_1d(np.asarray(omega_ps, dtype=float))
     return _contour_beta(dist, cavity, env, omega_ps, np.array([float(tau)]), mode, settings)[:, 0]
 
 

@@ -36,7 +36,7 @@ from .dynamics import (
     transfer_sweep,
 )
 from .errors import NoOscillationError, NumericalGuardError, SaturationError
-from .spin_model import SpinDistribution, _csv_text
+from .spin_model import SpinDistribution, _freeze, _write_csv
 
 __all__ = [
     "QubitChain",
@@ -117,12 +117,7 @@ class SwapTrace:
     calibration: Optional[SwapCalibration] = None
 
     def __post_init__(self):
-        for name in ("taus", "cavity_abs2", "pe"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (self.taus.shape == self.cavity_abs2.shape == self.pe.shape):
-            raise ValueError("taus, cavity_abs2 and pe must have matching shapes")
+        _freeze(self, taus=float, cavity_abs2=float, pe=float)
 
     @property
     def tau_swap(self) -> Optional[float]:
@@ -133,9 +128,7 @@ class SwapTrace:
         return self.calibration.osc_frequency if self.calibration else None
 
     def to_csv(self, path) -> None:
-        rows = zip(self.taus, self.cavity_abs2, self.pe)
-        with open(path, "w", newline="") as fh:
-            fh.write(_csv_text("tau_s,cavity_abs2,p_e", rows))
+        _write_csv(path, "tau_s,cavity_abs2,p_e", self.taus, self.cavity_abs2, self.pe)
 
 
 def _refine_parabolic(x: np.ndarray, y: np.ndarray, i: int) -> Tuple[float, float]:
@@ -289,17 +282,10 @@ class SpectrumResult:
     scale: float  # readout_fidelity * swap_efficiency * n_pump
 
     def __post_init__(self):
-        for name in ("omega_p", "abs2_beta", "pe"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (self.omega_p.shape == self.abs2_beta.shape == self.pe.shape):
-            raise ValueError("omega_p, abs2_beta and pe must have matching shapes")
+        _freeze(self, omega_p=float, abs2_beta=float, pe=float)
 
     def to_csv(self, path) -> None:
-        rows = zip(self.omega_p, self.abs2_beta, self.pe)
-        with open(path, "w", newline="") as fh:
-            fh.write(_csv_text("omega_p_rad_per_s,abs2_beta,p_e", rows))
+        _write_csv(path, "omega_p_rad_per_s,abs2_beta,p_e", self.omega_p, self.abs2_beta, self.pe)
 
 
 def esr_spectrum(

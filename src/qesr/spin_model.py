@@ -42,6 +42,24 @@ def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
     return "".join(lines)
 
 
+def _write_csv(path, header: str, *columns) -> None:
+    """Write the columns side by side as `_csv_text` rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_text(header, zip(*columns)))
+
+
+def _freeze(obj, **dtypes) -> None:
+    """Convert each named field of a frozen dataclass to a read-only array of
+    its dtype; the fields must share one shape."""
+    arrays = {name: np.asarray(getattr(obj, name), dtype=dt) for name, dt in dtypes.items()}
+    if len({a.shape for a in arrays.values()}) > 1:
+        *head, last = arrays
+        raise ValueError(f"{', '.join(head)} and {last} must have matching shapes")
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class SpinLine:
     """One broadened transition: center and FWHM in rad/s, relative weight."""
@@ -147,8 +165,7 @@ class SpinDistribution:
 
     def to_csv(self, path) -> None:
         """Write the node table as CSV with columns omega_rad_per_s, weight."""
-        with open(path, "w", newline="") as fh:
-            fh.write(_csv_text("omega_rad_per_s,weight", zip(self.omega_nodes, self.weights)))
+        _write_csv(path, "omega_rad_per_s,weight", self.omega_nodes, self.weights)
 
 
 @dataclass(frozen=True)

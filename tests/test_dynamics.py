@@ -2,6 +2,7 @@
 contour inversion vs direct ODE propagation, and the numerical guards."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -21,6 +22,7 @@ from qesr.dynamics import (
     CavityModel,
     InversionSettings,
     PulseEnvelope,
+    TransferResult,
     cavity_amplitude_t1,
     invert_to_time,
     memory_kernel_W,
@@ -138,6 +140,13 @@ def test_kernel_pole_collision():
 def _lattice_case(request, case):
     """(dist, gamma0, eta, d_omega, window) of the contour grid to check, and
     the exact-mode weights alpha_j g_j^2 of a pump at the ensemble centre."""
+    if case == "degenerate":  # 21 nodes at the swap time pi / 2 g_K, as its sweep runs
+        dist, cavity, env = request.getfixturevalue("degenerate_factory")()
+        eta, d_omega = _grid_controls(InversionSettings(), math.pi / (2.0 * dist.g_collective),
+                                      dist, cavity)
+        window = _auto_window(dist, cavity, env.bandwidth_scale, [cavity.omega_c])
+        extra, _ = _exact_weights(dist, env, cavity.omega_c)
+        return dist, cavity.gamma0, eta, d_omega, window, extra
     scen = request.getfixturevalue("scen_III" if case.startswith("III") else "scen_I")
     dist, cavity = scen.dist, scen.cavity
     if case == "I_gamma0":
@@ -152,13 +161,17 @@ def _lattice_case(request, case):
     return dist, cavity.gamma0, eta, d_omega, window, extra
 
 
-@pytest.mark.parametrize("case", ["I", "III", "I_gamma0", "III_fine_step"])
+@pytest.mark.parametrize("case", ["I", "III", "I_gamma0", "III_fine_step", "degenerate"])
 def test_lattice_kernel_matches_references(request, case):
-    """W and an exact-mode numerator N from the FFT convolution agree with an
+    """W and an exact-mode numerator N from the grid's node sum agree with an
     exact-difference reference, built from the integer lattice offsets, and
-    with the dense node sums at the same zeta, to 1e-12 of max|W| (max|N|)."""
+    with the dense node sums at the same zeta, to 1e-12 of max|W| (max|N|).
+    The bundled grids take the FFT convolution; the 21-node degenerate grid,
+    whose n_grid * n_nodes is below the kernel lattice's length, sums the
+    nodes directly."""
     dist, gamma0, eta, d_omega, (lo, hi), extra = _lattice_case(request, case)
     grid = _ContourGrid(dist, gamma0, eta, d_omega, lo, hi)
+    assert grid.direct == (case == "degenerate")
     if case == "III_fine_step":
         assert grid.q > 1 and grid.step < d_omega
     W, N = grid.W, grid.convolve(extra)
@@ -355,6 +368,41 @@ def test_pulse_constant_sqrt_scaling(shape):
     assert pulse_constant_A(scaled) / pulse_constant_A(base) == pytest.approx(
         math.sqrt(c), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "shape, kwargs, closed_form",
+    [
+        ("lorentzian", {"fwhm": 3.7e5}, 3.7e5 / 4.0),
+        ("gaussian", {"fwhm": 3.7e5}, 3.7e5 / (2.0 * math.sqrt(2.0 * math.log(2.0)))),
+        ("rectangular", {"duration": 2.3e-6}, 2.0 / 2.3e-6),
+    ],
+)
+def test_pulse_bandwidth_scale_is_stored_once(shape, kwargs, closed_form):
+    """The stored scale equals its closed form bit for bit, is recomputed by
+    dataclasses.replace, and takes no part in equality, hashing or repr."""
+    env = PulseEnvelope(shape=shape, **kwargs)
+    assert env.bandwidth_scale == closed_form
+    twin = PulseEnvelope(shape=shape, **kwargs)
+    assert env == twin and hash(env) == hash(twin)
+    assert "bandwidth_scale" not in repr(env)
+    doubled = dataclasses.replace(env, **{k: 2.0 * v for k, v in kwargs.items()})
+    assert doubled.bandwidth_scale == closed_form * (0.5 if shape == "rectangular" else 2.0)
+
+
+def test_transfer_result_freezes_and_writes_its_table(tmp_path):
+    beta = np.array([0.3 + 0.4j, -1e-3 + 2.5e-2j, 0.0])
+    res = TransferResult(omega_p=W0, times=[0.0, 1e-8, 2e-8], beta=beta, method="contour")
+    with pytest.raises(ValueError):
+        res.beta[0] = 0.0
+    path = tmp_path / "transfer.csv"
+    res.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t_s,re_beta,im_beta,abs2_beta"
+    assert lines[1:] == [",".join(repr(float(v)) for v in (t, b.real, b.imag, abs(b) ** 2))
+                         for t, b in zip(res.times, beta)]
+    with pytest.raises(ValueError, match="^times and beta must have matching shapes$"):
+        TransferResult(omega_p=W0, times=[0.0, 1e-8], beta=beta, method="contour")
 
 
 def test_pulse_envelope_validation():
@@ -685,6 +733,17 @@ def test_sweep_matches_pointwise(scen_I, mode, n_pumps):
         ]
     )
     assert float(np.max(np.abs(sweep - singles))) < 1e-12
+
+
+@pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
+def test_sweep_takes_a_scalar_pump(scen_I, mode):
+    s = scen_I
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scalar = transfer_sweep(s.dist, s.cavity, s.env, s.ens.center, 90e-9, mode=mode)
+        listed = transfer_sweep(s.dist, s.cavity, s.env, [s.ens.center], 90e-9, mode=mode)
+    assert scalar.shape == (1,)
+    assert np.array_equal(scalar, listed)
 
 
 def test_sweep_matches_pointwise_on_the_degenerate_system(degenerate_factory):

@@ -170,7 +170,7 @@ def test_swap_trace_csv_and_immutability(tmp_path):
     assert np.array_equal(back[:, 2], trace.pe)
     with pytest.raises(ValueError):
         trace.cavity_abs2[0] = 0.5
-    with pytest.raises(ValueError, match="matching shapes"):
+    with pytest.raises(ValueError, match="^taus, cavity_abs2 and pe must have matching shapes$"):
         SwapTrace(taus=taus, cavity_abs2=trace.cavity_abs2[:-1], pe=trace.pe)
 
 
@@ -362,7 +362,7 @@ def test_spectrum_csv_schema(tmp_path):
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.array_equal(back[:, 0], res.omega_p)
     assert np.array_equal(back[:, 2], res.pe)
-    with pytest.raises(ValueError, match="matching shapes"):
+    with pytest.raises(ValueError, match="^omega_p, abs2_beta and pe must have matching shapes$"):
         SpectrumResult(
             omega_p=np.array([1.0]),
             abs2_beta=np.array([0.1, 0.2]),
