@@ -10,12 +10,11 @@ Enthought, Inc. and 2003-2024 SciPy Developers) as shortest round-trip decimals.
 """
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalGuardError
+from .errors import NumericalGuardError, _warn
 
 
 def _dense(n_cols: int, *rows: dict) -> np.ndarray:
@@ -145,8 +144,7 @@ def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, ato
         out[:] = y[rows, None]
         return out
     if rtol < _MIN_RTOL:
-        msg = f"rtol = {float(rtol)!r} is too small; using {_MIN_RTOL!r}"
-        warnings.warn(msg, stacklevel=4)  # the caller of time_domain_propagate
+        _warn(f"rtol = {float(rtol)!r} is too small; using {_MIN_RTOL!r}")
         rtol = _MIN_RTOL
     K = np.empty((16, y.size), dtype=complex)
     f = fun(y)

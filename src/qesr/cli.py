@@ -29,7 +29,8 @@ import numpy as np
 from .config import _POSITIVE, TWO_PI, RunConfig, _integer, canonical_json, parse_config
 from .dynamics import MODE_EXACT, MODE_NARROW, invert_to_time, time_domain_propagate
 from .errors import ConfigError, NumericalGuardError
-from .protocol import esr_spectrum, find_swap_time, simulate_swap, spectrum_peaks
+from .protocol import _SWAP_PERIODS, _SWAP_POINTS, esr_spectrum, find_swap_time
+from .protocol import simulate_swap, spectrum_peaks
 from .sensitivity import WeakCouplingScenario, min_detectable_spins, peak_photon_number
 from .spin_model import _csv_text
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--ensemble", default=None)
     p.add_argument("--tau-max-s", type=float, default=None, help="storage span (s)")
-    p.add_argument("--n-taus", type=int, default=481, help="storage grid points")
+    p.add_argument("--n-taus", type=int, default=_SWAP_POINTS, help="storage grid points")
 
     p = sub.add_parser("transfer", help="transfer amplitude beta(t) at one pump frequency")
     common(p)
@@ -170,7 +171,7 @@ def _spectrum(cfg: RunConfig, args, ens, dist, cavity):
 
 
 def _swap(cfg: RunConfig, args, ens, dist, cavity):
-    taus = np.linspace(0.0, _time_span(args.tau_max_s, 1.2, dist, cavity), args.n_taus)
+    taus = np.linspace(0.0, _time_span(args.tau_max_s, _SWAP_PERIODS, dist, cavity), args.n_taus)
     trace = simulate_swap(dist, cavity, cfg.chain(), taus, rtol=cfg.ode_rtol)
     cal = trace.calibration
     return trace, {
@@ -289,6 +290,8 @@ def run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    shown = warnings.formatwarning  # one stderr line per warning, like the errors below
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return run(args)
     except ConfigError as exc:
@@ -300,6 +303,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -27,14 +27,13 @@ All frequencies are angular (rad/s); times are seconds.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._dop853 import dop853
-from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError
+from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError, _warn
 from .spin_model import SpinDistribution, _freeze, _write_csv, density_at
 
 __all__ = [
@@ -277,13 +276,12 @@ def _narrow_scale(dist: SpinDistribution, env: PulseEnvelope, omega_p: float) ->
 _NARROW_RATIO = 20.0
 
 
-def _check_narrow(dist: SpinDistribution, env: PulseEnvelope, stacklevel: int) -> None:
+def _check_narrow(dist: SpinDistribution, env: PulseEnvelope, mode: str) -> None:
     min_fwhm = min(ln.fwhm for ln in dist.lines)
-    if env.fwhm > min_fwhm / _NARROW_RATIO:
-        warnings.warn(
+    if mode == MODE_NARROW and env.fwhm > min_fwhm / _NARROW_RATIO:
+        _warn(
             f"pulse bandwidth exceeds 1/{_NARROW_RATIO:g} of the narrowest line; "
-            "narrow-pulse mode is inaccurate, use exact-convolution",
-            stacklevel=stacklevel,
+            "narrow-pulse mode is inaccurate, use exact-convolution"
         )
 
 
@@ -354,8 +352,7 @@ def transfer_spectrum_t(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    if mode == MODE_NARROW:
-        _check_narrow(dist, env, stacklevel=3)
+    _check_narrow(dist, env, mode)
     scalar = np.isscalar(omega)
     zeta = np.asarray(omega, dtype=complex)
 
@@ -663,8 +660,7 @@ def _contour_beta(
     outer = [int(np.argmin(omega_ps)), int(np.argmax(omega_ps))]
     worst = [float(omega_ps[i]) for i in outer]
     lo, hi = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, worst)
-    if mode == MODE_NARROW:
-        _check_narrow(dist, env, stacklevel=4)  # the public function's caller
+    _check_narrow(dist, env, mode)
     p1 = cavity.omega_c - 0.5j * cavity.kappa
     pumps = dict.fromkeys(outer + list(range(omega_ps.size)))  # outermost first, each once
     beta = np.empty((omega_ps.size, times.size), dtype=complex)

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types and the warning helper shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, any
 NumericalGuardError subclass -> 3, OSError -> 4.
 """
+import sys
+import warnings
 
 __all__ = [
     "QesrError",
@@ -13,6 +15,18 @@ __all__ = [
     "SaturationError",
     "NoOscillationError",
 ]
+
+
+def _warn(message: str) -> None:
+    """A UserWarning attributed, at any call depth, to the first stack frame
+    outside the qesr package (`python -m qesr.cli` is inside it)."""
+    frame = sys._getframe(1)
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+        frame = frame.f_back
+    scope = frame.f_globals
+    registry = scope.setdefault("__warningregistry__", {})
+    warnings.warn_explicit(message, UserWarning, frame.f_code.co_filename, frame.f_lineno,
+                           scope.get("__name__", "<string>"), registry)
 
 
 class QesrError(Exception):

@@ -20,7 +20,6 @@ that the one-excitation treatment is meaningless.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -35,7 +34,7 @@ from .dynamics import (
     time_domain_propagate,
     transfer_sweep,
 )
-from .errors import NoOscillationError, NumericalGuardError, SaturationError
+from .errors import NoOscillationError, NumericalGuardError, SaturationError, _warn
 from .spin_model import SpinDistribution, _freeze, _write_csv
 
 __all__ = [
@@ -221,24 +220,22 @@ def simulate_swap(
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if taus.size < 3:
         raise ValueError("need at least 3 storage times")
-    g_k = dist.g_collective
-    if g_k == 0.0:
-        warnings.warn(
-            "collective coupling is zero; the trace shows bare cavity decay only",
-            stacklevel=2,
+    if dist.g_collective == 0.0:
+        _warn("collective coupling is zero; the trace shows bare cavity decay only")
+    elif float(np.max(np.diff(taus))) > math.pi / dist.g_collective / 10.0:
+        raise NumericalGuardError(
+            "storage-time grid coarser than a tenth of the expected "
+            "oscillation period pi/g_K; refine the tau grid"
         )
-    else:
-        period = math.pi / g_k  # population oscillates at 2 g_K
-        if float(np.max(np.diff(taus))) > period / 10.0:
-            raise NumericalGuardError(
-                "storage-time grid coarser than a tenth of the expected "
-                "oscillation period pi/g_K; refine the tau grid"
-            )
     res = time_domain_propagate(dist, cavity, "cavity", taus, rtol=rtol)
     cavity_abs2 = res.abs2
     pe = chain.excited_probability(cavity_abs2)
     cal = _calibrate_trace(taus, cavity_abs2, pe, min_drop)
     return SwapTrace(taus=taus, cavity_abs2=cavity_abs2, pe=pe, calibration=cal)
+
+
+# Default storage grid of find_swap_time and the swap command: 1.2 periods pi/g_K, 481 points
+_SWAP_PERIODS, _SWAP_POINTS = 1.2, 481
 
 
 def find_swap_time(
@@ -257,11 +254,8 @@ def find_swap_time(
     if taus is None:
         if dist.g_collective <= 0.0:
             raise NoOscillationError("collective coupling is zero; nothing oscillates")
-        period = math.pi / dist.g_collective
-        taus = np.linspace(0.0, 1.2 * period, 481)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        trace = simulate_swap(dist, cavity, QubitChain(), taus, rtol=rtol, min_drop=min_drop)
+        taus = np.linspace(0.0, _SWAP_PERIODS * math.pi / dist.g_collective, _SWAP_POINTS)
+    trace = simulate_swap(dist, cavity, QubitChain(), taus, rtol=rtol, min_drop=min_drop)
     if trace.calibration is None:
         raise NoOscillationError(
             "no cavity-population minimum found: coupling too weak against the "
@@ -390,10 +384,7 @@ def excitation_budget(
     """
     if n_pump <= 0:
         raise ValueError("n_pump must be positive")
-    beta = transfer_sweep(
-        dist, cavity, env, np.asarray([omega_p], dtype=float), tau_s, mode=mode,
-        settings=settings,
-    )
+    beta = transfer_sweep(dist, cavity, env, omega_p, tau_s, mode=mode, settings=settings)
     frac = float(abs(beta[0]) ** 2)
     if frac <= 0.0:
         raise ValueError("retrieved fraction is zero at this pump frequency")

@@ -21,10 +21,11 @@ number N_min = (2 Delta / g) sqrt(n_threshold).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import _warn
 
 __all__ = [
     "WeakCouplingScenario",
@@ -65,17 +66,15 @@ class WeakCouplingScenario:
         """Warn when outside g sqrt(N) << kappa << Delta."""
         g_coll = self.coupling * math.sqrt(self.n_spins)
         if g_coll > self.kappa / 10.0:
-            warnings.warn(
+            _warn(
                 f"g*sqrt(N) = {g_coll:.3g} rad/s is not small against kappa = "
-                f"{self.kappa:.3g} rad/s; back-action is not negligible",
-                stacklevel=2,
+                f"{self.kappa:.3g} rad/s; back-action is not negligible"
             )
         if self.kappa > self.dephasing_rate / 10.0:
-            warnings.warn(
+            _warn(
                 f"kappa = {self.kappa:.3g} rad/s is not small against Delta = "
                 f"{self.dephasing_rate:.3g} rad/s; the peak-photon estimate "
-                "(g N / 2 Delta)^2 degrades",
-                stacklevel=2,
+                "(g N / 2 Delta)^2 degrades"
             )
 
 

@@ -11,11 +11,12 @@ converts from Hz.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .errors import _warn
 
 __all__ = [
     "SpinLine",
@@ -49,9 +50,9 @@ def _write_csv(path, header: str, *columns) -> None:
 
 
 def _freeze(obj, **dtypes) -> None:
-    """Convert each named field of a frozen dataclass to a read-only array of
-    its dtype; the fields must share one shape."""
-    arrays = {name: np.asarray(getattr(obj, name), dtype=dt) for name, dt in dtypes.items()}
+    """Replace each named field of a frozen dataclass with a read-only copy of
+    its dtype, so the caller's arrays stay writeable; the fields share one shape."""
+    arrays = {name: np.array(getattr(obj, name), dtype=dt) for name, dt in dtypes.items()}
     if len({a.shape for a in arrays.values()}) > 1:
         *head, last = arrays
         raise ValueError(f"{', '.join(head)} and {last} must have matching shapes")
@@ -148,10 +149,7 @@ class SpinDistribution:
             raise ValueError(f"shape must be one of {LINE_SHAPES}")
         if self.n_spins_physical is not None and not self.n_spins_physical > 0:
             raise ValueError("n_spins_physical must be positive when given")
-        nodes.flags.writeable = False
-        wts.flags.writeable = False
-        object.__setattr__(self, "omega_nodes", nodes)
-        object.__setattr__(self, "weights", wts)
+        _freeze(self, omega_nodes=float, weights=float)
         object.__setattr__(self, "lines", tuple(self.lines))
 
     @property
@@ -276,10 +274,9 @@ def build_distribution(
         hi = max(ln.center for ln in full) + span
     for ln in full:
         if ln.center - _COVERAGE_FWHM * ln.fwhm < lo or ln.center + _COVERAGE_FWHM * ln.fwhm > hi:
-            warnings.warn(
+            _warn(
                 f"grid window [{lo:.6g}, {hi:.6g}] rad/s covers less than "
-                f"{_COVERAGE_FWHM} FWHM around the line at {ln.center:.6g} rad/s",
-                stacklevel=2,
+                f"{_COVERAGE_FWHM} FWHM around the line at {ln.center:.6g} rad/s"
             )
 
     if not (np.isfinite(lo) and np.isfinite(hi)):

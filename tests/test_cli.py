@@ -9,10 +9,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qesr
 from qesr.cli import main
 
 from conftest import bundled_config_path
@@ -127,6 +131,55 @@ def test_swap_zero_coupling_runs_clean(tmp_path):
     assert summary["tau_swap_s"] is None
     assert summary["osc_frequency_hz"] is None
     assert (out / "swap_demo.csv").exists()
+
+
+NARROW_WARNING = (
+    "warning: pulse bandwidth exceeds 1/20 of the narrowest line; "
+    "narrow-pulse mode is inaccurate, use exact-convolution\n"
+)
+RTOL_WARNING = "warning: rtol = 1e-15 is too small; using 2.220446049250313e-14\n"
+
+
+@pytest.mark.parametrize(
+    "command, ode_rtol, stderr",
+    [
+        ("transfer", 1e-9, NARROW_WARNING),
+        ("spectrum", 1e-9, NARROW_WARNING),
+        ("spectrum", 1e-15, RTOL_WARNING + NARROW_WARNING),
+        ("swap", 1e-15, RTOL_WARNING),
+    ],
+)
+def test_cli_prints_each_warning_as_one_line(tmp_path, command, ode_rtol, stderr):
+    """A cold CLI process writes `warning: <message>`, without a source location."""
+    raw = json.loads(Path(bundled_config_path("paper_plus_I.cfg")).read_text())
+    raw["numerics"]["ode_rtol"] = ode_rtol
+    argv = [command, "--mode", "narrow-pulse", "--config", write_cfg(tmp_path, raw)]
+    env = dict(os.environ, PYTHONPATH=str(Path(qesr.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qesr.cli", *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == stderr
+
+
+def test_main_restores_the_warning_format(tmp_path, small_cfg):
+    shown = warnings.formatwarning
+    assert main(["density", "--config", small_cfg, "--out", str(tmp_path)]) == 0
+    assert warnings.formatwarning is shown
+
+
+@pytest.mark.filterwarnings("ignore:pulse bandwidth")
+@pytest.mark.parametrize("name", ["plus_I", "plus_III"])
+def test_spectrum_calibrates_on_the_swap_grid(tmp_path, name, capsys):
+    """spectrum's tau_s is the swap command's tau_swap, bit for bit."""
+    path = bundled_config_path(f"paper_{name}.cfg")
+    taus = {}
+    for command, key in (("spectrum", "tau_s_s"), ("swap", "tau_swap_s")):
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
+        taus[command] = summary[name][key]
+    assert taus["spectrum"] == taus["swap"]
 
 
 def test_swap_coarse_grid_exit_3(tmp_path, small_cfg):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import find_peaks
 
+from qesr.config import parse_config
 from qesr.dynamics import (
     MODE_EXACT,
     MODE_NARROW,
@@ -49,6 +50,8 @@ from qesr.errors import (
     PoleCollisionError,
     WindowTooSmallError,
 )
+from qesr.protocol import QubitChain, esr_spectrum, excitation_budget, find_swap_time, simulate_swap
+from qesr.sensitivity import WeakCouplingScenario, mean_field_trajectory, peak_photon_number
 from qesr.spin_model import (
     GridSpec,
     SpinDistribution,
@@ -489,11 +492,65 @@ def test_narrow_mode_warning_names_the_callers_file(scen_I):
         lambda: invert_to_time(
             scen_I.dist, scen_I.cavity, scen_I.env, wps[1], [9e-8], mode=MODE_NARROW
         ),
+        lambda: esr_spectrum(
+            scen_I.dist, scen_I.cavity, scen_I.env, scen_I.chain, wps, 9e-8, mode=MODE_NARROW
+        ),
+        lambda: excitation_budget(
+            scen_I.dist, scen_I.cavity, scen_I.env, 1.0, wps[1], 9e-8, mode=MODE_NARROW
+        ),
     ]
     for call in calls:
         with pytest.warns(UserWarning, match="narrow-pulse") as record:
             call()
         assert [w.filename for w in record] == [__file__]
+
+
+def _small_swap_system():
+    return single_line_dist(n_nodes=11), CavityModel(omega_c=W0, kappa=W0 / 1e4)
+
+
+_STRONG = dict(coupling=TWO_PI * 100.0, dephasing_rate=TWO_PI * 1e7, kappa=TWO_PI * 1e3,
+               n_spins=1e4)
+_NARROW_WINDOW = """{"ensembles": [{"name": "demo", "g_collective_hz": 2.9e6,
+    "lines": [{"center_hz": 2.91e9, "fwhm_hz": 1.6e6}],
+    "grid": {"n_nodes": 101, "window_hz": [2.907e9, 2.913e9]}}]}"""
+_WARNING_SITES = {
+    "simulate_swap": (
+        "rtol",
+        lambda: simulate_swap(
+            *_small_swap_system(), QubitChain(), np.linspace(0.0, 2e-7, 41), rtol=1e-18
+        ),
+    ),
+    "simulate_swap zero coupling": (
+        "coupling is zero",
+        lambda: simulate_swap(
+            single_node_dist(g=0.0), CavityModel(omega_c=W0, kappa=0.0), QubitChain(),
+            np.linspace(0.0, 2e-7, 5),
+        ),
+    ),
+    "find_swap_time": ("rtol", lambda: find_swap_time(*_small_swap_system(), rtol=1e-18)),
+    "check_validity": ("back-action", lambda: WeakCouplingScenario(**_STRONG).check_validity()),
+    "mean_field_trajectory": (
+        "back-action",
+        lambda: mean_field_trajectory(WeakCouplingScenario(**_STRONG), [0.0, 1e-7]),
+    ),
+    "peak_photon_number": (
+        "back-action", lambda: peak_photon_number(WeakCouplingScenario(**_STRONG))
+    ),
+    "build_distribution": (
+        "covers less than",
+        lambda: single_line_dist(n_nodes=101, span_fwhm=2.0),
+    ),
+    "RunConfig.catalog": ("covers less than", lambda: parse_config(_NARROW_WINDOW).catalog()),
+}
+
+
+@pytest.mark.parametrize("match, call", _WARNING_SITES.values(), ids=_WARNING_SITES.keys())
+def test_every_warning_names_the_callers_file(match, call):
+    """Each warning points at this file, however deep in qesr it is raised."""
+    with pytest.warns(UserWarning, match=match) as record:
+        call()
+    assert [w.filename for w in record] == [__file__] * len(record)
 
 
 def test_narrow_guard_matches_documented_regime(scen_I):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qesr.dynamics import MODE_EXACT, CavityModel, PulseEnvelope
+from qesr.dynamics import MODE_EXACT, CavityModel, PulseEnvelope, invert_to_time
 from qesr.errors import NoOscillationError, NumericalGuardError, SaturationError
 from qesr.protocol import (
     QubitChain,
@@ -557,3 +557,26 @@ def test_peak_finder_keeps_a_prominence_at_the_threshold():
 )
 def test_peak_finder_matches_find_peaks_on_integer_arrays(x, prominence):
     assert_same_peaks(x, prominence)
+
+
+@pytest.mark.filterwarnings("ignore:pulse bandwidth")
+def test_results_copy_the_callers_arrays(scen_I):
+    """Result fields are read-only copies: the caller's arrays stay writeable."""
+    s = scen_I
+    taus = np.linspace(0.0, 2e-7, 81)
+    wps = s.omegas[::100].copy()
+    times = np.linspace(0.0, 2e-7, 5)
+    nodes, weights = np.array([W0, W0 + 1.0]), np.array([1.0, 0.0])
+    dist = SpinDistribution((SpinLine(W0, 1.0),), 1.0, nodes, weights)
+    built = [
+        (simulate_swap(s.dist, s.cavity, s.chain, taus), "taus", taus),
+        (esr_spectrum(s.dist, s.cavity, s.env, s.chain, wps, 9e-8), "omega_p", wps),
+        (invert_to_time(s.dist, s.cavity, s.env, W0, times), "times", times),
+        (dist, "omega_nodes", nodes),
+        (dist, "weights", weights),
+    ]
+    for result, name, array in built:
+        array[0] = array[0]
+        field = getattr(result, name)
+        np.testing.assert_array_equal(field, array)
+        assert field is not array and not field.flags.writeable
