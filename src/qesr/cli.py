@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .config import _POSITIVE, TWO_PI, RunConfig, _integer, canonical_json, parse_config
-from .dynamics import MODE_EXACT, MODE_NARROW, invert_to_time, time_domain_propagate
+from .dynamics import MODES, invert_to_time, time_domain_propagate
 from .errors import ConfigError, NumericalGuardError
 from .protocol import _SWAP_PERIODS, _SWAP_POINTS, esr_spectrum, find_swap_time
 from .protocol import simulate_swap, spectrum_peaks
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--mode",
-            choices=(MODE_NARROW, MODE_EXACT),
+            choices=MODES,
             default=None,
             help="transfer evaluation mode (overrides config)",
         )

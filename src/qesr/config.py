@@ -31,10 +31,13 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
+from .dynamics import MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES
 from .dynamics import CavityModel, InversionSettings, PulseEnvelope
 from .errors import ConfigError
 from .protocol import QubitChain
-from .spin_model import Ensemble, EnsembleCatalog, GridSpec, SpinLine, build_distribution
+from .sensitivity import N_THRESHOLD
+from .spin_model import LINE_SHAPES, Ensemble, EnsembleCatalog, GridSpec, SpinLine
+from .spin_model import build_distribution
 
 __all__ = ["RunConfig", "parse_config", "resolve", "canonical_json"]
 
@@ -259,8 +262,8 @@ def _root_rule(cfg: dict, path: str) -> None:
 
 
 # -- the schema: every key, its default and its check, in message order ------
-# (the rules above supply cavity.q = 1e4, pulse.fwhm_hz = 1.5e5 and
-# sensitivity.delta_hz = [2.8e6], which depend on other keys)
+# (the rules above supply cavity.q, pulse.fwhm_hz and sensitivity.delta_hz,
+# which depend on other keys; shared choices and defaults come from the library)
 
 _LINE = {
     "center_hz": (_REQUIRED, _HZ),
@@ -272,8 +275,8 @@ _SATELLITE = {
     "weight": (_REQUIRED, _num(positive=True, below=1)),
 }
 _GRID = {
-    "n_nodes": (5001, _integer(2)),
-    "span_fwhm": (8.0, _POSITIVE),
+    "n_nodes": (GridSpec.n_nodes, _integer(2)),
+    "span_fwhm": (GridSpec.span_fwhm, _POSITIVE),
     "window_hz": (None, _hz(_window)),
 }
 _ENSEMBLE = {
@@ -281,7 +284,7 @@ _ENSEMBLE = {
     "lines": (_REQUIRED, _list_of(_LINE)),
     "g_collective_hz": (_REQUIRED, _hz(_NONNEGATIVE)),
     "satellites": ([], _list_of(_SATELLITE, empty_ok=True)),
-    "shape": ("lorentzian", _string("lorentzian", "gaussian")),
+    "shape": ("lorentzian", _string(*LINE_SHAPES)),
     "center_hz": (None, _HZ),
     "grid": ({}, _object(_GRID)),
     "n_spins_physical": (None, _POSITIVE),
@@ -293,7 +296,7 @@ _CAVITY = {
     "gamma0_hz": (0.0, _hz(_NONNEGATIVE)),
 }
 _PULSE = {
-    "shape": ("lorentzian", _string("lorentzian", "gaussian", "rectangular")),
+    "shape": ("lorentzian", _string(*PULSE_SHAPES)),
     "fwhm_hz": (None, _HZ),
     "duration_s": (None, _POSITIVE),
 }
@@ -311,12 +314,12 @@ _SWEEP = {
     "tau_s_s": (None, _POSITIVE),
 }
 _NUMERICS = {
-    "mode": ("narrow-pulse", _string("narrow-pulse", "exact-convolution")),
+    "mode": (MODE_NARROW, _string(*MODES)),
     "window_hz": (None, _hz(_window)),
     "d_omega_hz": (None, _HZ),
     "contour_offset_hz": (None, _HZ),
-    "edge_ratio": (1e-4, _POSITIVE),
-    "ode_rtol": (1e-9, _POSITIVE),
+    "edge_ratio": (InversionSettings.edge_ratio, _POSITIVE),
+    "ode_rtol": (ODE_RTOL, _POSITIVE),
     "threads": (1, _integer(1)),
 }
 _SENSITIVITY = {
@@ -324,7 +327,7 @@ _SENSITIVITY = {
     "delta_hz": (None, _hz(_positive_list)),
     "linewidth_mt": (None, _positive_list),
     "delta_hz_per_mt": (2.8e7, _POSITIVE),
-    "n_threshold": ([0.05], _positive_list),
+    "n_threshold": ([N_THRESHOLD], _positive_list),
     "kappa_hz": (None, _HZ),
     "n_spins": (None, _POSITIVE),
 }

@@ -54,7 +54,9 @@ __all__ = [
 
 MODE_NARROW = "narrow-pulse"
 MODE_EXACT = "exact-convolution"
-_MODES = (MODE_NARROW, MODE_EXACT)
+MODES = (MODE_NARROW, MODE_EXACT)
+PULSE_SHAPES = ("lorentzian", "gaussian", "rectangular")
+ODE_RTOL = 1e-9  # default relative tolerance of the DOP853 propagation
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -109,7 +111,7 @@ class PulseEnvelope:
     bandwidth_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.shape not in ("lorentzian", "gaussian", "rectangular"):
+        if self.shape not in PULSE_SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         if self.shape == "rectangular":
             if not (self.duration and self.duration > 0):
@@ -277,6 +279,9 @@ _NARROW_RATIO = 20.0
 
 
 def _check_narrow(dist: SpinDistribution, env: PulseEnvelope, mode: str) -> None:
+    """Reject an unknown mode; warn on a narrow-pulse run with a wide pulse."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     min_fwhm = min(ln.fwhm for ln in dist.lines)
     if mode == MODE_NARROW and env.fwhm > min_fwhm / _NARROW_RATIO:
         _warn(
@@ -350,8 +355,6 @@ def transfer_spectrum_t(
     Cauchy transform of (omega - w_p), which tends to 1/(omega - w_p) far
     from the pump.  omega may be complex (upper half plane for inversion).
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
     _check_narrow(dist, env, mode)
     scalar = np.isscalar(omega)
     zeta = np.asarray(omega, dtype=complex)
@@ -558,7 +561,10 @@ class _ContourGrid:
             raise _size_guard("inversion grid", k + 1, lo, hi, step)
         self._first = q * (nodes.size - 1)  # row index of the grid's first point
         length = self._first + m * k + 1
-        if length > _MAX_LATTICE_POINTS:
+        self.direct = (k + 1) * nodes.size <= length
+        # the FFT row holds the whole lattice; a direct sum builds no row, but
+        # its grid stays on the lattice only while float positions are exact
+        if length > (2**53 if self.direct else _MAX_LATTICE_POINTS):
             raise _size_guard("kernel lattice", length, lo, hi, delta)
         b = eta + 0.5 * gamma0
         if b == 0.0 and s - self._first <= 0 <= s + m * k:
@@ -566,12 +572,10 @@ class _ContourGrid:
                 "the contour runs through the spectral nodes (eta + gamma_0/2 = 0); "
                 "use a positive contour offset"
             )
-        # lattice positions as floats: exact below 2^53, and never an overflow
         self.positions = float(s) + m * np.arange(k + 1, dtype=float)
         self.omega = x0 + delta * self.positions
         self.zeta = self.omega + 1j * eta
         self.step, self.delta, self.m, self.q, self.b = step, delta, m, q, b
-        self.direct = (k + 1) * nodes.size <= length
         if self.direct:
             self._dist, self._gamma0 = dist, gamma0
         else:
@@ -644,16 +648,14 @@ def _contour_beta(
     tested at the window edges if the pump is outermost, then summed over
     every chunk of times.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
     if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
         raise ValueError(
             "contour inversion requires kappa > 0 or gamma0 > 0; "
             "use time_domain_propagate for the lossless case"
         )
     settings = settings or InversionSettings()
-    if times.size == 0 or np.any(times < 0) or not times.max() > 0:
-        raise ValueError("times must be non-empty, non-negative and reach beyond t = 0")
+    if times.size == 0 or np.any(~np.isfinite(times) | (times < 0)) or not times.max() > 0:
+        raise ValueError("times must be non-empty, finite, non-negative and reach beyond t = 0")
     if omega_ps.size == 0 or np.any(np.isnan(omega_ps)):
         raise ValueError("omega_ps must be non-empty and free of NaN")
     eta, d_omega = _grid_controls(settings, float(times.max()), dist, cavity)
@@ -753,6 +755,8 @@ def transfer_sweep(
 # ---------------------------------------------------------------------------
 # time-domain oracle
 
+_MAX_ODE_NODES = 200_000  # state-size cap of time_domain_propagate
+
 
 def _initial_vector(
     dist: SpinDistribution,
@@ -817,9 +821,8 @@ def time_domain_propagate(
     times,
     env: Optional[PulseEnvelope] = None,
     omega_p: Optional[float] = None,
-    rtol: float = 1e-9,
+    rtol: float = ODE_RTOL,
     atol: float = 1e-12,
-    max_nodes: int = 200_000,
 ) -> TransferResult:
     """Brute-force transfer amplitude by direct ODE propagation.
 
@@ -829,14 +832,14 @@ def time_domain_propagate(
     lossless systems too (kappa = gamma0 = 0), unlike the contour route.
     times may repeat; times that are all 0 return the start.  Only the cavity
     row is interpolated, so memory is O(n_nodes + n_times).  Raises
-    NumericalGuardError above max_nodes (the state size, the cost of every
-    step), for a pulse with no overlap with the grid, and when the
+    NumericalGuardError above _MAX_ODE_NODES (the state size, the cost of
+    every step), for a pulse with no overlap with the grid, and when the
     integrator fails.
     """
-    if dist.n_nodes > max_nodes:
+    if dist.n_nodes > _MAX_ODE_NODES:
         raise NumericalGuardError(
-            f"n_nodes = {dist.n_nodes} exceeds the memory budget ({max_nodes}); "
-            "reduce the grid or raise max_nodes"
+            f"n_nodes = {dist.n_nodes} exceeds the memory budget ({_MAX_ODE_NODES}); "
+            "reduce the grid"
         )
     times = np.atleast_1d(np.asarray(times, dtype=float))
     bad = ~np.isfinite(times) | (times < 0)

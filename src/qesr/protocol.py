@@ -25,15 +25,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dynamics import (
-    MODE_EXACT,
-    MODE_NARROW,
-    CavityModel,
-    InversionSettings,
-    PulseEnvelope,
-    time_domain_propagate,
-    transfer_sweep,
-)
+from .dynamics import MODE_NARROW, ODE_RTOL, CavityModel, InversionSettings, PulseEnvelope
+from .dynamics import time_domain_propagate, transfer_sweep
 from .errors import NoOscillationError, NumericalGuardError, SaturationError, _warn
 from .spin_model import SpinDistribution, _freeze, _write_csv
 
@@ -82,10 +75,9 @@ class QubitChain:
         # a lossless trace sits at occupancy 1.0 up to integrator round-off;
         # the guard must not trip on that last-digit excess
         if worst > self.saturation_guard * (1.0 + 1e-9):
-            i = int(np.argmax(transferred))
             raise SaturationError(
                 f"transferred mean photon number {worst:.3f} exceeds the guard "
-                f"{self.saturation_guard:.3f} (sweep index {i}); reduce n_pump"
+                f"{self.saturation_guard:.3f}"
             )
         raw = self.readout_fidelity * self.swap_efficiency * transferred + self.baseline
         return np.clip(raw, 0.0, 1.0)
@@ -205,7 +197,7 @@ def simulate_swap(
     cavity: CavityModel,
     chain: QubitChain,
     taus,
-    rtol: float = 1e-9,
+    rtol: float = ODE_RTOL,
     min_drop: float = 0.05,
 ) -> SwapTrace:
     """Storage trace: the excitation starts in the cavity (already swapped in).
@@ -242,7 +234,7 @@ def find_swap_time(
     dist: SpinDistribution,
     cavity: CavityModel,
     taus=None,
-    rtol: float = 1e-9,
+    rtol: float = ODE_RTOL,
     min_drop: float = 0.05,
 ) -> SwapCalibration:
     """Swap-time calibration: first cavity-population minimum, parabola-refined.

@@ -35,6 +35,8 @@ __all__ = [
     "min_detectable_spins",
 ]
 
+N_THRESHOLD = 0.05  # default detection threshold, in mean cavity photons
+
 # |kappa - 2 Delta| below this fraction of Delta switches to the
 # removable-singularity branch of the trajectory
 _DEGENERATE_TOL = 1e-6
@@ -54,7 +56,7 @@ class WeakCouplingScenario:
     dephasing_rate: float
     kappa: float
     n_spins: float
-    n_threshold: float = 0.05
+    n_threshold: float = N_THRESHOLD
 
     def __post_init__(self):
         for name in ("coupling", "dephasing_rate", "kappa", "n_spins", "n_threshold"):
@@ -130,7 +132,7 @@ def peak_photon_number(scenario: WeakCouplingScenario) -> PeakPhotons:
 
 
 def min_detectable_spins(
-    coupling: float, dephasing_rate: float, n_threshold: float = 0.05
+    coupling: float, dephasing_rate: float, n_threshold: float = N_THRESHOLD
 ) -> float:
     """Smallest N whose peak emission reaches n_threshold cavity photons.
 

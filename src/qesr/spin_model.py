@@ -86,7 +86,7 @@ class GridSpec:
     span_fwhm times the largest FWHM on each side.
     """
 
-    n_nodes: int = 4001
+    n_nodes: int = 5001
     window: Optional[Tuple[float, float]] = None
     span_fwhm: float = 8.0
 
@@ -224,7 +224,7 @@ def build_distribution(
         main lines are scaled by (1 - total satellite weight) so the total
         stays one.
     grid:
-        GridSpec; defaults to 4001 nodes over the automatic window.
+        GridSpec; defaults to 5001 nodes over the automatic window.
     shape:
         "lorentzian" (default) or "gaussian", applied to every line.
 

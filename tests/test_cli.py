@@ -70,7 +70,7 @@ def test_print_effective_config_is_byte_exact(tmp_path, capsys):
         ["spectrum", "--config", path, "--out", str(out), "--print-effective-config"]
     )
     assert rc == 0
-    assert capsys.readouterr().out == open(path).read()
+    assert capsys.readouterr().out == Path(path).read_text()
     assert not out.exists()
 
 
@@ -418,6 +418,17 @@ def test_ode_node_cap_exit_3(tmp_path, capsys):
     rc = main(["transfer", "--config", cfg, "--out", str(tmp_path), "--method", "time-domain"])
     assert rc == 3
     assert "memory budget" in capsys.readouterr().err
+
+
+def test_swap_saturation_states_the_photon_number_and_guard(tmp_path, capsys):
+    """A swap has neither a sweep nor n_pump; its guard names neither."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["qubit"] = {"saturation_guard": 0.5}
+    cfg = write_cfg(tmp_path, raw)
+    assert main(["swap", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "numerical guard: transferred mean photon number 1.000 exceeds the guard 0.500"
+    )
 
 
 def test_out_path_is_a_file_exit_4(tmp_path, small_cfg, capsys):

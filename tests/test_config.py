@@ -2,10 +2,12 @@
 and the error paths that name the offending key."""
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ def parse_raw(raw):
 @pytest.mark.parametrize("name", ["paper_plus_I.cfg", "paper_plus_III.cfg"])
 def test_bundled_configs_are_canonical(name):
     path = bundled_config_path(name)
-    text = open(path).read()
+    text = Path(path).read_text()
     cfg = parse_config(path)
     assert cfg.to_json() == text
     # parse(serialize(parse(x))) is byte-stable
@@ -70,6 +72,46 @@ def test_defaults_filled_and_idempotent():
     text = canonical_json(eff)
     assert parse_config(text).to_json() == text
     assert text.endswith("\n")
+
+
+def test_schema_shares_the_librarys_choices_and_defaults():
+    """Every choice list and default that the schema shares with the library
+    is the library's own value: a config without them, a library call without
+    them and the CLI's --mode agree."""
+    from qesr.cli import build_parser
+    from qesr.dynamics import MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES, InversionSettings
+    from qesr.dynamics import time_domain_propagate
+    from qesr.protocol import find_swap_time, simulate_swap
+    from qesr.sensitivity import N_THRESHOLD, WeakCouplingScenario, min_detectable_spins
+    from qesr.spin_model import LINE_SHAPES, GridSpec, SpinLine, build_distribution
+
+    eff = resolve(minimal())
+    grid = eff["ensembles"][0]["grid"]
+    dist = build_distribution([SpinLine(TWO_PI * 2.91e9, TWO_PI * 1.6e6)], TWO_PI * 2.9e6)
+    assert grid["n_nodes"] == GridSpec().n_nodes == dist.n_nodes == 5001
+    assert grid["span_fwhm"] == GridSpec().span_fwhm
+    assert eff["numerics"]["mode"] == MODE_NARROW
+    assert eff["numerics"]["edge_ratio"] == InversionSettings().edge_ratio
+    assert eff["numerics"]["ode_rtol"] == ODE_RTOL
+    for fn in (time_domain_propagate, simulate_swap, find_swap_time):
+        assert inspect.signature(fn).parameters["rtol"].default == ODE_RTOL
+    assert eff["sensitivity"]["n_threshold"] == [N_THRESHOLD]
+    assert WeakCouplingScenario(1.0, 1.0, 1.0, 1.0).n_threshold == N_THRESHOLD
+    assert inspect.signature(min_detectable_spins).parameters["n_threshold"].default == N_THRESHOLD
+
+    ens = dict(minimal()["ensembles"][0], shape="x")
+    for raw, choices in [
+        (minimal(ensembles=[ens]), LINE_SHAPES),
+        (minimal(pulse={"shape": "x"}), PULSE_SHAPES),
+        (minimal(numerics={"mode": "x"}), MODES),
+    ]:
+        message = f"must be one of {list(choices)}, got 'x'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            resolve(raw)
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for command in commands.values():
+        (mode,) = [a for a in command._actions if a.dest == "mode"]
+        assert mode.choices is MODES
 
 
 def test_weighted_default_center():

@@ -990,22 +990,61 @@ def test_grid_point_guard_raises(scen_I):
         )
 
 
+def test_lattice_cap_applies_to_fft_grids_only(degenerate_factory, scen_I, monkeypatch):
+    """A wide window on the 21-node system spans a lattice above the FFT cap,
+    but its grid sums the nodes directly and builds no row: the trace runs and
+    matches the ODE route.  An FFT grid above the cap is still refused."""
+    import qesr.dynamics as dynamics
+
+    dist, cavity, env = degenerate_factory()
+    c = cavity.omega_c
+    times = np.linspace(0.0, math.pi / dist.g_collective, 41)
+    settings = InversionSettings(window=(c - 3e8, c + 3e8))
+    eta, d_omega = _grid_controls(settings, float(times[-1]), dist, cavity)
+    grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, c - 3e8, c + 3e8)
+    length = grid.q * (dist.n_nodes - 1) + grid.m * (grid.omega.size - 1) + 1
+    assert grid.direct and length > dynamics._MAX_LATTICE_POINTS
+    got = invert_to_time(dist, cavity, env, c, times, settings=settings)
+    want = time_domain_propagate(dist, cavity, "pulse", times, env=env, omega_p=c)
+    assert float(np.max(np.abs(got.beta - want.beta))) <= 1e-4
+    # the bundled plus_I grid convolves over a 19,481-point lattice
+    monkeypatch.setattr(dynamics, "_MAX_LATTICE_POINTS", 10_000)
+    with pytest.raises(NumericalGuardError, match=r"kernel lattice would need 1\.948e\+4 points"):
+        invert_to_time(scen_I.dist, scen_I.cavity, scen_I.env, scen_I.ens.center,
+                       np.linspace(0.0, 90e-9, 11), settings=scen_I.settings)
+
+
+def test_contour_refuses_infinite_times(scen_I):
+    """An infinite time would make the contour offset 0.25 / t_max zero; the
+    contour route refuses it by name, as the ODE route does."""
+    from qesr.protocol import excitation_budget
+
+    dist, cavity, env, wp = scen_I.dist, scen_I.cavity, scen_I.env, scen_I.ens.center
+    match = "^times must be non-empty, finite, non-negative and reach beyond t = 0$"
+    with pytest.raises(ValueError, match=match):
+        invert_to_time(dist, cavity, env, wp, [0.0, math.inf])
+    with pytest.raises(ValueError, match=match):
+        transfer_sweep(dist, cavity, env, scen_I.omegas[:3], math.inf)
+    with pytest.raises(ValueError, match=match):
+        excitation_budget(dist, cavity, env, 1.0, wp, tau_s=math.inf)
+
+
 def test_size_guard_prints_counts_beyond_the_float_range():
     for n, count in ((10**400 + 1, "1.000e+400"), (12345, "1.234e+4"), (math.inf, "inf")):
         assert f"would need {count} points" in str(_size_guard("grid", n, 0.0, 1.0, 0.5))
 
 
-def test_time_domain_input_validation(scen_I):
+def test_time_domain_input_validation(scen_I, monkeypatch):
     with pytest.raises(ValueError):
         time_domain_propagate(scen_I.dist, scen_I.cavity, "both", [0.0, 1e-9])
     with pytest.raises(ValueError):
         time_domain_propagate(scen_I.dist, scen_I.cavity, "pulse", [0.0, 1e-9])
     with pytest.raises(ValueError):
         time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [1e-9, 0.0])
-    with pytest.raises(NumericalGuardError, match="memory budget"):
-        time_domain_propagate(
-            scen_I.dist, scen_I.cavity, "cavity", [0.0, 1e-9], max_nodes=100
-        )
+    monkeypatch.setattr("qesr.dynamics._MAX_ODE_NODES", 100)
+    budget = r"^n_nodes = 5001 exceeds the memory budget \(100\); reduce the grid$"
+    with pytest.raises(NumericalGuardError, match=budget):
+        time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [0.0, 1e-9])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

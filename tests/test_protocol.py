@@ -3,6 +3,7 @@ excitation budgets, and the detection-chain probability model."""
 from __future__ import annotations
 
 import math
+import re
 
 import hypothesis
 import numpy as np
@@ -466,7 +467,8 @@ def test_chain_probability_model():
     # the guard is inclusive; exactly one transferred photon still passes
     full = QubitChain().excited_probability(np.array([1.0]))
     assert full[0] == 1.0
-    with pytest.raises(SaturationError, match="sweep index"):
+    message = "transferred mean photon number 1.500 exceeds the guard 1.000"
+    with pytest.raises(SaturationError, match=f"^{re.escape(message)}$"):
         QubitChain().excited_probability(np.array([1.0]), n_pump=1.5)
 
 
