@@ -266,10 +266,11 @@ def cavity_amplitude_t1(dist: SpinDistribution, cavity: CavityModel, omega):
     return complex(t1) if scalar else t1
 
 
-def _narrow_scale(dist: SpinDistribution, env: PulseEnvelope, omega_p: float) -> float:
-    """g_K * A * sqrt(rho(omega_p)) for the narrow-pulse factorization."""
+def _narrow_scale(dist: SpinDistribution, env: PulseEnvelope, omega_p):
+    """g_K * A * sqrt(rho(omega_p)) for the narrow-pulse factorization, at one
+    pump or an array of them."""
     rho = density_at(dist, omega_p)
-    return dist.g_collective * pulse_constant_A(env) * math.sqrt(max(rho, 0.0))
+    return dist.g_collective * pulse_constant_A(env) * np.sqrt(np.maximum(rho, 0.0))
 
 
 # Narrow-pulse mode is accurate to a few percent only for pulses narrower than
@@ -528,12 +529,16 @@ class _ContourGrid:
     A node sum sum_j x_j / (zeta_k - w_j + i gamma0/2) is then a strided
     Toeplitz product: the Cauchy row 1/(delta n + i b), n from s - q (N - 1)
     to s + m (K - 1), convolved with the weights x_j stuffed with q - 1 zeros
-    and read every m-th point: `convolve`, the grid's one node sum.  The row
-    is transformed once per grid, so W (built here) and each exact-mode
-    numerator N cost one FFT product.  Where n_grid * n_nodes is at most the
-    row's length, as for a few nodes, `direct` is set and `convolve` sums
-    the nodes directly instead (`_node_sums`), with no row.  The grid covers
-    [lo, hi] and exceeds it by less than one step on each side.
+    and read every m-th point: `convolve`, the grid's one node sum.  Its
+    transpose, `correlate`, sums over the grid instead: sum_k x_k /
+    (zeta_k - w_j + i gamma0/2) at every node j, the grid values stuffed
+    every m-th point in reverse and convolved with the same row.  The row is
+    transformed once per grid, so W (built here), each exact-mode numerator
+    N of a trace and the one transposed product of an exact-mode sweep cost
+    one FFT product each.  Where n_grid * n_nodes is at most the row's
+    length, as for a few nodes, `direct` is set and both products sum
+    directly instead (`convolve` through `_node_sums`), with no row.  The
+    grid covers [lo, hi] and exceeds it by less than one step on each side.
     """
 
     def __init__(self, dist: SpinDistribution, gamma0: float, eta: float,
@@ -588,10 +593,33 @@ class _ContourGrid:
         """sum_j weights_j / (zeta_k - w_j + i gamma0/2) on every grid point."""
         if self.direct:
             return _node_sums(self._dist, self._gamma0, self.zeta, weights)
-        stuffed = np.zeros(self._size)
-        stuffed[: self._first + 1 : self.q] = weights
-        out = np.fft.ifft(np.fft.fft(stuffed) * self._row_hat)
-        return out[self._first : self._first + self.m * (self.omega.size - 1) + 1 : self.m]
+        out = self._row_product(weights, self.q, float)
+        return out[self._first : self._first + self.m * (self.omega.size - 1) + 1 : self.m].copy()
+
+    def correlate(self, values: np.ndarray) -> np.ndarray:
+        """sum_k values_k / (zeta_k - w_j + i gamma0/2) at every node j: the
+        transposed product of `convolve`, one FFT correlation."""
+        if self.direct:
+            nodes, shift = self._dist.omega_nodes, 0.5j * self._gamma0
+            out = np.zeros(nodes.size, dtype=complex)
+            step = max(1, 2_000_000 // nodes.size)
+            for s in range(0, values.size, step):
+                inv = 1.0 / (self.zeta[s : s + step, None] - nodes + shift)
+                out += values[s : s + step] @ inv
+            return out
+        span = self.m * (self.omega.size - 1) + 1
+        out = self._row_product(values[::-1], self.m, complex)
+        return out[span - 1 : span + self._first : self.q][::-1].copy()
+
+    def _row_product(self, values: np.ndarray, stride: int, dtype) -> np.ndarray:
+        """The row convolved with values stuffed every stride-th point, by FFT;
+        at most two work arrays of the row's length are alive at a time, and
+        the callers copy out their points so that none outlives the call."""
+        spectrum = np.zeros(self._size, dtype=dtype)
+        spectrum[: stride * (values.size - 1) + 1 : stride] = values
+        spectrum = np.fft.fft(spectrum)
+        spectrum *= self._row_hat
+        return np.fft.ifft(spectrum)
 
 
 # The contour primitive: one grid for every pump and time, the Fourier sum on
@@ -618,20 +646,19 @@ def _time_sum(z: np.ndarray, baby: np.ndarray, giant: np.ndarray) -> np.ndarray:
     return np.einsum("tp,pt->t", giant, z.reshape(giant.shape[1], -1) @ baby.T)
 
 
-def _two_pole_inverse(c2: float, p1: complex, p2: complex, t):
+def _two_pole_inverse(c2, p1: complex, p2, t):
     """Inverse transform of T_far: -i c2 (e^{-i p1 t} - e^{-i p2 t})/(p1 - p2),
-    or its limit -c2 t e^{-i p1 t} for a double pole."""
-    if p1 == p2:
-        return -c2 * t * np.exp(-1j * p1 * t)
-    return (-1j * c2 / (p1 - p2)) * (np.exp(-1j * p1 * t) - np.exp(-1j * p2 * t))
+    or its limit -c2 t e^{-i p1 t} for a double pole.  Elementwise: c2 and p2
+    may hold one entry per pump."""
+    e1 = np.exp(-1j * p1 * t)
+    double = np.equal(p1, p2)
+    if not double.any():
+        return (-1j * c2 / (p1 - p2)) * (e1 - np.exp(-1j * p2 * t))
+    gap = np.where(double, 1.0, p1 - p2)
+    return np.where(double, -c2 * t * e1, (-1j * c2 / gap) * (e1 - np.exp(-1j * p2 * t)))
 
 
-# Entries of the two phase tables of one chunk of times; each table and its
-# temporaries hold a chunk at a time.
-_PHASE_CHUNK = 131_072
-
-
-def _contour_beta(
+def _contour_grid(
     dist: SpinDistribution,
     cavity: CavityModel,
     env: PulseEnvelope,
@@ -639,14 +666,17 @@ def _contour_beta(
     times: np.ndarray,
     mode: str,
     settings: Optional[InversionSettings],
-) -> np.ndarray:
-    """beta(omega_p, t) by contour inversion, shape (pumps, times).
+    whole: bool,
+):
+    """The window search: the first grid whose window passes the edge rule of
+    `InversionSettings` at both outermost pumps (the lowest tested first).
 
-    One grid serves every pump and time; its window passes the edge rule of
-    `InversionSettings` at both outermost pumps.  Each grid attempt is one
-    pass over the pumps, outermost first: a pump's residual is formed once,
-    tested at the window edges if the pump is outermost, then summed over
-    every chunk of times.
+    Returns the grid, t1 on it, eta, and (R, c2, p2) of the last pump tested,
+    R = T - T_far.  With `whole` (one pump) R covers the grid, and is the
+    integrand that `_contour_beta` sums.  Otherwise each outermost pump's R
+    is formed at the window's two end points only: in closed form in
+    narrow-pulse mode, by the dense node sums at those two points in
+    exact-convolution mode.
     """
     if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
         raise ValueError(
@@ -659,47 +689,32 @@ def _contour_beta(
     if omega_ps.size == 0 or np.any(np.isnan(omega_ps)):
         raise ValueError("omega_ps must be non-empty and free of NaN")
     eta, d_omega = _grid_controls(settings, float(times.max()), dist, cavity)
-    outer = [int(np.argmin(omega_ps)), int(np.argmax(omega_ps))]
-    worst = [float(omega_ps[i]) for i in outer]
-    lo, hi = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, worst)
+    outer = [float(omega_ps.min()), float(omega_ps.max())]
+    lo, hi = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, outer)
     _check_narrow(dist, env, mode)
     p1 = cavity.omega_c - 0.5j * cavity.kappa
-    pumps = dict.fromkeys(outer + list(range(omega_ps.size)))  # outermost first, each once
-    beta = np.empty((omega_ps.size, times.size), dtype=complex)
     for attempt in range(_MAX_GROWTH + 1):
         grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, lo, hi)
         t1 = _t1(cavity, grid.zeta, grid.W)
-        # beta(t) = step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
-        # + the inverse of T_far; trapezoid w_k = 1 (1/2 at the ends), omega_ref at k = c
-        n = grid.omega.size
-        omega_ref = grid.omega[(n - 1) // 2]
-        step = max(1, _PHASE_CHUNK // (2 * math.isqrt(n) + 2))
-
-        def tables(chunk):
-            baby, giant = _phase_tables(n, grid.step, chunk)
-            return baby, giant, grid.step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
-
-        first = tables(times[:step])  # the only chunk of a sweep, shared by its pumps
-        z = np.zeros(first[0].shape[1] * first[1].shape[1], dtype=complex)  # w_k R_k, zero-padded
-        for i in pumps:
-            wp = float(omega_ps[i])
-            T, c2 = _pump_transfer(dist, cavity, env, wp, grid.zeta, mode, t1, grid.convolve)
-            p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
-            np.subtract(T, c2 / ((grid.zeta - p1) * (grid.zeta - p2)), out=z[:n])
-            if i in outer:
-                edge = float(max(abs(z[0]), abs(z[n - 1])))
-                peak = float(np.max(np.abs(t1))) * abs(c2) / (eta + env.bandwidth_scale)
-                if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
-                    break
-            z[0] *= 0.5
-            z[n - 1] *= 0.5
-            for s in range(0, times.size, step):
-                chunk = times[s : s + step]
-                baby, giant, pref = tables(chunk) if s else first
-                far = _two_pole_inverse(c2, p1, p2, chunk) + 0.0  # + 0.0: a zero beta has no -0.0
-                beta[i, s : s + step] = pref * _time_sum(z, baby, giant) + far
+        t1_max = float(np.max(np.abs(t1)))
+        if whole:
+            zeta, t1_at, numerator = grid.zeta, t1, grid.convolve
         else:
-            return beta
+            zeta, t1_at = grid.zeta[[0, -1]], t1[[0, -1]]
+
+            def numerator(weights):
+                return _node_sums(dist, cavity.gamma0, zeta, weights)
+
+        for wp in dict.fromkeys(outer):
+            T, c2 = _pump_transfer(dist, cavity, env, wp, zeta, mode, t1_at, numerator)
+            p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+            z = T - c2 / ((zeta - p1) * (zeta - p2))
+            edge = float(np.max(np.abs(z[[0, -1]])))  # unlike max, np.max keeps a NaN
+            peak = t1_max * abs(c2) / (eta + env.bandwidth_scale)
+            if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
+                break
+        else:
+            return grid, t1, eta, (z, c2, p2)
         if settings.window is not None or attempt == _MAX_GROWTH:
             raise WindowTooSmallError(
                 f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small: edge "
@@ -708,6 +723,102 @@ def _contour_beta(
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo) * _GROWTH
         lo, hi = center - half, center + half
+
+
+# Entries of the two phase tables of one chunk of times; each table and its
+# temporaries hold a chunk at a time.
+_PHASE_CHUNK = 131_072
+
+
+def _contour_beta(
+    dist: SpinDistribution,
+    cavity: CavityModel,
+    env: PulseEnvelope,
+    omega_p: float,
+    times: np.ndarray,
+    mode: str,
+    settings: Optional[InversionSettings],
+) -> np.ndarray:
+    """beta(omega_p, t) at one pump by contour inversion, one entry per time.
+
+    The window search forms the pump's residual on each grid it tries; the
+    residual of the final grid is summed over every chunk of times by the
+    factored time sum, n_times 2 sqrt(n_grid) exponentials in all.
+    """
+    grid, _, eta, (z, c2, p2) = _contour_grid(
+        dist, cavity, env, np.array([float(omega_p)]), times, mode, settings, whole=True
+    )
+    # beta(t) = step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
+    # + the inverse of T_far; trapezoid w_k = 1 (1/2 at the ends), omega_ref at k = c
+    n = grid.omega.size
+    omega_ref = grid.omega[(n - 1) // 2]
+    p1 = cavity.omega_c - 0.5j * cavity.kappa
+    k1 = math.isqrt(n - 1) + 1
+    padded = np.zeros(k1 * -(-n // k1), dtype=complex)  # w_k R_k, zero-padded
+    padded[:n] = z
+    padded[0] *= 0.5
+    padded[n - 1] *= 0.5
+    beta = np.empty(times.size, dtype=complex)
+    step = max(1, _PHASE_CHUNK // (2 * k1 + 2))
+    for s in range(0, times.size, step):
+        chunk = times[s : s + step]
+        baby, giant = _phase_tables(n, grid.step, chunk)
+        pref = grid.step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
+        far = _two_pole_inverse(c2, p1, p2, chunk) + 0.0  # + 0.0: a zero beta has no -0.0
+        beta[s : s + step] = pref * _time_sum(padded, baby, giant) + far
+    return beta
+
+
+# Pump-by-point entries of one block of the sweep's contraction; a block's
+# real work arrays take 16 bytes per entry, 0.5 MiB at this size.
+_BLOCK_ENTRIES = 32_768
+
+
+def _blocks(n_pumps: int, width: int):
+    """Slices of the pumps, _BLOCK_ENTRIES // width at a time (at least one)."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(s, s + step) for s in range(0, n_pumps, step)]
+
+
+def _pole_sums(omega: np.ndarray, b: float, omega_ps: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k y_k / (omega_k - w_p + i b) at every pump: one real reciprocal
+    r = 1/(D^2 + b^2) per entry (D = omega_k - w_p), then per block of pumps
+    one real GEMM of [D r; r] with [Re y, Im y]."""
+    n = omega.size
+    cols = y.view(float).reshape(n, 2)  # [Re y, Im y] without a copy
+    out = np.empty((2, omega_ps.size, 2))
+    for blk in _blocks(omega_ps.size, n):
+        work = np.empty((2, omega_ps[blk].size, n))
+        d, r = work
+        np.subtract(omega, omega_ps[blk, None], out=d)
+        np.multiply(d, d, out=r)
+        r += b * b
+        np.reciprocal(r, out=r)
+        d *= r
+        out[:, blk] = (work.reshape(-1, n) @ cols).reshape(2, -1, 2)
+    (dr, di), (rr, ri) = out.transpose(0, 2, 1)
+    return (dr + b * ri) + 1j * (di - b * rr)
+
+
+def _exact_sums(dist: SpinDistribution, env: PulseEnvelope, omega_ps: np.ndarray, u: np.ndarray):
+    """(sum_j e_pj u_j / D_p, sum_j e_pj / D_p) at every pump, a block of pumps
+    at a time; e_pj = alpha(w_j - w_p) g_j^2 and D_p are the weights and norm
+    of `_exact_weights`."""
+    gsq = dist.couplings_sq
+    cols = np.stack([gsq * u.real, gsq * u.imag, gsq], axis=1)
+    out = np.empty((omega_ps.size, 4))
+    for blk in _blocks(omega_ps.size, dist.n_nodes):
+        alpha = env.amplitude(dist.omega_nodes - omega_ps[blk, None])
+        out[blk, :3] = alpha @ cols
+        out[blk, 3] = np.square(alpha, out=alpha) @ cols[:, 2]
+    re, im, total, d_sq = out.T
+    if dist.g_collective == 0.0:  # every weight is zero and D = 1, so beta = 0
+        d_sq[:] = 1.0
+    missing = ~(d_sq > 0.0)
+    if missing.any():
+        raise _no_overlap(dist, float(omega_ps[np.argmax(missing)]))
+    d = np.sqrt(d_sq)
+    return (re + 1j * im) / d, total / d
 
 
 def invert_to_time(
@@ -728,8 +839,8 @@ def invert_to_time(
     estimate max|t1| |c2| / (eta + pulse bandwidth) after window growth.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    beta = _contour_beta(dist, cavity, env, np.array([float(omega_p)]), times, mode, settings)
-    return TransferResult(omega_p=float(omega_p), times=times, beta=beta[0], method="contour")
+    beta = _contour_beta(dist, cavity, env, omega_p, times, mode, settings)
+    return TransferResult(omega_p=float(omega_p), times=times, beta=beta, method="contour")
 
 
 def transfer_sweep(
@@ -744,12 +855,48 @@ def transfer_sweep(
     """beta(omega_p, tau) for many pump frequencies (or one scalar) at one
     interaction time; the result has one entry per pump.
 
-    The inversion of `invert_to_time`, sharing the grid, t1 and the phase
-    tables across the sweep: a point costs O(n_grid) in narrow-pulse mode,
-    plus one FFT product for N in exact-convolution mode.
+    The inversion of `invert_to_time`, with its window search, as one
+    contraction per grid: beta_p needs only sum_k v_k R_pk (v_k = w_k
+    e^{-i tau (k - c) step}, the trapezoid-weighted phase row), so no residual
+    R_pk is formed.  The rows x = i v t1 and y = v / (zeta - p1) are built
+    once and contracted against blocks of pumps: the two-pole sums
+    sum_k y_k / (zeta_k - p2_p) by `_pole_sums`, and in exact-convolution
+    mode the numerators from u = `_ContourGrid.correlate`(x), one FFT
+    correlation per grid.  A pump costs O(n_grid + n_nodes) in either mode.
+    A Lorentzian narrow-pulse numerator has the pole p2 too and folds into
+    y; other shapes contract their Cauchy transform with x.
     """
     omega_ps = np.atleast_1d(np.asarray(omega_ps, dtype=float))
-    return _contour_beta(dist, cavity, env, omega_ps, np.array([float(tau)]), mode, settings)[:, 0]
+    tau = float(tau)
+    grid, t1, eta, _ = _contour_grid(
+        dist, cavity, env, omega_ps, np.array([tau]), mode, settings, whole=False
+    )
+    n = grid.omega.size
+    c = (n - 1) // 2
+    v = np.exp(-1j * ((grid.step * tau) * (np.arange(n, dtype=float) - c)))
+    v[[0, -1]] *= 0.5
+    p1 = cavity.omega_c - 0.5j * cavity.kappa
+    x = 1j * v * t1
+    y = v / (grid.zeta - p1)
+    # sum_k v_k R_pk = numerator_p + weight_p sum_k y_k / (zeta_k - p2_p), weight = -c2
+    if mode == MODE_EXACT:
+        numerator, weight = _exact_sums(dist, env, omega_ps, grid.correlate(x))
+    else:
+        weight = _narrow_scale(dist, env, omega_ps)
+        if env.shape == "lorentzian":  # C(u) / |alpha|_1 = 1 / (zeta - p2)
+            numerator = 0.0
+            y += x
+        else:
+            numerator = np.empty(omega_ps.size, dtype=complex)
+            for blk in _blocks(omega_ps.size, n):
+                detuning = grid.zeta - omega_ps[blk, None] + 0.5j * cavity.gamma0
+                numerator[blk] = env.cauchy(detuning) @ x
+            numerator *= weight / env.norm_l1
+    gap = 0.5 * cavity.gamma0 + env.bandwidth_scale
+    sums = numerator + weight * _pole_sums(grid.omega, eta + gap, omega_ps, y)
+    far = _two_pole_inverse(-weight, p1, omega_ps - 1j * gap, tau) + 0.0
+    pref = grid.step * np.exp((eta - 1j * grid.omega[c]) * tau) / (2.0 * math.pi)
+    return pref * sums + far
 
 
 # ---------------------------------------------------------------------------

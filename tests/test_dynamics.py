@@ -168,10 +168,11 @@ def _lattice_case(request, case):
 def test_lattice_kernel_matches_references(request, case):
     """W and an exact-mode numerator N from the grid's node sum agree with an
     exact-difference reference, built from the integer lattice offsets, and
-    with the dense node sums at the same zeta, to 1e-12 of max|W| (max|N|).
-    The bundled grids take the FFT convolution; the 21-node degenerate grid,
-    whose n_grid * n_nodes is below the kernel lattice's length, sums the
-    nodes directly."""
+    with the dense node sums at the same zeta, to 1e-12 of max|W| (max|N|);
+    so does the transposed product `correlate` with its reference.  The
+    bundled grids take the FFT convolution and correlation; the 21-node
+    degenerate grid, whose n_grid * n_nodes is below the kernel lattice's
+    length, sums the nodes directly."""
     dist, gamma0, eta, d_omega, (lo, hi), extra = _lattice_case(request, case)
     grid = _ContourGrid(dist, gamma0, eta, d_omega, lo, hi)
     assert grid.direct == (case == "degenerate")
@@ -190,6 +191,17 @@ def test_lattice_kernel_matches_references(request, case):
         scale = float(np.max(np.abs(got)))
         assert float(np.max(np.abs(got[rows] - exact))) <= 1e-12 * scale
         assert float(np.max(np.abs(got[rows] - direct))) <= 1e-12 * scale
+    # the transposed product of an oscillating row, like the sweep's phase row,
+    # to 1e-12 of the largest sum of term magnitudes (its terms cancel)
+    values = W * np.exp(-0.3j * np.arange(W.size))
+    u = grid.correlate(values)
+    nodes = np.unique(np.r_[0 : dist.n_nodes : 4, dist.n_nodes - 1])
+    want, size = np.empty((2, nodes.size), dtype=complex)
+    for a in range(0, nodes.size, 200):
+        offsets = grid.positions[:, None] - grid.q * nodes[None, a : a + 200]
+        inv = 1.0 / (grid.delta * offsets + 1j * grid.b)
+        want[a : a + 200], size[a : a + 200] = values @ inv, np.abs(values) @ np.abs(inv)
+    assert float(np.max(np.abs(u[nodes] - want))) <= 1e-12 * float(np.max(size.real))
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -240,8 +252,10 @@ def test_contour_needs_uniform_nodes(scen_I):
 
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
 def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
-    """On a contour, W and N come from the FFT kernel, the window's edge test
-    included: the dense node sums are never called."""
+    """On a contour, W, N and the sweep's transposed product come from the FFT
+    kernel, and so does a trace's edge test: the dense node sums only see the
+    sweep's exact-mode edge test, at the window's two end points, once for
+    each outermost pump."""
     import qesr.dynamics as dynamics
 
     seen = []
@@ -260,7 +274,7 @@ def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
             scen_I.dist, scen_I.cavity, scen_I.env, wps[1], np.linspace(0.0, 2e-7, 21),
             mode=mode,
         )
-    assert seen == []
+    assert seen == ([2, 2] if mode == MODE_EXACT else [])
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +690,11 @@ def test_two_pole_inverse_double_pole_is_the_limit():
     for dp in (1e-6, -1e-6j):
         near = _two_pole_inverse(1.7, p1, p1 + dp, t)
         assert float(np.max(np.abs(double - near))) < 1e-5
+    # elementwise over a sweep's pumps at one time, a double pole among them
+    c2, p2 = np.array([1.7, -0.4, 2.0]), np.array([p1, p1 + 1e-6, 1.0 - 0.5j])
+    swept = _two_pole_inverse(c2, p1, p2, t[7])
+    singles = [_two_pole_inverse(c, p1, p, t[7:8])[0] for c, p in zip(c2, p2)]
+    assert np.allclose(swept, singles, rtol=1e-15, atol=0.0)
 
 
 def longdouble_time_sum(z, step, times):
@@ -790,6 +809,102 @@ def test_sweep_matches_pointwise(scen_I, mode, n_pumps):
         ]
     )
     assert float(np.max(np.abs(sweep - singles))) < 1e-12
+
+
+def pointwise(scen, env, wps, tau, mode):
+    return np.array([
+        invert_to_time(scen.dist, scen.cavity, env, w, [tau], mode=mode,
+                       settings=scen.settings).beta[0]
+        for w in wps
+    ])
+
+
+# the bundled 150 kHz Lorentzian pulse's bandwidth in the other two shapes
+SHAPES = {
+    "lorentzian": lambda fwhm: PulseEnvelope("lorentzian", fwhm=fwhm),
+    "gaussian": lambda fwhm: PulseEnvelope("gaussian", fwhm=fwhm),
+    "rectangular": lambda fwhm: PulseEnvelope("rectangular", duration=7.581977068135924 / fwhm),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_sweep_matches_pointwise_for_every_pulse_shape(scen_I, shape, mode):
+    """The contraction serves every pulse shape: a Lorentzian folds its
+    numerator into the two-pole row, the others contract their Cauchy
+    transform (narrow) or node weights (exact) block by block."""
+    env = SHAPES[shape](scen_I.env.fwhm)
+    wps = scen_I.ens.center + TWO_PI * np.linspace(-3e6, 3e6, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweep = transfer_sweep(scen_I.dist, scen_I.cavity, env, wps, 90e-9, mode, scen_I.settings)
+        singles = pointwise(scen_I, env, wps, 90e-9, mode)
+    assert float(np.max(np.abs(sweep - singles))) <= 1e-13 * float(np.max(np.abs(singles)))
+
+
+@pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_full_sweep_matches_pointwise(request, name, mode):
+    """The CLI's 401-pump sweep at the calibrated swap time on each bundled
+    config, against 401 single-pump inversions, to 1e-13 of max|beta|."""
+    scen = request.getfixturevalue(f"scen_{name}")
+    tau = request.getfixturevalue(f"swap_cal_{name}").tau_swap
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweep = transfer_sweep(scen.dist, scen.cavity, scen.env, scen.omegas, tau, mode,
+                               scen.settings)
+        singles = pointwise(scen, scen.env, scen.omegas, tau, mode)
+    assert scen.omegas.size == 401
+    assert float(np.max(np.abs(sweep - singles))) <= 1e-13 * float(np.max(np.abs(singles)))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n_nodes=st.integers(2, 30),
+    spread=st.floats(1e-6, 1e-3),
+    kappa_ratio=st.floats(1e-3, 1.0),
+    pulse_ratio=st.floats(1e-3, 0.3),
+    tau_ratio=st.floats(0.1, 2.0),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+    shape=st.sampled_from(sorted(SHAPES)),
+    mode=st.sampled_from([MODE_NARROW, MODE_EXACT]),
+)
+def test_sweep_matches_pointwise_on_direct_grids(
+    n_nodes, spread, kappa_ratio, pulse_ratio, tau_ratio, fractions, shape, mode
+):
+    """On few-node systems, whose grids sum the nodes directly (the direct
+    branch of `_ContourGrid.correlate` included), the sweep agrees with
+    pointwise inversion on the same grid: pumps inside the node span leave the
+    window unchanged, and a loose edge ratio accepts the first grid for all."""
+    import qesr.dynamics as dynamics
+
+    g = TWO_PI * 2.9e6
+    nodes = np.linspace(W0, W0 + spread * g, n_nodes)
+    dist = SpinDistribution(
+        lines=(SpinLine(center=W0, fwhm=spread * g, weight=1.0),), g_collective=g,
+        omega_nodes=nodes, weights=np.full(n_nodes, 1.0 / n_nodes),
+    )
+    cavity = CavityModel(omega_c=W0, kappa=kappa_ratio * g)
+    env = SHAPES[shape](pulse_ratio * g)
+    tau = tau_ratio * math.pi / (2.0 * g)
+    settings = InversionSettings(edge_ratio=1e300)
+    wps = nodes[0] + (nodes[-1] - nodes[0]) * np.array(fractions)
+    grids = []
+
+    def spy(*args):
+        grids.append(contour_grid(*args))
+        return grids[-1]
+
+    contour_grid = dynamics._ContourGrid
+    with mock.patch.object(dynamics, "_ContourGrid", spy), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweep = transfer_sweep(dist, cavity, env, wps, tau, mode, settings)
+        singles = np.array(
+            [invert_to_time(dist, cavity, env, w, [tau], mode, settings).beta[0] for w in wps]
+        )
+    assert all(grid.direct for grid in grids)
+    assert len({grid.omega.size for grid in grids}) == 1
+    assert float(np.max(np.abs(sweep - singles))) <= 1e-12 * float(np.max(np.abs(singles)))
 
 
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
@@ -921,6 +1036,37 @@ def test_window_too_small_raises(scen_I):
         )
 
 
+@pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+def test_a_nan_at_either_window_end_fails_the_edge_rule(scen_I, monkeypatch, mode, end):
+    """A window whose edge residual is NaN at either end point is refused:
+    Python's max(finite, nan) returns the finite value, so the rule takes
+    both ends through np.max.  The same window passes without the NaN."""
+    import qesr.dynamics as dynamics
+
+    s = scen_I
+    settings = InversionSettings(
+        window=_auto_window(s.dist, s.cavity, s.env.bandwidth_scale, [s.ens.center])
+    )
+    pump_transfer = dynamics._pump_transfer
+
+    def nan_at_end(*args):
+        T, c2 = pump_transfer(*args)
+        T = T.copy()
+        T[end] = math.nan
+        return T, c2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        transfer_sweep(s.dist, s.cavity, s.env, [s.ens.center], 90e-9, mode, settings)
+        invert_to_time(s.dist, s.cavity, s.env, s.ens.center, [0.0, 90e-9], mode, settings)
+        monkeypatch.setattr(dynamics, "_pump_transfer", nan_at_end)
+        with pytest.raises(WindowTooSmallError, match="edge magnitude nan"):
+            transfer_sweep(s.dist, s.cavity, s.env, [s.ens.center], 90e-9, mode, settings)
+        with pytest.raises(WindowTooSmallError, match="edge magnitude nan"):
+            invert_to_time(s.dist, s.cavity, s.env, s.ens.center, [0.0, 90e-9], mode, settings)
+
+
 @pytest.mark.parametrize("pumps", [[], [math.nan], [W0, math.nan]])
 def test_contour_rejects_empty_or_nan_pumps(scen_I, monkeypatch, pumps):
     """Empty or NaN pumps are refused by name before any grid is built; no
@@ -943,35 +1089,53 @@ def test_contour_rejects_empty_or_nan_pumps(scen_I, monkeypatch, pumps):
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
 @pytest.mark.parametrize("edge_ratio, n_grids", [(None, 1), (1e-7, 3)])
 def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, edge_ratio, n_grids):
-    """One pass over the pumps per grid: the final grid evaluates every pump
-    once, for every chunk of times, and a failed grid only its outermost
-    pumps until one fails the edge rule."""
+    """A sweep's window search evaluates only its outermost pumps, at the
+    window's two end points, the lowest first, and a failed grid stops at the
+    first pump that fails the edge rule; on the final grid every pump lands
+    in exactly one block of the contraction.  A trace forms its pump's
+    residual once per grid, for every chunk of times."""
     import qesr.dynamics as dynamics
 
-    grids, calls = [], []
-    pump_transfer, contour_grid = dynamics._pump_transfer, dynamics._ContourGrid
+    grids, calls, sizes, blocks = [], [], [], []
+    pump_transfer, contour_grid, pump_blocks = (
+        dynamics._pump_transfer, dynamics._ContourGrid, dynamics._blocks
+    )
 
     def spy_pump(*args, **kwargs):
         calls.append((len(grids), args[3]))
+        sizes.append(np.size(args[4]))
         return pump_transfer(*args, **kwargs)
 
     def spy_grid(*args):
         grids.append(contour_grid(*args))
         return grids[-1]
 
+    def spy_blocks(n_pumps, width):
+        blocks.append((len(grids), n_pumps, pump_blocks(n_pumps, width)))
+        return blocks[-1][2]
+
     monkeypatch.setattr(dynamics, "_pump_transfer", spy_pump)
     monkeypatch.setattr(dynamics, "_ContourGrid", spy_grid)
+    monkeypatch.setattr(dynamics, "_blocks", spy_blocks)
     settings = scen_I.settings if edge_ratio is None else InversionSettings(edge_ratio=edge_ratio)
-    wps = scen_I.ens.center + TWO_PI * np.array([0.0, -2e6, 2e6])
+    offsets = np.array([0.0, -2.0, 2.0, -1.0, 1.0, 0.5, -0.5, 1.5, -1.5, 0.25, -0.25])
+    wps = scen_I.ens.center + TWO_PI * 1e6 * offsets
     times = np.linspace(0.0, 1.5 * np.pi / scen_I.dist.g_collective, 20001)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         transfer_sweep(scen_I.dist, scen_I.cavity, scen_I.env, wps, 90e-9, mode, settings)
         assert len(grids) == n_grids
-        # each failed grid stops at the lowest pump, tested first
         assert calls == [(k, wps[1]) for k in range(1, n_grids)] + [
-            (n_grids, wp) for wp in (wps[1], wps[2], wps[0])
+            (n_grids, wps[1]), (n_grids, wps[2])
         ]
+        assert sizes == [2] * (n_grids + 1)
+        # one partition of the pumps per blocked contraction: the two-pole
+        # sums, and in exact mode the numerators
+        assert len(blocks) == (2 if mode == MODE_EXACT else 1)
+        for k, n_pumps, slices in blocks:
+            assert (k, n_pumps) == (n_grids, wps.size) and len(slices) > 1
+            landed = np.concatenate([np.arange(n_pumps)[s] for s in slices])
+            assert np.array_equal(landed, np.arange(n_pumps))
         grids.clear()
         calls.clear()
         invert_to_time(scen_I.dist, scen_I.cavity, scen_I.env, wps[0], times, mode, settings)
@@ -1122,6 +1286,21 @@ def test_contour_trace_memory_is_bounded(scen_I):
     assert peak < 16.0
 
 
+@pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
+def test_sweep_memory_stays_below_the_swap_calibration(scen_III, mode):
+    """A 401-pump sweep holds a block of pumps at a time: its traced peak
+    stays at or below that of the ODE swap calibration the CLI runs first."""
+    s = scen_III
+    calibration = traced_peak_mib(lambda: find_swap_time(s.dist, s.cavity))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweep = traced_peak_mib(lambda: transfer_sweep(
+            s.dist, s.cavity, s.env, s.omegas, 90e-9, mode, s.settings
+        ))
+    assert s.omegas.size == 401
+    assert sweep <= calibration
+
+
 def test_zero_coupling_gives_zero_beta_on_both_routes():
     dist = single_line_dist(g=0.0, n_nodes=501)
     cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
@@ -1130,6 +1309,9 @@ def test_zero_coupling_gives_zero_beta_on_both_routes():
     for mode in (MODE_NARROW, MODE_EXACT):
         beta = invert_to_time(dist, cavity, env, W0, times, mode=mode).beta
         assert not np.any(beta), mode
+        sweep = transfer_sweep(dist, cavity, env, W0 + np.array([-1e6, 0.0, 1e6]), 1e-7, mode)
+        assert not np.any(sweep), mode
+        assert not np.signbit(np.r_[sweep.real, sweep.imag]).any(), mode  # no -0.0
     ode = time_domain_propagate(dist, cavity, "pulse", times, env=env, omega_p=W0)
     assert not np.any(ode.beta)
 
