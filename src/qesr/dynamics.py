@@ -114,14 +114,14 @@ class PulseEnvelope:
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         if self.shape == "rectangular":
-            if not (self.duration and self.duration > 0):
-                raise ValueError("rectangular pulse requires duration > 0")
+            if self.duration is None or not 0 < self.duration < math.inf:
+                raise ValueError("rectangular pulse requires a finite duration > 0")
             # amplitude half max of sinc at x*T/2 = 1.89549
             object.__setattr__(self, "fwhm", 4.0 * 1.8954942670339809 / self.duration)
             scale = 2.0 / self.duration
         else:
-            if not (self.fwhm and self.fwhm > 0):
-                raise ValueError(f"{self.shape} pulse requires fwhm > 0")
+            if self.fwhm is None or not 0 < self.fwhm < math.inf:
+                raise ValueError(f"{self.shape} pulse requires a finite fwhm > 0")
             if self.duration is not None:
                 raise ValueError("duration applies to the rectangular shape only")
             scale = self.fwhm / (4.0 if self.shape == "lorentzian" else _SQRT_8LN2)
@@ -407,6 +407,18 @@ class InversionSettings:
     contour_offset: Optional[float] = None
     edge_ratio: float = 1e-4
 
+    def __post_init__(self):
+        if self.window is not None:
+            lo, hi = self.window
+            if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+                raise ValueError("InversionSettings.window must be finite with hi > lo")
+        for name in ("d_omega", "contour_offset"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"InversionSettings.{name} must be None or positive and finite")
+        if not 0 < self.edge_ratio < math.inf:
+            raise ValueError("InversionSettings.edge_ratio must be positive and finite")
+
 
 def _auto_window(
     dist: SpinDistribution,
@@ -666,16 +678,13 @@ def _contour_grid(
     times: np.ndarray,
     mode: str,
     settings: Optional[InversionSettings],
-    whole: bool,
 ):
     """The window search: the first grid whose window passes the edge rule of
     `InversionSettings` at both outermost pumps (the lowest tested first).
 
-    Returns the grid, t1 on it, eta, and (R, c2, p2) of the last pump tested,
-    R = T - T_far.  With `whole` (one pump) R covers the grid, and is the
-    integrand that `_contour_beta` sums.  Otherwise each outermost pump's R
-    is formed at the window's two end points only: in closed form in
-    narrow-pulse mode, by the dense node sums at those two points in
+    Returns the grid, t1 on it and eta.  Each outermost pump's residual
+    R = T - T_far is formed at the window's two end points only: in closed
+    form in narrow-pulse mode, by the dense node sums at those two points in
     exact-convolution mode.
     """
     if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
@@ -697,24 +706,20 @@ def _contour_grid(
         grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, lo, hi)
         t1 = _t1(cavity, grid.zeta, grid.W)
         t1_max = float(np.max(np.abs(t1)))
-        if whole:
-            zeta, t1_at, numerator = grid.zeta, t1, grid.convolve
-        else:
-            zeta, t1_at = grid.zeta[[0, -1]], t1[[0, -1]]
-
-            def numerator(weights):
-                return _node_sums(dist, cavity.gamma0, zeta, weights)
-
+        zeta = grid.zeta[[0, -1]]
         for wp in dict.fromkeys(outer):
-            T, c2 = _pump_transfer(dist, cavity, env, wp, zeta, mode, t1_at, numerator)
+            T, c2 = _pump_transfer(
+                dist, cavity, env, wp, zeta, mode, t1[[0, -1]],
+                lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
+            )
             p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
             z = T - c2 / ((zeta - p1) * (zeta - p2))
-            edge = float(np.max(np.abs(z[[0, -1]])))  # unlike max, np.max keeps a NaN
+            edge = float(np.max(np.abs(z)))  # unlike max, np.max keeps a NaN
             peak = t1_max * abs(c2) / (eta + env.bandwidth_scale)
             if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
                 break
         else:
-            return grid, t1, eta, (z, c2, p2)
+            return grid, t1, eta
         if settings.window is not None or attempt == _MAX_GROWTH:
             raise WindowTooSmallError(
                 f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small: edge "
@@ -728,45 +733,6 @@ def _contour_grid(
 # Entries of the two phase tables of one chunk of times; each table and its
 # temporaries hold a chunk at a time.
 _PHASE_CHUNK = 131_072
-
-
-def _contour_beta(
-    dist: SpinDistribution,
-    cavity: CavityModel,
-    env: PulseEnvelope,
-    omega_p: float,
-    times: np.ndarray,
-    mode: str,
-    settings: Optional[InversionSettings],
-) -> np.ndarray:
-    """beta(omega_p, t) at one pump by contour inversion, one entry per time.
-
-    The window search forms the pump's residual on each grid it tries; the
-    residual of the final grid is summed over every chunk of times by the
-    factored time sum, n_times 2 sqrt(n_grid) exponentials in all.
-    """
-    grid, _, eta, (z, c2, p2) = _contour_grid(
-        dist, cavity, env, np.array([float(omega_p)]), times, mode, settings, whole=True
-    )
-    # beta(t) = step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
-    # + the inverse of T_far; trapezoid w_k = 1 (1/2 at the ends), omega_ref at k = c
-    n = grid.omega.size
-    omega_ref = grid.omega[(n - 1) // 2]
-    p1 = cavity.omega_c - 0.5j * cavity.kappa
-    k1 = math.isqrt(n - 1) + 1
-    padded = np.zeros(k1 * -(-n // k1), dtype=complex)  # w_k R_k, zero-padded
-    padded[:n] = z
-    padded[0] *= 0.5
-    padded[n - 1] *= 0.5
-    beta = np.empty(times.size, dtype=complex)
-    step = max(1, _PHASE_CHUNK // (2 * k1 + 2))
-    for s in range(0, times.size, step):
-        chunk = times[s : s + step]
-        baby, giant = _phase_tables(n, grid.step, chunk)
-        pref = grid.step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
-        far = _two_pole_inverse(c2, p1, p2, chunk) + 0.0  # + 0.0: a zero beta has no -0.0
-        beta[s : s + step] = pref * _time_sum(padded, baby, giant) + far
-    return beta
 
 
 # Pump-by-point entries of one block of the sweep's contraction; a block's
@@ -834,13 +800,38 @@ def invert_to_time(
 
     beta(t) = (e^{eta t}/2 pi) * integral e^{-i w t} t_wp(-i(w + i eta)) dw
     over the window, plus the analytically inverted two-pole asymptote, with
-    eta set by max(times).  Raises WindowTooSmallError if the subtracted
-    integrand at the window edges stays above edge_ratio times the peak
-    estimate max|t1| |c2| / (eta + pulse bandwidth) after window growth.
+    eta set by max(times).  The window search, shared with `transfer_sweep`,
+    tests the pump at each window's two end points; the pump's residual is
+    formed once, on the accepted grid, and summed over every chunk of times
+    by the factored time sum, n_times 2 sqrt(n_grid) exponentials in all.
+    Raises WindowTooSmallError if the subtracted integrand at the window
+    edges stays above edge_ratio times the peak estimate
+    max|t1| |c2| / (eta + pulse bandwidth) after window growth.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    beta = _contour_beta(dist, cavity, env, omega_p, times, mode, settings)
-    return TransferResult(omega_p=float(omega_p), times=times, beta=beta, method="contour")
+    omega_p = float(omega_p)
+    grid, t1, eta = _contour_grid(dist, cavity, env, np.array([omega_p]), times, mode, settings)
+    T, c2 = _pump_transfer(dist, cavity, env, omega_p, grid.zeta, mode, t1, grid.convolve)
+    p1 = cavity.omega_c - 0.5j * cavity.kappa
+    p2 = omega_p - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+    # beta(t) = step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
+    # + the inverse of T_far; trapezoid w_k = 1 (1/2 at the ends), omega_ref at k = c
+    n = grid.omega.size
+    omega_ref = grid.omega[(n - 1) // 2]
+    k1 = math.isqrt(n - 1) + 1
+    padded = np.zeros(k1 * -(-n // k1), dtype=complex)  # w_k R_k, zero-padded
+    padded[:n] = T - c2 / ((grid.zeta - p1) * (grid.zeta - p2))
+    padded[0] *= 0.5
+    padded[n - 1] *= 0.5
+    beta = np.empty(times.size, dtype=complex)
+    step = max(1, _PHASE_CHUNK // (2 * k1 + 2))
+    for s in range(0, times.size, step):
+        chunk = times[s : s + step]
+        baby, giant = _phase_tables(n, grid.step, chunk)
+        pref = grid.step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
+        far = _two_pole_inverse(c2, p1, p2, chunk) + 0.0  # + 0.0: a zero beta has no -0.0
+        beta[s : s + step] = pref * _time_sum(padded, baby, giant) + far
+    return TransferResult(omega_p=omega_p, times=times, beta=beta, method="contour")
 
 
 def transfer_sweep(
@@ -868,9 +859,7 @@ def transfer_sweep(
     """
     omega_ps = np.atleast_1d(np.asarray(omega_ps, dtype=float))
     tau = float(tau)
-    grid, t1, eta, _ = _contour_grid(
-        dist, cavity, env, omega_ps, np.array([tau]), mode, settings, whole=False
-    )
+    grid, t1, eta = _contour_grid(dist, cavity, env, omega_ps, np.array([tau]), mode, settings)
     n = grid.omega.size
     c = (n - 1) // 2
     v = np.exp(-1j * ((grid.step * tau) * (np.arange(n, dtype=float) - c)))

@@ -293,8 +293,8 @@ def esr_spectrum(
     the baseline everywhere.
     """
     omega_ps = np.asarray(omega_ps, dtype=float)
-    if n_pump < 0:
-        raise ValueError("n_pump must be non-negative")
+    if not 0 <= n_pump < math.inf:  # a NaN fails too
+        raise ValueError("n_pump must be non-negative and finite")
     if n_pump == 0.0:
         abs2 = np.zeros(omega_ps.shape)
         pe = np.full(omega_ps.shape, chain.baseline)
@@ -374,8 +374,8 @@ def excitation_budget(
     only the overlap of the pulse-excited mode with the superradiant mode
     reaches the cavity.
     """
-    if n_pump <= 0:
-        raise ValueError("n_pump must be positive")
+    if not 0 < n_pump < math.inf:  # a NaN fails too
+        raise ValueError("n_pump must be positive and finite")
     beta = transfer_sweep(dist, cavity, env, omega_p, tau_s, mode=mode, settings=settings)
     frac = float(abs(beta[0]) ** 2)
     if frac <= 0.0:

@@ -253,9 +253,9 @@ def test_contour_needs_uniform_nodes(scen_I):
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
 def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
     """On a contour, W, N and the sweep's transposed product come from the FFT
-    kernel, and so does a trace's edge test: the dense node sums only see the
-    sweep's exact-mode edge test, at the window's two end points, once for
-    each outermost pump."""
+    kernel: the dense node sums only see the exact-mode edge test, at the
+    window's two end points, once for each outermost pump of a sweep and once
+    for a trace's one pump."""
     import qesr.dynamics as dynamics
 
     seen = []
@@ -274,7 +274,7 @@ def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
             scen_I.dist, scen_I.cavity, scen_I.env, wps[1], np.linspace(0.0, 2e-7, 21),
             mode=mode,
         )
-    assert seen == ([2, 2] if mode == MODE_EXACT else [])
+    assert seen == ([2, 2, 2] if mode == MODE_EXACT else [])
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +431,22 @@ def test_pulse_envelope_validation():
         PulseEnvelope(shape="rectangular", duration=0.0)
     with pytest.raises(ValueError):
         PulseEnvelope(shape="gaussian", fwhm=1.0, duration=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"shape": "lorentzian", "fwhm": math.inf},
+        {"shape": "gaussian", "fwhm": math.inf},
+        {"shape": "rectangular", "duration": math.inf},
+    ],
+    ids=["lorentzian", "gaussian", "rectangular"],
+)
+def test_pulse_envelope_rejects_infinite_scales(kwargs):
+    """An infinite width or duration is refused when the pulse is built,
+    not blamed later on the spectral grid."""
+    with pytest.raises(ValueError, match="pulse requires a finite"):
+        PulseEnvelope(**kwargs)
 
 
 def _cauchy_quad(env, u, half_width):
@@ -790,20 +806,26 @@ def test_inversion_damped_oscillation_first_max_below_one(scen_III):
 
 
 @pytest.mark.parametrize(
-    "mode, n_pumps", [(MODE_NARROW, 7), (MODE_EXACT, 3)], ids=["narrow", "exact"]
+    "mode, n_pumps, edge_ratio",
+    [(MODE_NARROW, 7, None), (MODE_EXACT, 3, None), (MODE_NARROW, 7, 1e-7), (MODE_EXACT, 2, 1e-7)],
+    ids=["narrow", "exact", "narrow-grown", "exact-grown"],
 )
-def test_sweep_matches_pointwise(scen_I, mode, n_pumps):
+def test_sweep_matches_pointwise(scen_I, mode, n_pumps, edge_ratio):
+    """A sweep and one trace per pump agree, on the first window and on
+    windows grown by a tight edge ratio.  In exact mode that ratio grows the
+    window once more for the pumps 3 MHz off center than for the center one,
+    whose trace would then stop on a smaller grid than the sweep; so the
+    grown exact case sweeps only those two outermost pumps."""
     tau = 90e-9
     wps = scen_I.ens.center + TWO_PI * np.linspace(-3e6, 3e6, n_pumps)
+    settings = scen_I.settings if edge_ratio is None else InversionSettings(edge_ratio=edge_ratio)
     sweep = transfer_sweep(
-        scen_I.dist, scen_I.cavity, scen_I.env, wps, tau,
-        mode=mode, settings=scen_I.settings,
+        scen_I.dist, scen_I.cavity, scen_I.env, wps, tau, mode=mode, settings=settings,
     )
     singles = np.array(
         [
             invert_to_time(
-                scen_I.dist, scen_I.cavity, scen_I.env, w, [tau],
-                mode=mode, settings=scen_I.settings,
+                scen_I.dist, scen_I.cavity, scen_I.env, w, [tau], mode=mode, settings=settings,
             ).beta[0]
             for w in wps
         ]
@@ -1022,6 +1044,28 @@ def test_lossless_self_similarity():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("window", (W0 + 1e6, W0 - 1e6)),
+        ("window", (W0, math.inf)),
+        ("window", (math.nan, W0)),
+        ("d_omega", -1e3),
+        ("d_omega", 0.0),
+        ("contour_offset", -1e6),
+        ("contour_offset", math.inf),
+        ("edge_ratio", math.nan),
+        ("edge_ratio", -1.0),
+    ],
+)
+def test_inversion_settings_reject_bad_fields(field, value):
+    """Each field is checked when the settings are built: a negative step or
+    offset would stall the lattice snap, a reversed window fail inside numpy
+    and a NaN or negative edge ratio grow the window to its cap."""
+    with pytest.raises(ValueError, match=f"^InversionSettings.{field} must be"):
+        InversionSettings(**{field: value})
+
+
 def test_window_too_small_raises(scen_I):
     settings = InversionSettings(window=(W0 - TWO_PI * 3e6, W0 + TWO_PI * 3e6))
     with pytest.raises(WindowTooSmallError):
@@ -1092,8 +1136,10 @@ def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, e
     """A sweep's window search evaluates only its outermost pumps, at the
     window's two end points, the lowest first, and a failed grid stops at the
     first pump that fails the edge rule; on the final grid every pump lands
-    in exactly one block of the contraction.  A trace forms its pump's
-    residual once per grid, for every chunk of times."""
+    in exactly one block of the contraction.  A trace's window search
+    evaluates its one pump at the two end points of every grid; one more
+    call then forms its residual on the whole final grid, for every chunk
+    of times."""
     import qesr.dynamics as dynamics
 
     grids, calls, sizes, blocks = [], [], [], []
@@ -1138,9 +1184,11 @@ def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, e
             assert np.array_equal(landed, np.arange(n_pumps))
         grids.clear()
         calls.clear()
+        sizes.clear()
         invert_to_time(scen_I.dist, scen_I.cavity, scen_I.env, wps[0], times, mode, settings)
     assert len(grids) == n_grids
-    assert calls == [(k, wps[0]) for k in range(1, n_grids + 1)]
+    assert calls == [(k, wps[0]) for k in range(1, n_grids + 1)] + [(n_grids, wps[0])]
+    assert sizes == [2] * n_grids + [grids[-1].omega.size]
 
 
 def test_grid_point_guard_raises(scen_I):

@@ -445,6 +445,19 @@ def test_budget_rejects_nonpositive_pump(scen_I):
         )
 
 
+def test_budget_rejects_nan_pump_strength(scen_I):
+    with pytest.raises(ValueError, match="^n_pump must be positive and finite$"):
+        excitation_budget(scen_I.dist, scen_I.cavity, scen_I.env, math.nan, W0, 90e-9)
+
+
+def test_spectrum_rejects_nan_pump_strength(scen_I):
+    with pytest.raises(ValueError, match="^n_pump must be non-negative and finite$"):
+        esr_spectrum(
+            scen_I.dist, scen_I.cavity, scen_I.env, scen_I.chain, np.array([W0]), 90e-9,
+            n_pump=math.nan,
+        )
+
+
 def test_budget_rejects_nan_pump_frequency(scen_I):
     with pytest.raises(ValueError, match="omega_ps must be non-empty and free of NaN"):
         excitation_budget(
