@@ -144,7 +144,7 @@ def _time_span(given: Optional[float], periods: float, dist, cavity) -> float:
 def _spectrum(cfg: RunConfig, args, ens, dist, cavity):
     tau_s = cfg.sweep_tau_s
     if tau_s is None:
-        tau_s = find_swap_time(dist, cavity, rtol=cfg.ode_rtol).tau_swap
+        tau_s = find_swap_time(dist, cavity).tau_swap
     result = esr_spectrum(
         dist,
         cavity,

@@ -392,7 +392,9 @@ class InversionSettings:
     then grows by a factor 1.6 up to 6 times until, at both outermost pumps,
     the subtracted integrand at both window edges is at most
     edge_ratio * max|t1| * |c2| / (eta + pulse bandwidth), with c2 the pump's
-    far-field coefficient (that quotient estimates the spectrum peak).  A
+    far-field coefficient (that quotient estimates the spectrum peak).  The
+    swap calibration's cavity start, on these defaults, needs
+    |t1 - t1_far| <= edge_ratio / (eta + kappa/2) at both edges instead.  A
     window given here is used as is: if it fails that test,
     WindowTooSmallError is raised.
 
@@ -635,9 +637,10 @@ class _ContourGrid:
 
 
 # The contour primitive: one grid for every pump and time, the Fourier sum on
-# it, and the analytic inverse of the subtracted two-pole asymptote
-# T_far(zeta) = c2 / ((zeta - p1)(zeta - p2)), which matches T to order
-# 1/zeta^2 so the quadrature only sees a 1/zeta^3 remainder.
+# it, and the analytic inverse of a subtracted far field: for a pump start the
+# two-pole asymptote T_far(zeta) = c2 / ((zeta - p1)(zeta - p2)), which
+# matches T to order 1/zeta^2 so the quadrature only sees a 1/zeta^3
+# remainder; for a cavity start the two-mode response of `_two_mode_far`.
 
 
 def _phase_tables(n: int, step: float, times: np.ndarray):
@@ -670,22 +673,49 @@ def _two_pole_inverse(c2, p1: complex, p2, t):
     return np.where(double, -c2 * t * e1, (-1j * c2 / gap) * (e1 - np.exp(-1j * p2 * t)))
 
 
+def _two_mode_far(dist: SpinDistribution, cavity: CavityModel):
+    """The cavity coupled to one collective spin mode, as the far field of t1.
+
+    The mode sits at p_s = sum_j w_j omega_j - i gamma0/2 with coupling g_K,
+    which matches W to two moments, so t1 - t1_far is O(zeta^-5).  Returns
+    t1_far(zeta) = i (zeta - p_s)/((zeta - l+)(zeta - l-)), l+- the roots of
+    (zeta - p1)(zeta - p_s) = g_K^2, and its inverse transform
+    A e^{-i l+ t} + (1 - A) e^{-i l- t}, A = (l+ - p_s)/(l+ - l-), which takes
+    the limit form of `_two_pole_inverse` at a double root.
+    """
+    p1 = cavity.omega_c - 0.5j * cavity.kappa
+    p_s = float(dist.weights @ dist.omega_nodes) - 0.5j * cavity.gamma0
+    half = 0.5 * (p1 - p_s)
+    root = np.sqrt(half * half + dist.g_collective**2)
+    lp, lm = p_s + half + root, p_s + half - root
+
+    def t1_far(zeta):
+        return 1j * (zeta - p_s) / ((zeta - lp) * (zeta - lm))
+
+    def inverse(t):
+        # i/(zeta - l-) + i (l+ - p_s)/((zeta - l+)(zeta - l-)), term by term
+        return np.exp(-1j * lm * t) + _two_pole_inverse(1j * (lp - p_s), lp, lm, t)
+
+    return t1_far, inverse
+
+
 def _contour_grid(
     dist: SpinDistribution,
     cavity: CavityModel,
-    env: PulseEnvelope,
-    omega_ps: np.ndarray,
     times: np.ndarray,
-    mode: str,
     settings: Optional[InversionSettings],
+    pulse_scale: float,
+    anchors: Sequence[float],
+    edges: Callable,
 ):
     """The window search: the first grid whose window passes the edge rule of
-    `InversionSettings` at both outermost pumps (the lowest tested first).
+    `InversionSettings`.
 
-    Returns the grid, t1 on it and eta.  Each outermost pump's residual
-    R = T - T_far is formed at the window's two end points only: in closed
-    form in narrow-pulse mode, by the dense node sums at those two points in
-    exact-convolution mode.
+    edges(grid, t1, eta) yields one (edge, peak) pair per test of the
+    integrand's subtracted remainder at the window's two end points; the
+    grid passes when every edge <= edge_ratio * peak, and the first failure
+    stops the tests.  The automatic window covers the spectrum, the anchors
+    and margins scaled by pulse_scale.  Returns the grid, t1 on it and eta.
     """
     if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
         raise ValueError(
@@ -695,27 +725,12 @@ def _contour_grid(
     settings = settings or InversionSettings()
     if times.size == 0 or np.any(~np.isfinite(times) | (times < 0)) or not times.max() > 0:
         raise ValueError("times must be non-empty, finite, non-negative and reach beyond t = 0")
-    if omega_ps.size == 0 or np.any(np.isnan(omega_ps)):
-        raise ValueError("omega_ps must be non-empty and free of NaN")
     eta, d_omega = _grid_controls(settings, float(times.max()), dist, cavity)
-    outer = [float(omega_ps.min()), float(omega_ps.max())]
-    lo, hi = settings.window or _auto_window(dist, cavity, env.bandwidth_scale, outer)
-    _check_narrow(dist, env, mode)
-    p1 = cavity.omega_c - 0.5j * cavity.kappa
+    lo, hi = settings.window or _auto_window(dist, cavity, pulse_scale, anchors)
     for attempt in range(_MAX_GROWTH + 1):
         grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, lo, hi)
         t1 = _t1(cavity, grid.zeta, grid.W)
-        t1_max = float(np.max(np.abs(t1)))
-        zeta = grid.zeta[[0, -1]]
-        for wp in dict.fromkeys(outer):
-            T, c2 = _pump_transfer(
-                dist, cavity, env, wp, zeta, mode, t1[[0, -1]],
-                lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
-            )
-            p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
-            z = T - c2 / ((zeta - p1) * (zeta - p2))
-            edge = float(np.max(np.abs(z)))  # unlike max, np.max keeps a NaN
-            peak = t1_max * abs(c2) / (eta + env.bandwidth_scale)
+        for edge, peak in edges(grid, t1, eta):
             if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
                 break
         else:
@@ -728,6 +743,42 @@ def _contour_grid(
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo) * _GROWTH
         lo, hi = center - half, center + half
+
+
+def _pump_grid(
+    dist: SpinDistribution,
+    cavity: CavityModel,
+    env: PulseEnvelope,
+    omega_ps: np.ndarray,
+    times: np.ndarray,
+    mode: str,
+    settings: Optional[InversionSettings],
+):
+    """`_contour_grid` for a pump start, tested at both outermost pumps (the
+    lowest first).  Each pump's residual R = T - T_far is formed at the
+    window's two end points only: in closed form in narrow-pulse mode, by
+    the dense node sums at those two points in exact-convolution mode; its
+    peak estimate is max|t1| |c2| / (eta + pulse bandwidth)."""
+    if omega_ps.size == 0 or np.any(np.isnan(omega_ps)):
+        raise ValueError("omega_ps must be non-empty and free of NaN")
+    _check_narrow(dist, env, mode)
+    outer = [float(omega_ps.min()), float(omega_ps.max())]
+    p1 = cavity.omega_c - 0.5j * cavity.kappa
+
+    def edges(grid, t1, eta):
+        t1_max = float(np.max(np.abs(t1)))
+        zeta = grid.zeta[[0, -1]]
+        for wp in dict.fromkeys(outer):
+            T, c2 = _pump_transfer(
+                dist, cavity, env, wp, zeta, mode, t1[[0, -1]],
+                lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
+            )
+            p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+            z = T - c2 / ((zeta - p1) * (zeta - p2))
+            # unlike max, np.max keeps a NaN
+            yield float(np.max(np.abs(z))), t1_max * abs(c2) / (eta + env.bandwidth_scale)
+
+    return _contour_grid(dist, cavity, times, settings, env.bandwidth_scale, outer, edges)
 
 
 # Entries of the two phase tables of one chunk of times; each table and its
@@ -787,6 +838,31 @@ def _exact_sums(dist: SpinDistribution, env: PulseEnvelope, omega_ps: np.ndarray
     return (re + 1j * im) / d, total / d
 
 
+def _bromwich_sum(residual: np.ndarray, step: float, omega_ref: float, eta: float,
+                  times: np.ndarray, far: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
+    + far(t) at every time: the trapezoid sum (w_k = 1, 1/2 at the ends) of the
+    residual R on a uniform contour grid whose point c = (n - 1) // 2 sits at
+    omega_ref, plus the inverse of the subtracted far field.  A chunk of times
+    at a time, by the factored time sum: n_times 2 sqrt(n_grid) exponentials
+    in all."""
+    n = residual.size
+    k1 = math.isqrt(n - 1) + 1
+    padded = np.zeros(k1 * -(-n // k1), dtype=complex)  # w_k R_k, zero-padded
+    padded[:n] = residual
+    padded[0] *= 0.5
+    padded[n - 1] *= 0.5
+    out = np.empty(times.size, dtype=complex)
+    chunk_size = max(1, _PHASE_CHUNK // (2 * k1 + 2))
+    for s in range(0, times.size, chunk_size):
+        chunk = times[s : s + chunk_size]
+        baby, giant = _phase_tables(n, step, chunk)
+        pref = step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
+        # + 0.0: a zero amplitude has no -0.0
+        out[s : s + chunk_size] = pref * _time_sum(padded, baby, giant) + (far(chunk) + 0.0)
+    return out
+
+
 def invert_to_time(
     dist: SpinDistribution,
     cavity: CavityModel,
@@ -803,35 +879,47 @@ def invert_to_time(
     eta set by max(times).  The window search, shared with `transfer_sweep`,
     tests the pump at each window's two end points; the pump's residual is
     formed once, on the accepted grid, and summed over every chunk of times
-    by the factored time sum, n_times 2 sqrt(n_grid) exponentials in all.
-    Raises WindowTooSmallError if the subtracted integrand at the window
-    edges stays above edge_ratio times the peak estimate
-    max|t1| |c2| / (eta + pulse bandwidth) after window growth.
+    by `_bromwich_sum`.  Raises WindowTooSmallError if the subtracted
+    integrand at the window edges stays above edge_ratio times the peak
+    estimate max|t1| |c2| / (eta + pulse bandwidth) after window growth.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     omega_p = float(omega_p)
-    grid, t1, eta = _contour_grid(dist, cavity, env, np.array([omega_p]), times, mode, settings)
+    grid, t1, eta = _pump_grid(dist, cavity, env, np.array([omega_p]), times, mode, settings)
     T, c2 = _pump_transfer(dist, cavity, env, omega_p, grid.zeta, mode, t1, grid.convolve)
     p1 = cavity.omega_c - 0.5j * cavity.kappa
     p2 = omega_p - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
-    # beta(t) = step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
-    # + the inverse of T_far; trapezoid w_k = 1 (1/2 at the ends), omega_ref at k = c
-    n = grid.omega.size
-    omega_ref = grid.omega[(n - 1) // 2]
-    k1 = math.isqrt(n - 1) + 1
-    padded = np.zeros(k1 * -(-n // k1), dtype=complex)  # w_k R_k, zero-padded
-    padded[:n] = T - c2 / ((grid.zeta - p1) * (grid.zeta - p2))
-    padded[0] *= 0.5
-    padded[n - 1] *= 0.5
-    beta = np.empty(times.size, dtype=complex)
-    step = max(1, _PHASE_CHUNK // (2 * k1 + 2))
-    for s in range(0, times.size, step):
-        chunk = times[s : s + step]
-        baby, giant = _phase_tables(n, grid.step, chunk)
-        pref = grid.step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
-        far = _two_pole_inverse(c2, p1, p2, chunk) + 0.0  # + 0.0: a zero beta has no -0.0
-        beta[s : s + step] = pref * _time_sum(padded, baby, giant) + far
+    residual = T - c2 / ((grid.zeta - p1) * (grid.zeta - p2))
+    step, omega_ref = grid.step, grid.omega[(grid.omega.size - 1) // 2]
+    del grid, t1, T  # the grid's FFT row is not needed by the time sum
+    beta = _bromwich_sum(
+        residual, step, omega_ref, eta, times, lambda t: _two_pole_inverse(c2, p1, p2, t)
+    )
     return TransferResult(omega_p=omega_p, times=times, beta=beta, method="contour")
+
+
+def _cavity_amplitude(dist: SpinDistribution, cavity: CavityModel, times: np.ndarray) -> np.ndarray:
+    """<a(t) a†(0)> at each time, for a photon that starts in the cavity, by
+    contour inversion of t1 with the two-mode far field subtracted, on the
+    automatic grid of the default `InversionSettings`.
+
+    The window search tests |t1 - t1_far| at the window's two end points
+    (dense node sums at those two points) against edge_ratio / (eta +
+    kappa/2), which bounds |t1| on the contour because Im W <= 0 there.
+    """
+    t1_far, far_inverse = _two_mode_far(dist, cavity)
+
+    def edges(grid, t1, eta):
+        zeta = grid.zeta[[0, -1]]
+        remainder = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta, dist.couplings_sq))
+        remainder -= t1_far(zeta)
+        yield float(np.max(np.abs(remainder))), 1.0 / (eta + 0.5 * cavity.kappa)
+
+    grid, t1, eta = _contour_grid(dist, cavity, times, None, 0.0, (), edges)
+    residual = t1 - t1_far(grid.zeta)
+    step, omega_ref = grid.step, grid.omega[(grid.omega.size - 1) // 2]
+    del grid, t1  # the grid's FFT row is not needed by the time sum
+    return _bromwich_sum(residual, step, omega_ref, eta, times, far_inverse)
 
 
 def transfer_sweep(
@@ -859,7 +947,7 @@ def transfer_sweep(
     """
     omega_ps = np.atleast_1d(np.asarray(omega_ps, dtype=float))
     tau = float(tau)
-    grid, t1, eta = _contour_grid(dist, cavity, env, omega_ps, np.array([tau]), mode, settings)
+    grid, t1, eta = _pump_grid(dist, cavity, env, omega_ps, np.array([tau]), mode, settings)
     n = grid.omega.size
     c = (n - 1) // 2
     v = np.exp(-1j * ((grid.step * tau) * (np.arange(n, dtype=float) - c)))

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dynamics import MODE_NARROW, ODE_RTOL, CavityModel, InversionSettings, PulseEnvelope
-from .dynamics import time_domain_propagate, transfer_sweep
+from .dynamics import _cavity_amplitude, time_domain_propagate, transfer_sweep
 from .errors import NoOscillationError, NumericalGuardError, SaturationError, _warn
 from .spin_model import SpinDistribution, _freeze, _write_csv
 
@@ -67,9 +67,14 @@ class QubitChain:
         """P_e from |beta|^2.
 
         Raises SaturationError when the mean transferred photon number
-        n_pump * |beta|^2 exceeds the guard anywhere.
+        n_pump * |beta|^2 exceeds the guard anywhere, and ValueError for a
+        negative or non-finite n_pump or a NaN |beta|^2.
         """
+        if not 0 <= n_pump < math.inf:  # a NaN fails too
+            raise ValueError("n_pump must be non-negative and finite")
         abs2 = np.asarray(abs2_beta, dtype=float)
+        if np.isnan(abs2).any():
+            raise ValueError("abs2_beta must be free of NaN")
         transferred = n_pump * abs2
         worst = float(np.max(transferred))
         # a lossless trace sits at occupancy 1.0 up to integrator round-off;
@@ -192,6 +197,21 @@ def _calibrate_trace(
     )
 
 
+def _storage_taus(dist: SpinDistribution, taus) -> np.ndarray:
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if taus.size < 3:
+        raise ValueError("need at least 3 storage times")
+    if np.any(np.diff(taus) < 0):
+        raise ValueError("storage times must be non-decreasing")
+    period = math.pi / dist.g_collective if dist.g_collective > 0.0 else math.inf
+    if float(np.max(np.diff(taus))) > period / 10.0:
+        raise NumericalGuardError(
+            "storage-time grid coarser than a tenth of the expected "
+            "oscillation period pi/g_K; refine the tau grid"
+        )
+    return taus
+
+
 def simulate_swap(
     dist: SpinDistribution,
     cavity: CavityModel,
@@ -209,16 +229,9 @@ def simulate_swap(
     attached as `calibration`; min_drop sets the fractional prominence a dip
     must have to count.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if taus.size < 3:
-        raise ValueError("need at least 3 storage times")
+    taus = _storage_taus(dist, taus)
     if dist.g_collective == 0.0:
         _warn("collective coupling is zero; the trace shows bare cavity decay only")
-    elif float(np.max(np.diff(taus))) > math.pi / dist.g_collective / 10.0:
-        raise NumericalGuardError(
-            "storage-time grid coarser than a tenth of the expected "
-            "oscillation period pi/g_K; refine the tau grid"
-        )
     res = time_domain_propagate(dist, cavity, "cavity", taus, rtol=rtol)
     cavity_abs2 = res.abs2
     pe = chain.excited_probability(cavity_abs2)
@@ -240,20 +253,29 @@ def find_swap_time(
     """Swap-time calibration: first cavity-population minimum, parabola-refined.
 
     With taus omitted, a storage grid of 1.2 oscillation periods at 400
-    points per period is generated from g_K.  Raises NoOscillationError when
-    the coupling is zero or the trace shows no resolvable dip (overdamped).
+    points per period is generated from g_K.  A lossy system (kappa > 0 or
+    gamma0 > 0) takes the cavity population from the contour route, by
+    inversion of the cavity response t1 with default `InversionSettings`; a
+    lossless one from the ODE route, the only use of rtol.
+    Raises NoOscillationError when the coupling is zero or the trace shows
+    no resolvable dip (overdamped).
     """
+    if not dist.g_collective > 0.0:
+        raise NoOscillationError("collective coupling is zero; nothing oscillates")
     if taus is None:
-        if dist.g_collective <= 0.0:
-            raise NoOscillationError("collective coupling is zero; nothing oscillates")
         taus = np.linspace(0.0, _SWAP_PERIODS * math.pi / dist.g_collective, _SWAP_POINTS)
-    trace = simulate_swap(dist, cavity, QubitChain(), taus, rtol=rtol, min_drop=min_drop)
-    if trace.calibration is None:
+    taus = _storage_taus(dist, taus)
+    if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
+        pop = time_domain_propagate(dist, cavity, "cavity", taus, rtol=rtol).abs2
+    else:
+        pop = np.abs(_cavity_amplitude(dist, cavity, taus)) ** 2
+    cal = _calibrate_trace(taus, pop, QubitChain().excited_probability(pop), min_drop)
+    if cal is None:
         raise NoOscillationError(
             "no cavity-population minimum found: coupling too weak against the "
             "losses (overdamped) or the storage span too short"
         )
-    return trace.calibration
+    return cal
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,8 @@ RTOL_WARNING = "warning: rtol = 1e-15 is too small; using 2.220446049250313e-14\
     [
         ("transfer", 1e-9, NARROW_WARNING),
         ("spectrum", 1e-9, NARROW_WARNING),
-        ("spectrum", 1e-15, RTOL_WARNING + NARROW_WARNING),
+        # the spectrum's swap calibration runs on the contour route, which has no rtol
+        ("spectrum", 1e-15, NARROW_WARNING),
         ("swap", 1e-15, RTOL_WARNING),
     ],
 )
@@ -171,15 +172,29 @@ def test_main_restores_the_warning_format(tmp_path, small_cfg):
 
 @pytest.mark.filterwarnings("ignore:pulse bandwidth")
 @pytest.mark.parametrize("name", ["plus_I", "plus_III"])
-def test_spectrum_calibrates_on_the_swap_grid(tmp_path, name, capsys):
-    """spectrum's tau_s is the swap command's tau_swap, bit for bit."""
+def test_spectrum_calibrates_on_the_swap_grid(tmp_path, name, capsys, monkeypatch):
+    """spectrum calibrates on the swap command's storage grid, bit for bit,
+    and its tau_s (contour route) is the swap command's tau_swap (ODE route)
+    to 1e-6; a grid of other storage times would move it by ~1e-5."""
+    import qesr.protocol as protocol
+
+    seen = []
+    amplitude = protocol._cavity_amplitude
+
+    def spy(dist, cavity, taus, *args):
+        seen.append(taus.copy())
+        return amplitude(dist, cavity, taus, *args)
+
+    monkeypatch.setattr(protocol, "_cavity_amplitude", spy)
     path = bundled_config_path(f"paper_{name}.cfg")
     taus = {}
     for command, key in (("spectrum", "tau_s_s"), ("swap", "tau_swap_s")):
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
         taus[command] = summary[name][key]
-    assert taus["spectrum"] == taus["swap"]
+    grid = np.loadtxt(tmp_path / f"swap_{name}.csv", delimiter=",", skiprows=1)[:, 0]
+    assert len(seen) == 1 and np.array_equal(seen[0], grid)
+    assert taus["spectrum"] == pytest.approx(taus["swap"], rel=1e-6, abs=0.0)
 
 
 def test_swap_coarse_grid_exit_3(tmp_path, small_cfg):

@@ -558,7 +558,13 @@ _WARNING_SITES = {
             np.linspace(0.0, 2e-7, 5),
         ),
     ),
-    "find_swap_time": ("rtol", lambda: find_swap_time(*_small_swap_system(), rtol=1e-18)),
+    # lossless, so that the calibration takes the ODE route, where rtol applies
+    "find_swap_time": (
+        "rtol",
+        lambda: find_swap_time(
+            single_line_dist(n_nodes=11), CavityModel(omega_c=W0, kappa=0.0), rtol=1e-18
+        ),
+    ),
     "check_validity": ("back-action", lambda: WeakCouplingScenario(**_STRONG).check_validity()),
     "mean_field_trajectory": (
         "back-action",
@@ -1337,9 +1343,11 @@ def test_contour_trace_memory_is_bounded(scen_I):
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
 def test_sweep_memory_stays_below_the_swap_calibration(scen_III, mode):
     """A 401-pump sweep holds a block of pumps at a time: its traced peak
-    stays at or below that of the ODE swap calibration the CLI runs first."""
+    stays at or below that of the ODE swap calibration, the trace of the
+    `swap` command on the default storage grid."""
     s = scen_III
-    calibration = traced_peak_mib(lambda: find_swap_time(s.dist, s.cavity))
+    taus = np.linspace(0.0, 1.2 * np.pi / s.dist.g_collective, 481)
+    calibration = traced_peak_mib(lambda: simulate_swap(s.dist, s.cavity, QubitChain(), taus))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sweep = traced_peak_mib(lambda: transfer_sweep(
@@ -1347,6 +1355,18 @@ def test_sweep_memory_stays_below_the_swap_calibration(scen_III, mode):
         ))
     assert s.omegas.size == 401
     assert sweep <= calibration
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_contour_calibration_memory_stays_below_the_ode_calibration(request, name):
+    """The contour swap calibration drops its grid and FFT row before the
+    time sum: its traced peak stays at or below that of the ODE calibration
+    on the same storage grid (2.2 / 2.9 MiB against 3.5 MiB)."""
+    s = request.getfixturevalue(f"scen_{name}")
+    taus = np.linspace(0.0, 1.2 * np.pi / s.dist.g_collective, 481)
+    ode = traced_peak_mib(lambda: simulate_swap(s.dist, s.cavity, QubitChain(), taus))
+    contour = traced_peak_mib(lambda: find_swap_time(s.dist, s.cavity))
+    assert contour <= ode
 
 
 def test_zero_coupling_gives_zero_beta_on_both_routes():

@@ -154,6 +154,16 @@ def test_swap_needs_three_points():
         simulate_swap(dist, cavity, QubitChain(), [0.0, 1e-9])
 
 
+def test_both_calibration_routes_refuse_decreasing_storage_times(scen_I):
+    """The contour route would calibrate a reversed grid without a word; both
+    routes refuse it by name, as the ODE integrator does."""
+    taus = np.linspace(0.0, 1.2 * math.pi / scen_I.dist.g_collective, 481)[::-1]
+    lossless = CavityModel(omega_c=scen_I.cavity.omega_c, kappa=0.0)
+    for cavity in (scen_I.cavity, lossless):
+        with pytest.raises(ValueError, match="^storage times must be non-decreasing$"):
+            find_swap_time(scen_I.dist, cavity, taus=taus)
+
+
 def test_swap_trace_csv_and_immutability(tmp_path):
     g = TWO_PI * 2.9e6
     dist = single_node_dist(g)
@@ -173,6 +183,71 @@ def test_swap_trace_csv_and_immutability(tmp_path):
         trace.cavity_abs2[0] = 0.5
     with pytest.raises(ValueError, match="^taus, cavity_abs2 and pe must have matching shapes$"):
         SwapTrace(taus=taus, cavity_abs2=trace.cavity_abs2[:-1], pe=trace.pe)
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_contour_swap_time_matches_a_tight_ode_calibration(request, name):
+    """find_swap_time takes a lossy system's population from the contour
+    route.  On the default storage grid its tau lies within 1e-6 of the ODE
+    calibration at rtol 1e-13 (2.8e-7 on I, 8.2e-8 on III), well inside the
+    ~1e-5 by which the parabola itself misses the true minimum.  The broad
+    return peak moves more: its time and P_e by 1.5e-6 at most."""
+    scen = request.getfixturevalue(f"scen_{name}")
+    contour = request.getfixturevalue(f"swap_cal_{name}")
+    taus = np.linspace(0.0, 1.2 * math.pi / scen.dist.g_collective, 481)
+    ode = simulate_swap(scen.dist, scen.cavity, QubitChain(), taus, rtol=1e-13).calibration
+    assert contour.tau_swap == pytest.approx(ode.tau_swap, rel=1e-6, abs=0.0)
+    assert contour.return_time == pytest.approx(ode.return_time, rel=1e-5, abs=0.0)
+    assert contour.return_pe == pytest.approx(ode.return_pe, rel=1e-5, abs=0.0)
+    assert contour.pop_min == pytest.approx(ode.pop_min, abs=1e-9)
+
+
+def _calibration_or_none(call):
+    try:
+        return call()
+    except NoOscillationError:
+        return None
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n_nodes=st.integers(3, 121),
+    fwhm_ratio=st.floats(0.01, 1.0),
+    detuning_ratio=st.floats(-1.0, 1.0),
+    kappa_ratio=st.floats(0.0, 3.0),
+    gamma_ratio=st.floats(0.0, 0.5),
+)
+def test_contour_and_ode_calibrations_agree(n_nodes, fwhm_ratio, detuning_ratio, kappa_ratio,
+                                            gamma_ratio):
+    """On small lossy systems (line width, cavity detuning, kappa and gamma0
+    drawn against g_K) the contour and ODE calibrations agree: the swap time
+    within 1e-6 and the population minimum within 1e-6 of the trace's top, or
+    both find no dip (3.6e-7 and 2.2e-8 at worst over these draws).  Draws
+    with a dip whose prominence lies within 1% of the 5% threshold are
+    skipped, since there either route may tip."""
+    from scipy.signal import find_peaks
+
+    g = TWO_PI * 2.9e6
+    dist = build_distribution(
+        lines=[SpinLine(center=W0, fwhm=fwhm_ratio * g, weight=1.0)],
+        g_collective=g,
+        grid=GridSpec(n_nodes=n_nodes, span_fwhm=8.0),
+    )
+    cavity = CavityModel(
+        omega_c=W0 + detuning_ratio * g, kappa=kappa_ratio * g, gamma0=gamma_ratio * g
+    )
+    hypothesis.assume(cavity.kappa > 0.0 or cavity.gamma0 > 0.0)
+    taus = np.linspace(0.0, 1.2 * math.pi / g, 481)
+    trace = simulate_swap(dist, cavity, QubitChain(), taus, rtol=1e-12)
+    _, props = find_peaks(-trace.cavity_abs2, prominence=0.0)
+    share = props["prominences"] / np.max(trace.cavity_abs2)
+    hypothesis.assume(not np.any(np.abs(share - 0.05) < 0.0005))
+    ode = trace.calibration
+    contour = _calibration_or_none(lambda: find_swap_time(dist, cavity, taus=taus))
+    assert (contour is None) == (ode is None)
+    if ode is not None:
+        assert contour.tau_swap == pytest.approx(ode.tau_swap, rel=1e-6, abs=0.0)
+        assert abs(contour.pop_min - ode.pop_min) <= 1e-6 * np.max(trace.cavity_abs2)
 
 
 def test_find_swap_time_failure_modes():
@@ -483,6 +558,23 @@ def test_chain_probability_model():
     message = "transferred mean photon number 1.500 exceeds the guard 1.000"
     with pytest.raises(SaturationError, match=f"^{re.escape(message)}$"):
         QubitChain().excited_probability(np.array([1.0]), n_pump=1.5)
+
+
+@pytest.mark.parametrize(
+    "abs2, n_pump, match",
+    [
+        ([0.1, 0.2], math.nan, "n_pump"),
+        ([0.1, 0.2], -1.0, "n_pump"),
+        ([0.1, 0.2], math.inf, "n_pump"),
+        ([0.1, math.nan], 1.0, "abs2_beta"),
+        ([math.nan], 0.0, "abs2_beta"),
+    ],
+)
+def test_chain_rejects_nan_or_negative_inputs(abs2, n_pump, match):
+    """A NaN passes no saturation test and a negative pump clips to P_e = 0;
+    both are refused by name instead of turning into P_e."""
+    with pytest.raises(ValueError, match=match):
+        QubitChain().excited_probability(np.array(abs2), n_pump=n_pump)
 
 
 @pytest.mark.parametrize(
