@@ -248,9 +248,7 @@ def _sensitivity(cfg: RunConfig, out_dir: Path) -> dict:
                 n_spins=n_spins,
                 n_threshold=nth,
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                peak = peak_photon_number(scenario)
+            peak = peak_photon_number(scenario)
             row += [peak.analytic_estimate, peak.exact_max, peak.t_peak]
         rows.append(row)
     _write_text(out_dir / "sensitivity.csv", _csv_text(",".join(columns), rows))

@@ -257,9 +257,11 @@ def _t1(cavity: CavityModel, zeta: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def cavity_amplitude_t1(dist: SpinDistribution, cavity: CavityModel, omega):
-    """Cavity response t1(-i omega) = i / (omega - w_c + i kappa/2 - W(omega))."""
-    if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
-        raise ValueError("cavity_amplitude_t1 requires kappa > 0 or gamma0 > 0")
+    """Cavity response t1(-i omega) = i / (omega - w_c + i kappa/2 - W(omega)).
+
+    Lossless systems included: as for `memory_kernel_W`, a real omega on a
+    node with gamma0 = 0 raises PoleCollisionError.
+    """
     scalar = np.isscalar(omega)
     zeta = np.asarray(omega, dtype=complex)
     t1 = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta, dist.couplings_sq))
@@ -585,12 +587,7 @@ class _ContourGrid:
         # its grid stays on the lattice only while float positions are exact
         if length > (2**53 if self.direct else _MAX_LATTICE_POINTS):
             raise _size_guard("kernel lattice", length, lo, hi, delta)
-        b = eta + 0.5 * gamma0
-        if b == 0.0 and s - self._first <= 0 <= s + m * k:
-            raise PoleCollisionError(
-                "the contour runs through the spectral nodes (eta + gamma_0/2 = 0); "
-                "use a positive contour offset"
-            )
+        b = eta + 0.5 * gamma0  # > 0: InversionSettings and the auto rule keep eta > 0
         self.positions = float(s) + m * np.arange(k + 1, dtype=float)
         self.omega = x0 + delta * self.positions
         self.zeta = self.omega + 1j * eta
@@ -717,11 +714,6 @@ def _contour_grid(
     stops the tests.  The automatic window covers the spectrum, the anchors
     and margins scaled by pulse_scale.  Returns the grid, t1 on it and eta.
     """
-    if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
-        raise ValueError(
-            "contour inversion requires kappa > 0 or gamma0 > 0; "
-            "use time_domain_propagate for the lossless case"
-        )
     settings = settings or InversionSettings()
     if times.size == 0 or np.any(~np.isfinite(times) | (times < 0)) or not times.max() > 0:
         raise ValueError("times must be non-empty, finite, non-negative and reach beyond t = 0")
@@ -904,15 +896,14 @@ def _cavity_amplitude(dist: SpinDistribution, cavity: CavityModel, times: np.nda
     automatic grid of the default `InversionSettings`.
 
     The window search tests |t1 - t1_far| at the window's two end points
-    (dense node sums at those two points) against edge_ratio / (eta +
+    (`cavity_amplitude_t1` at those two points) against edge_ratio / (eta +
     kappa/2), which bounds |t1| on the contour because Im W <= 0 there.
     """
     t1_far, far_inverse = _two_mode_far(dist, cavity)
 
     def edges(grid, t1, eta):
         zeta = grid.zeta[[0, -1]]
-        remainder = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta, dist.couplings_sq))
-        remainder -= t1_far(zeta)
+        remainder = cavity_amplitude_t1(dist, cavity, zeta) - t1_far(zeta)
         yield float(np.max(np.abs(remainder))), 1.0 / (eta + 0.5 * cavity.kappa)
 
     grid, t1, eta = _contour_grid(dist, cavity, times, None, 0.0, (), edges)
@@ -1053,7 +1044,7 @@ def time_domain_propagate(
     initial = "cavity" starts from X = (1, 0, ..., 0); initial = "pulse"
     starts from the pulse-excited spin packet X_j(0) proportional to
     alpha(w_j - w_p) g_j, normalized; with zero coupling beta = 0.  Works for
-    lossless systems too (kappa = gamma0 = 0), unlike the contour route.
+    lossless systems too (kappa = gamma0 = 0), as the contour route does.
     times may repeat; times that are all 0 return the start.  Only the cavity
     row is interpolated, so memory is O(n_nodes + n_times).  Raises
     NumericalGuardError above _MAX_ODE_NODES (the state size, the cost of

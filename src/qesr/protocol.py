@@ -247,16 +247,16 @@ def find_swap_time(
     dist: SpinDistribution,
     cavity: CavityModel,
     taus=None,
-    rtol: float = ODE_RTOL,
+    rtol: Optional[float] = None,
     min_drop: float = 0.05,
 ) -> SwapCalibration:
     """Swap-time calibration: first cavity-population minimum, parabola-refined.
 
     With taus omitted, a storage grid of 1.2 oscillation periods at 400
-    points per period is generated from g_K.  A lossy system (kappa > 0 or
-    gamma0 > 0) takes the cavity population from the contour route, by
-    inversion of the cavity response t1 with default `InversionSettings`; a
-    lossless one from the ODE route, the only use of rtol.
+    points per period is generated from g_K.  The cavity population comes
+    from the contour route, by inversion of the cavity response t1 with
+    default `InversionSettings`, lossless systems included; `simulate_swap`
+    is the ODE route.  rtol is accepted for compatibility and has no effect.
     Raises NoOscillationError when the coupling is zero or the trace shows
     no resolvable dip (overdamped).
     """
@@ -265,11 +265,8 @@ def find_swap_time(
     if taus is None:
         taus = np.linspace(0.0, _SWAP_PERIODS * math.pi / dist.g_collective, _SWAP_POINTS)
     taus = _storage_taus(dist, taus)
-    if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:
-        pop = time_domain_propagate(dist, cavity, "cavity", taus, rtol=rtol).abs2
-    else:
-        pop = np.abs(_cavity_amplitude(dist, cavity, taus)) ** 2
-    cal = _calibrate_trace(taus, pop, QubitChain().excited_probability(pop), min_drop)
+    pop = np.abs(_cavity_amplitude(dist, cavity, taus)) ** 2
+    cal = _calibrate_trace(taus, pop, pop, min_drop)  # P_e of an ideal chain is the population
     if cal is None:
         raise NoOscillationError(
             "no cavity-population minimum found: coupling too weak against the "

@@ -105,7 +105,7 @@ def test_criterion_1_route_equivalence(scen_I, scen_III, acceptance_report):
 
 def test_criterion_2_two_mode_limit(degenerate_factory, acceptance_report):
     g = TWO_PI * 2.9e6
-    dist, cavity, env = degenerate_factory()  # tiny kappa so the contour exists
+    dist, cavity, env = degenerate_factory()  # kappa = 1e-3 g_K
     times = np.linspace(0.0, math.pi / g, 81)
     res = invert_to_time(dist, cavity, env, TWO_PI * 2.91e9, times, mode=MODE_EXACT)
     sine_dev = float(np.max(np.abs(np.abs(res.beta) - np.abs(np.sin(g * times)))))

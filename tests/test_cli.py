@@ -154,14 +154,19 @@ def test_cli_prints_each_warning_as_one_line(tmp_path, command, ode_rtol, stderr
     """A cold CLI process writes `warning: <message>`, without a source location."""
     raw = json.loads(Path(bundled_config_path("paper_plus_I.cfg")).read_text())
     raw["numerics"]["ode_rtol"] = ode_rtol
-    argv = [command, "--mode", "narrow-pulse", "--config", write_cfg(tmp_path, raw)]
-    env = dict(os.environ, PYTHONPATH=str(Path(qesr.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qesr.cli", *argv, "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _cold_cli(tmp_path, raw, command, "--mode", "narrow-pulse")
     assert proc.returncode == 0
     assert proc.stderr == stderr
+
+
+def _cold_cli(tmp_path, raw, *argv):
+    """One `python -m qesr.cli` process on config raw, writing into tmp_path/out."""
+    argv = [*argv, "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(qesr.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "qesr.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_main_restores_the_warning_format(tmp_path, small_cfg):
@@ -276,6 +281,20 @@ def test_sensitivity_detail_columns(tmp_path):
     assert summary["kappa_hz"] == pytest.approx(2.8e4)
     assert 0.0 < summary["nbar_exact"] < summary["nbar_analytic"]
     assert summary["t_peak_s"] > 0.0
+
+
+def test_sensitivity_prints_its_validity_warnings(tmp_path):
+    """A detail row outside g sqrt(N) << kappa << Delta says so on stderr
+    (here g sqrt(N) = 2.22e4 rad/s against kappa/10 = 1.76e4 rad/s)."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["sensitivity"] = {"kappa_hz": 2.8e4, "n_spins": 1.25e5}
+    proc = _cold_cli(tmp_path, raw, "sensitivity")
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: g*sqrt(N) = 2.22e+04 rad/s is not small against kappa = "
+        "1.76e+05 rad/s; back-action is not negligible\n"
+    )
+    assert (tmp_path / "out" / "sensitivity.csv").exists()
 
 
 def test_density_bundled(tmp_path):
@@ -524,6 +543,18 @@ SUBNORMAL_SPANS = [
 def test_ode_route_on_a_subnormal_span_never_tracebacks(tmp_path, small_cfg, argv):
     """linspace repeats 0.0 here; the ODE route takes repeated times."""
     rc = main([argv[0], "--config", small_cfg, "--out", str(tmp_path), *argv[1:]])
+    assert rc in (0, 3)
+
+
+def test_contour_on_an_underflowing_kappa_never_tracebacks(tmp_path):
+    """omega_c / q underflows to kappa = 0: the schema accepts it, and the
+    contour route inverts the lossless system like any other."""
+    raw = json.loads(Path(bundled_config_path("paper_plus_I.cfg")).read_text())
+    raw["cavity"].update(omega_c_hz=1e-300, q=1e300)
+    cfg = write_cfg(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["transfer", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc in (0, 3)
 
 

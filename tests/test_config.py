@@ -81,7 +81,7 @@ def test_schema_shares_the_librarys_choices_and_defaults():
     from qesr.cli import build_parser
     from qesr.dynamics import MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES, InversionSettings
     from qesr.dynamics import time_domain_propagate
-    from qesr.protocol import find_swap_time, simulate_swap
+    from qesr.protocol import simulate_swap
     from qesr.sensitivity import N_THRESHOLD, WeakCouplingScenario, min_detectable_spins
     from qesr.spin_model import LINE_SHAPES, GridSpec, SpinLine, build_distribution
 
@@ -93,7 +93,7 @@ def test_schema_shares_the_librarys_choices_and_defaults():
     assert eff["numerics"]["mode"] == MODE_NARROW
     assert eff["numerics"]["edge_ratio"] == InversionSettings().edge_ratio
     assert eff["numerics"]["ode_rtol"] == ODE_RTOL
-    for fn in (time_domain_propagate, simulate_swap, find_swap_time):
+    for fn in (time_domain_propagate, simulate_swap):
         assert inspect.signature(fn).parameters["rtol"].default == ODE_RTOL
     assert eff["sensitivity"]["n_threshold"] == [N_THRESHOLD]
     assert WeakCouplingScenario(1.0, 1.0, 1.0, 1.0).n_threshold == N_THRESHOLD

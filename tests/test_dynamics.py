@@ -334,10 +334,15 @@ def test_t1_overdamped_limit():
     )
 
 
-def test_t1_requires_dissipation():
+def test_t1_of_a_lossless_system_collides_only_on_a_node():
     dist = single_line_dist(n_nodes=101)
-    with pytest.raises(ValueError):
-        cavity_amplitude_t1(dist, CavityModel(omega_c=W0, kappa=0.0, gamma0=0.0), W0)
+    lossless = CavityModel(omega_c=W0, kappa=0.0, gamma0=0.0)
+    nodes = dist.omega_nodes
+    with pytest.raises(PoleCollisionError):
+        cavity_amplitude_t1(dist, lossless, float(nodes[57]))
+    # between two nodes, or off the real axis, t1 is finite
+    for omega in (0.5 * float(nodes[57] + nodes[58]), float(nodes[57]) + 1j * TWO_PI * 1e3):
+        assert np.isfinite(cavity_amplitude_t1(dist, lossless, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +563,6 @@ _WARNING_SITES = {
             np.linspace(0.0, 2e-7, 5),
         ),
     ),
-    # lossless, so that the calibration takes the ODE route, where rtol applies
-    "find_swap_time": (
-        "rtol",
-        lambda: find_swap_time(
-            single_line_dist(n_nodes=11), CavityModel(omega_c=W0, kappa=0.0), rtol=1e-18
-        ),
-    ),
     "check_validity": ("back-action", lambda: WeakCouplingScenario(**_STRONG).check_validity()),
     "mean_field_trajectory": (
         "back-action",
@@ -675,6 +673,20 @@ def test_inversion_matches_ode(scen_I):
     ).beta
     ode = time_domain_propagate(
         scen_I.dist, scen_I.cavity, "pulse", times, env=scen_I.env, omega_p=wp
+    ).beta
+    assert float(np.max(np.abs(np.abs(contour) - np.abs(ode)))) < 1e-3
+
+
+def test_inversion_of_a_lossless_system_matches_ode(scen_I):
+    """The contour stays above every pole without losses too: with kappa =
+    gamma0 = 0 the exact-mode trace meets the ODE within criterion 1's 1e-3
+    (7.7e-6 on paper_plus_I)."""
+    times = np.linspace(0.0, 260e-9, 131)
+    wp = scen_I.ens.center
+    lossless = CavityModel(omega_c=scen_I.cavity.omega_c, kappa=0.0)
+    contour = invert_to_time(scen_I.dist, lossless, scen_I.env, wp, times, mode=MODE_EXACT).beta
+    ode = time_domain_propagate(
+        scen_I.dist, lossless, "pulse", times, env=scen_I.env, omega_p=wp
     ).beta
     assert float(np.max(np.abs(np.abs(contour) - np.abs(ode)))) < 1e-3
 

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qesr.dynamics import MODE_EXACT, CavityModel, PulseEnvelope, invert_to_time
+from qesr.dynamics import time_domain_propagate
 from qesr.errors import NoOscillationError, NumericalGuardError, SaturationError
 from qesr.protocol import (
     QubitChain,
@@ -185,17 +186,26 @@ def test_swap_trace_csv_and_immutability(tmp_path):
         SwapTrace(taus=taus, cavity_abs2=trace.cavity_abs2[:-1], pe=trace.pe)
 
 
-@pytest.mark.parametrize("name", ["I", "III"])
-def test_contour_swap_time_matches_a_tight_ode_calibration(request, name):
-    """find_swap_time takes a lossy system's population from the contour
-    route.  On the default storage grid its tau lies within 1e-6 of the ODE
-    calibration at rtol 1e-13 (2.8e-7 on I, 8.2e-8 on III), well inside the
-    ~1e-5 by which the parabola itself misses the true minimum.  The broad
-    return peak moves more: its time and P_e by 1.5e-6 at most."""
+@pytest.mark.parametrize(
+    "name, lossless",
+    [("I", False), ("III", False), ("I", True), ("III", True)],
+    ids=["I", "III", "I-lossless", "III-lossless"],
+)
+def test_contour_swap_time_matches_a_tight_ode_calibration(request, name, lossless):
+    """find_swap_time takes the population from the contour route.  On the
+    default storage grid its tau lies within 1e-6 of the ODE calibration at
+    rtol 1e-13 (2.8e-7 on I, 8.2e-8 on III; 4.1e-7 and 2.0e-7 with kappa = 0),
+    well inside the ~1e-5 by which the parabola itself misses the true
+    minimum.  The broad return peak moves more: its time and P_e by 1.8e-6 at
+    most."""
     scen = request.getfixturevalue(f"scen_{name}")
-    contour = request.getfixturevalue(f"swap_cal_{name}")
+    if lossless:
+        cavity = CavityModel(omega_c=scen.cavity.omega_c, kappa=0.0)
+        contour = find_swap_time(scen.dist, cavity)
+    else:
+        cavity, contour = scen.cavity, request.getfixturevalue(f"swap_cal_{name}")
     taus = np.linspace(0.0, 1.2 * math.pi / scen.dist.g_collective, 481)
-    ode = simulate_swap(scen.dist, scen.cavity, QubitChain(), taus, rtol=1e-13).calibration
+    ode = simulate_swap(scen.dist, cavity, QubitChain(), taus, rtol=1e-13).calibration
     assert contour.tau_swap == pytest.approx(ode.tau_swap, rel=1e-6, abs=0.0)
     assert contour.return_time == pytest.approx(ode.return_time, rel=1e-5, abs=0.0)
     assert contour.return_pe == pytest.approx(ode.return_pe, rel=1e-5, abs=0.0)
@@ -364,6 +374,24 @@ def test_spectrum_weak_coupling_tracks_density():
     ratio = res.abs2_beta / density_at(dist, omegas)
     ratio /= ratio.mean()
     assert float(np.max(np.abs(ratio - 1.0))) < 0.05
+
+
+def test_spectrum_of_a_lossless_system(scen_I):
+    """With kappa = gamma0 = 0 the calibration and the sweep both run on the
+    contour, and each pump's |beta(tau_s)|^2 matches the ODE route."""
+    lossless = CavityModel(omega_c=scen_I.cavity.omega_c, kappa=0.0)
+    tau = find_swap_time(scen_I.dist, lossless).tau_swap
+    omegas = scen_I.omegas[100:301:50]
+    res = esr_spectrum(
+        scen_I.dist, lossless, scen_I.env, scen_I.chain, omegas, tau,
+        n_pump=scen_I.n_pump, mode=MODE_EXACT,
+    )
+    ode = [
+        time_domain_propagate(scen_I.dist, lossless, "pulse", [tau], env=scen_I.env, omega_p=wp)
+        for wp in omegas
+    ]
+    assert np.allclose(res.abs2_beta, [r.abs2[0] for r in ode], rtol=0.0, atol=1e-5)
+    assert np.all((res.pe > 0.0) & (res.pe < 1.0))
 
 
 def test_spectrum_zero_pump_returns_baseline(scen_I):
