@@ -392,10 +392,11 @@ class InversionSettings:
     the window starts from the line/cavity/outermost-pump structure plus
     margins scaled by g_K, the line widths, kappa and the pulse bandwidth,
     then grows by a factor 1.6 up to 6 times until, at both outermost pumps,
-    the subtracted integrand at both window edges is at most
-    edge_ratio * max|t1| * |c2| / (eta + pulse bandwidth), with c2 the pump's
-    far-field coefficient (that quotient estimates the spectrum peak).  The
-    swap calibration's cavity start, on these defaults, needs
+    the integrand less its two-mode far field, |T - T_far| with
+    T_far = -i c2 t1_far(zeta)/(zeta - p2) (`_FarField`), is at both window
+    edges at most edge_ratio * max|t1| * |c2| / (eta + pulse bandwidth), with
+    c2 the pump's 1/zeta^2 coefficient (that quotient estimates the spectrum
+    peak).  The swap calibration's cavity start, on these defaults, needs
     |t1 - t1_far| <= edge_ratio / (eta + kappa/2) at both edges instead.  A
     window given here is used as is: if it fails that test,
     WindowTooSmallError is raised.
@@ -634,10 +635,11 @@ class _ContourGrid:
 
 
 # The contour primitive: one grid for every pump and time, the Fourier sum on
-# it, and the analytic inverse of a subtracted far field: for a pump start the
-# two-pole asymptote T_far(zeta) = c2 / ((zeta - p1)(zeta - p2)), which
-# matches T to order 1/zeta^2 so the quadrature only sees a 1/zeta^3
-# remainder; for a cavity start the two-mode response of `_two_mode_far`.
+# it, and the analytic inverse of a subtracted far field, `_FarField`: for a
+# cavity start the two-mode response t1_far, for a pump start
+# T_far = -i c2 t1_far(zeta)/(zeta - p2).  Each matches its integrand to two
+# orders beyond the leading 1/zeta^n, so the quadrature only sees the
+# remainder's faster-decaying tail.
 
 
 def _phase_tables(n: int, step: float, times: np.ndarray):
@@ -658,42 +660,63 @@ def _time_sum(z: np.ndarray, baby: np.ndarray, giant: np.ndarray) -> np.ndarray:
     return np.einsum("tp,pt->t", giant, z.reshape(giant.shape[1], -1) @ baby.T)
 
 
-def _two_pole_inverse(c2, p1: complex, p2, t):
-    """Inverse transform of T_far: -i c2 (e^{-i p1 t} - e^{-i p2 t})/(p1 - p2),
-    or its limit -c2 t e^{-i p1 t} for a double pole.  Elementwise: c2 and p2
-    may hold one entry per pump."""
-    e1 = np.exp(-1j * p1 * t)
-    double = np.equal(p1, p2)
-    if not double.any():
-        return (-1j * c2 / (p1 - p2)) * (e1 - np.exp(-1j * p2 * t))
-    gap = np.where(double, 1.0, p1 - p2)
-    return np.where(double, -c2 * t * e1, (-1j * c2 / gap) * (e1 - np.exp(-1j * p2 * t)))
+def _exp_divided_difference(poles: Sequence, t):
+    """e^{-i z t}[x_0, ..., x_n] elementwise over the broadcast poles and t:
+    the Newton table on the sorted poles, so that exactly equal ones sit
+    together and a run of k + 1 of them takes the limit (-i t)^k e^{-i x t}/k!."""
+    xs = np.sort(np.array(np.broadcast_arrays(*poles), dtype=complex), axis=0)
+    table = [np.exp(-1j * x * t) for x in xs]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - k):
+            same = xs[i] == xs[i + k]
+            dx = np.where(same, 1.0, xs[i + k] - xs[i])
+            limit = (-1j * t) ** k / math.factorial(k) * np.exp(-1j * xs[i] * t)
+            table[i] = np.where(same, limit, (table[i + 1] - table[i]) / dx)
+    return table[0]
 
 
-def _two_mode_far(dist: SpinDistribution, cavity: CavityModel):
+@dataclass(frozen=True)
+class _FarField:
+    """F(zeta) = c (zeta - p_s) / prod_k (zeta - x_k) over two or three poles
+    x_k, the far field that a contour start subtracts, and its inverse
+    -i c [(x_0 - p_s) g[x_0, ..., x_n] + g[x_1, ..., x_n]], g(z) = e^{-i z t}.
+    c and the poles may hold one entry per pump."""
+
+    c: complex
+    p_s: complex
+    poles: Tuple
+
+    def __call__(self, zeta):
+        return self.c * (zeta - self.p_s) / math.prod(zeta - x for x in self.poles)
+
+    def inverse(self, t):
+        x, dd = self.poles, _exp_divided_difference
+        return -1j * self.c * ((x[0] - self.p_s) * dd(x, t) + dd(x[1:], t))
+
+    def pump(self, c2, p2) -> "_FarField":
+        """A pump start's T_far = -i c2 t1_far(zeta)/(zeta - p2), self being
+        t1_far: poles l+-, p2 and c = c2, so it tends to c2 / zeta^2 as T does."""
+        return _FarField(c2, self.p_s, self.poles + (p2,))
+
+
+def _two_mode_far(dist: SpinDistribution, cavity: CavityModel) -> _FarField:
     """The cavity coupled to one collective spin mode, as the far field of t1.
 
     The mode sits at p_s = sum_j w_j omega_j - i gamma0/2 with coupling g_K,
-    which matches W to two moments, so t1 - t1_far is O(zeta^-5).  Returns
+    which matches W to two moments, so t1 - t1_far is O(zeta^-5):
     t1_far(zeta) = i (zeta - p_s)/((zeta - l+)(zeta - l-)), l+- the roots of
-    (zeta - p1)(zeta - p_s) = g_K^2, and its inverse transform
-    A e^{-i l+ t} + (1 - A) e^{-i l- t}, A = (l+ - p_s)/(l+ - l-), which takes
-    the limit form of `_two_pole_inverse` at a double root.
+    (zeta - p1)(zeta - p_s) = g_K^2, p1 = omega_c - i kappa/2.
     """
     p1 = cavity.omega_c - 0.5j * cavity.kappa
     p_s = float(dist.weights @ dist.omega_nodes) - 0.5j * cavity.gamma0
     half = 0.5 * (p1 - p_s)
     root = np.sqrt(half * half + dist.g_collective**2)
-    lp, lm = p_s + half + root, p_s + half - root
+    return _FarField(1j, p_s, (p_s + half + root, p_s + half - root))
 
-    def t1_far(zeta):
-        return 1j * (zeta - p_s) / ((zeta - lp) * (zeta - lm))
 
-    def inverse(t):
-        # i/(zeta - l-) + i (l+ - p_s)/((zeta - l+)(zeta - l-)), term by term
-        return np.exp(-1j * lm * t) + _two_pole_inverse(1j * (lp - p_s), lp, lm, t)
-
-    return t1_far, inverse
+def _pump_pole(cavity: CavityModel, env: PulseEnvelope, omega_p):
+    """p2 = omega_p - i (gamma0/2 + pulse bandwidth), at one pump or many."""
+    return omega_p - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
 
 
 def _contour_grid(
@@ -747,7 +770,8 @@ def _pump_grid(
     settings: Optional[InversionSettings],
 ):
     """`_contour_grid` for a pump start, tested at both outermost pumps (the
-    lowest first).  Each pump's residual R = T - T_far is formed at the
+    lowest first).  Each pump's residual R = T - T_far, T_far the two-mode
+    far field over the pump's pole p2 (`_FarField.pump`), is formed at the
     window's two end points only: in closed form in narrow-pulse mode, by
     the dense node sums at those two points in exact-convolution mode; its
     peak estimate is max|t1| |c2| / (eta + pulse bandwidth)."""
@@ -755,7 +779,7 @@ def _pump_grid(
         raise ValueError("omega_ps must be non-empty and free of NaN")
     _check_narrow(dist, env, mode)
     outer = [float(omega_ps.min()), float(omega_ps.max())]
-    p1 = cavity.omega_c - 0.5j * cavity.kappa
+    t1_far = _two_mode_far(dist, cavity)
 
     def edges(grid, t1, eta):
         t1_max = float(np.max(np.abs(t1)))
@@ -765,8 +789,7 @@ def _pump_grid(
                 dist, cavity, env, wp, zeta, mode, t1[[0, -1]],
                 lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
             )
-            p2 = wp - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
-            z = T - c2 / ((zeta - p1) * (zeta - p2))
+            z = T - t1_far.pump(c2, _pump_pole(cavity, env, wp))(zeta)
             # unlike max, np.max keeps a NaN
             yield float(np.max(np.abs(z))), t1_max * abs(c2) / (eta + env.bandwidth_scale)
 
@@ -867,7 +890,8 @@ def invert_to_time(
     """Transfer amplitude beta(omega_p, t) by contour inversion of t_wp.
 
     beta(t) = (e^{eta t}/2 pi) * integral e^{-i w t} t_wp(-i(w + i eta)) dw
-    over the window, plus the analytically inverted two-pole asymptote, with
+    over the window of the residual T - T_far, plus the analytic inverse of
+    the far field T_far = -i c2 t1_far(zeta)/(zeta - p2) (`_FarField`), with
     eta set by max(times).  The window search, shared with `transfer_sweep`,
     tests the pump at each window's two end points; the pump's residual is
     formed once, on the accepted grid, and summed over every chunk of times
@@ -879,14 +903,11 @@ def invert_to_time(
     omega_p = float(omega_p)
     grid, t1, eta = _pump_grid(dist, cavity, env, np.array([omega_p]), times, mode, settings)
     T, c2 = _pump_transfer(dist, cavity, env, omega_p, grid.zeta, mode, t1, grid.convolve)
-    p1 = cavity.omega_c - 0.5j * cavity.kappa
-    p2 = omega_p - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
-    residual = T - c2 / ((grid.zeta - p1) * (grid.zeta - p2))
+    far = _two_mode_far(dist, cavity).pump(c2, _pump_pole(cavity, env, omega_p))
+    residual = T - far(grid.zeta)
     step, omega_ref = grid.step, grid.omega[(grid.omega.size - 1) // 2]
     del grid, t1, T  # the grid's FFT row is not needed by the time sum
-    beta = _bromwich_sum(
-        residual, step, omega_ref, eta, times, lambda t: _two_pole_inverse(c2, p1, p2, t)
-    )
+    beta = _bromwich_sum(residual, step, omega_ref, eta, times, far.inverse)
     return TransferResult(omega_p=omega_p, times=times, beta=beta, method="contour")
 
 
@@ -899,7 +920,7 @@ def _cavity_amplitude(dist: SpinDistribution, cavity: CavityModel, times: np.nda
     (`cavity_amplitude_t1` at those two points) against edge_ratio / (eta +
     kappa/2), which bounds |t1| on the contour because Im W <= 0 there.
     """
-    t1_far, far_inverse = _two_mode_far(dist, cavity)
+    t1_far = _two_mode_far(dist, cavity)
 
     def edges(grid, t1, eta):
         zeta = grid.zeta[[0, -1]]
@@ -910,7 +931,7 @@ def _cavity_amplitude(dist: SpinDistribution, cavity: CavityModel, times: np.nda
     residual = t1 - t1_far(grid.zeta)
     step, omega_ref = grid.step, grid.omega[(grid.omega.size - 1) // 2]
     del grid, t1  # the grid's FFT row is not needed by the time sum
-    return _bromwich_sum(residual, step, omega_ref, eta, times, far_inverse)
+    return _bromwich_sum(residual, step, omega_ref, eta, times, t1_far.inverse)
 
 
 def transfer_sweep(
@@ -928,8 +949,8 @@ def transfer_sweep(
     The inversion of `invert_to_time`, with its window search, as one
     contraction per grid: beta_p needs only sum_k v_k R_pk (v_k = w_k
     e^{-i tau (k - c) step}, the trapezoid-weighted phase row), so no residual
-    R_pk is formed.  The rows x = i v t1 and y = v / (zeta - p1) are built
-    once and contracted against blocks of pumps: the two-pole sums
+    R_pk is formed.  The rows x = i v t1 and y = -i v t1_far (`_FarField`)
+    are built once and contracted against blocks of pumps: the pole sums
     sum_k y_k / (zeta_k - p2_p) by `_pole_sums`, and in exact-convolution
     mode the numerators from u = `_ContourGrid.correlate`(x), one FFT
     correlation per grid.  A pump costs O(n_grid + n_nodes) in either mode.
@@ -943,9 +964,9 @@ def transfer_sweep(
     c = (n - 1) // 2
     v = np.exp(-1j * ((grid.step * tau) * (np.arange(n, dtype=float) - c)))
     v[[0, -1]] *= 0.5
-    p1 = cavity.omega_c - 0.5j * cavity.kappa
+    t1_far = _two_mode_far(dist, cavity)
     x = 1j * v * t1
-    y = v / (grid.zeta - p1)
+    y = -1j * v * t1_far(grid.zeta)
     # sum_k v_k R_pk = numerator_p + weight_p sum_k y_k / (zeta_k - p2_p), weight = -c2
     if mode == MODE_EXACT:
         numerator, weight = _exact_sums(dist, env, omega_ps, grid.correlate(x))
@@ -960,9 +981,10 @@ def transfer_sweep(
                 detuning = grid.zeta - omega_ps[blk, None] + 0.5j * cavity.gamma0
                 numerator[blk] = env.cauchy(detuning) @ x
             numerator *= weight / env.norm_l1
-    gap = 0.5 * cavity.gamma0 + env.bandwidth_scale
-    sums = numerator + weight * _pole_sums(grid.omega, eta + gap, omega_ps, y)
-    far = _two_pole_inverse(-weight, p1, omega_ps - 1j * gap, tau) + 0.0
+    p2 = _pump_pole(cavity, env, omega_ps)
+    # every p2 lies as far below the axis: zeta_k - p2_p = omega_k - w_p + i (eta - Im p2)
+    sums = numerator + weight * _pole_sums(grid.omega, eta - p2[0].imag, omega_ps, y)
+    far = t1_far.pump(-weight, p2).inverse(tau) + 0.0
     pref = grid.step * np.exp((eta - 1j * grid.omega[c]) * tau) / (2.0 * math.pi)
     return pref * sums + far
 

@@ -258,7 +258,8 @@ def find_swap_time(
     default `InversionSettings`, lossless systems included; `simulate_swap`
     is the ODE route.  rtol is accepted for compatibility and has no effect.
     Raises NoOscillationError when the coupling is zero or the trace shows
-    no resolvable dip (overdamped).
+    no resolvable dip: overdamped by the losses or, without losses, washed
+    out by the cavity's detuning or the spin line width.
     """
     if not dist.g_collective > 0.0:
         raise NoOscillationError("collective coupling is zero; nothing oscillates")
@@ -268,9 +269,15 @@ def find_swap_time(
     pop = np.abs(_cavity_amplitude(dist, cavity, taus)) ** 2
     cal = _calibrate_trace(taus, pop, pop, min_drop)  # P_e of an ideal chain is the population
     if cal is None:
+        cause = "coupling too weak against the losses (overdamped)"
+        if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:  # no losses to blame
+            detuning = cavity.omega_c - float(dist.weights @ dist.omega_nodes)
+            width = max(ln.fwhm for ln in dist.lines)
+            cause = (f"g_K = {dist.g_collective:.3e} rad/s too weak against the cavity's "
+                     f"detuning of {detuning:.3e} rad/s from the spins' mean frequency "
+                     f"and spin lines up to {width:.3e} rad/s wide")
         raise NoOscillationError(
-            "no cavity-population minimum found: coupling too weak against the "
-            "losses (overdamped) or the storage span too short"
+            f"no cavity-population minimum found: {cause} or the storage span too short"
         )
     return cal
 

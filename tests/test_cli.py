@@ -558,6 +558,19 @@ def test_contour_on_an_underflowing_kappa_never_tracebacks(tmp_path):
     assert rc in (0, 3)
 
 
+def test_lossless_calibration_without_a_dip_names_the_detuning(tmp_path, capsys):
+    """The same kappa = 0 system puts its cavity near 0 Hz, far below the
+    spins: the swap calibration finds no dip, and exit 3 names that
+    detuning against g_K, not losses that the system does not have."""
+    raw = json.loads(Path(bundled_config_path("paper_plus_I.cfg")).read_text())
+    raw["cavity"].update(omega_c_hz=1e-300, q=1e300)
+    rc = main(["spectrum", "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "g_K = 1.822e+07 rad/s too weak against the cavity's detuning of -1.828e+10" in err
+    assert "losses" not in err
+
+
 def test_contour_on_a_subnormal_span_exit_3(tmp_path, small_cfg, capsys):
     """eta = 1/t_max overflows; the grid guard reports it before any snapping."""
     rc = main([

@@ -36,6 +36,7 @@ from qesr.dynamics import (
     _auto_window,
     _ContourGrid,
     _exact_weights,
+    _FarField,
     _grid_controls,
     _initial_vector,
     _node_sums,
@@ -43,7 +44,7 @@ from qesr.dynamics import (
     _propagate_state,
     _size_guard,
     _time_sum,
-    _two_pole_inverse,
+    _two_mode_far,
 )
 from qesr.errors import (
     NumericalGuardError,
@@ -677,6 +678,43 @@ def test_inversion_matches_ode(scen_I):
     assert float(np.max(np.abs(np.abs(contour) - np.abs(ode)))) < 1e-3
 
 
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_exact_trace_meets_a_tight_ode_run(request, name):
+    """The exact-mode centre-pump trace (121 times to 1.5 pi / g_K) on the
+    default grid lies within 1e-5 of max|beta| of an rtol-1e-12 ODE run: the
+    two-mode far field leaves 6.6e-6 (I) and 4.6e-6 (III), where the
+    cavity-only far field c2/((zeta - p1)(zeta - p2)) left 3.1e-5 and 2.7e-5."""
+    scen = request.getfixturevalue(f"scen_{name}")
+    times = np.linspace(0.0, 1.5 * np.pi / scen.dist.g_collective, 121)
+    wp = scen.ens.center
+    contour = invert_to_time(
+        scen.dist, scen.cavity, scen.env, wp, times, mode=MODE_EXACT, settings=scen.settings,
+    ).beta
+    ode = time_domain_propagate(
+        scen.dist, scen.cavity, "pulse", times, env=scen.env, omega_p=wp, rtol=1e-12, atol=1e-15,
+    ).beta
+    assert float(np.max(np.abs(contour - ode))) <= 1e-5 * float(np.max(np.abs(ode)))
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_exact_sweep_meets_a_tight_ode_run(request, name):
+    """The CLI's exact-mode 401-pump sweep at the calibrated swap time, at 17
+    sampled pumps, lies within 2e-6 of max|beta| of rtol-1e-12 ODE runs
+    (2.6e-7 on I and 6.6e-7 on III; 4.3e-6 and 2.7e-6 with the cavity-only
+    far field)."""
+    scen = request.getfixturevalue(f"scen_{name}")
+    tau = request.getfixturevalue(f"swap_cal_{name}").tau_swap
+    sweep = transfer_sweep(scen.dist, scen.cavity, scen.env, scen.omegas, tau, MODE_EXACT,
+                           scen.settings)
+    picked = np.linspace(0, scen.omegas.size - 1, 17).astype(int)
+    ode = np.array([
+        time_domain_propagate(scen.dist, scen.cavity, "pulse", [0.0, tau], env=scen.env,
+                              omega_p=scen.omegas[i], rtol=1e-12, atol=1e-15).beta[-1]
+        for i in picked
+    ])
+    assert float(np.max(np.abs(sweep[picked] - ode))) <= 2e-6 * float(np.max(np.abs(sweep)))
+
+
 def test_inversion_of_a_lossless_system_matches_ode(scen_I):
     """The contour stays above every pole without losses too: with kappa =
     gamma0 = 0 the exact-mode trace meets the ODE within criterion 1's 1e-3
@@ -717,18 +755,71 @@ def test_sweep_narrow_vs_exact_gaussian_small_bandwidth():
     assert rel < 0.02
 
 
-def test_two_pole_inverse_double_pole_is_the_limit():
+_A, _B = 3.0 - 0.2j, 1.0 - 0.5j
+
+
+@pytest.mark.parametrize(
+    "poles, offsets",
+    [((_A, _A), (-1, 1)), ((_A, _A, _B), (-1, 1, 0)), ((_A, _B, _A), (-1, 0, 1)),
+     ((_A, _A, _A), (-1, 0, 1))],
+    ids=["2-double", "3-double", "3-double-apart", "3-triple"],
+)
+def test_far_field_inverse_at_coincident_poles_is_the_limit(poles, offsets):
+    """Exactly equal poles, in any order, take the limit of nearby distinct
+    ones: spread symmetrically by dp, those differ from it by O(dp^2).
+    Elementwise over a sweep's pumps at one time, such a pole among them
+    gives what it gives alone."""
     t = np.linspace(0.0, 5.0, 11)
-    p1 = 3.0 - 0.2j
-    double = _two_pole_inverse(1.7, p1, p1, t)
-    for dp in (1e-6, -1e-6j):
-        near = _two_pole_inverse(1.7, p1, p1 + dp, t)
-        assert float(np.max(np.abs(double - near))) < 1e-5
-    # elementwise over a sweep's pumps at one time, a double pole among them
-    c2, p2 = np.array([1.7, -0.4, 2.0]), np.array([p1, p1 + 1e-6, 1.0 - 0.5j])
-    swept = _two_pole_inverse(c2, p1, p2, t[7])
-    singles = [_two_pole_inverse(c, p1, p, t[7:8])[0] for c, p in zip(c2, p2)]
+    limit = _FarField(1.7, 2.0 - 0.1j, poles).inverse(t)
+    assert np.all(np.isfinite(limit))
+    for dp in (1e-4, -1e-4j):
+        near = tuple(x + k * dp for x, k in zip(poles, offsets))
+        assert float(np.max(np.abs(limit - _FarField(1.7, 2.0 - 0.1j, near).inverse(t)))) < 1e-6
+    c, last = np.array([1.7, -0.4, 2.0]), np.array([poles[-1], poles[-1] + 1e-6, 1.0 - 0.5j])
+    swept = _FarField(c, 2.0 - 0.1j, poles[:-1] + (last,)).inverse(t[7])
+    singles = [
+        _FarField(a, 2.0 - 0.1j, poles[:-1] + (x,)).inverse(t[7:8])[0] for a, x in zip(c, last)
+    ]
     assert np.allclose(swept, singles, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_far_field_inverse_is_its_transform(request, name):
+    """The two-mode far field of a cavity start and of a pump start, inverted
+    by residues, matches a direct Bromwich quadrature of F on a long contour
+    line to 1e-3 of its peak (after t = 0, where the quadrature of the
+    cavity start's i/zeta tail takes half the jump)."""
+    scen = request.getfixturevalue(f"scen_{name}")
+    t1_far = _two_mode_far(scen.dist, scen.cavity)
+    g = scen.dist.g_collective
+    times = np.linspace(0.0, 1.5 * np.pi / g, 7)[1:]
+    eta = 0.25 / times[-1]
+    omega = scen.ens.center + g * np.linspace(-4e3, 4e3, 400_001)
+    step = omega[1] - omega[0]
+    for far in (t1_far, t1_far.pump(-g, scen.ens.center - 1j * scen.env.bandwidth_scale)):
+        values = far(omega + 1j * eta)
+        quad_sum = np.array([
+            step / (2.0 * np.pi) * np.exp(eta * t) * np.sum(values * np.exp(-1j * omega * t))
+            for t in times
+        ])
+        exact = far.inverse(times)
+        assert float(np.max(np.abs(quad_sum - exact))) <= 1e-3 * float(np.max(np.abs(exact)))
+
+
+def test_sweep_on_a_double_pole_without_coupling_is_zero():
+    """omega_p = omega_c, gamma0 = 0 and kappa = 2 x pulse bandwidth put the
+    pump's pole p2 exactly on the cavity's p1: with zero coupling the sweep
+    and the trace return exact zeros, never a NaN."""
+    env = PulseEnvelope(shape="lorentzian", fwhm=TWO_PI * 5e4)
+    dist = single_line_dist(g=0.0, n_nodes=501)
+    cavity = CavityModel(omega_c=W0, kappa=2.0 * env.bandwidth_scale)
+    assert W0 - 1j * env.bandwidth_scale == cavity.omega_c - 0.5j * cavity.kappa
+    for mode in (MODE_NARROW, MODE_EXACT):
+        sweep = transfer_sweep(dist, cavity, env, W0 + np.array([-1e6, 0.0, 1e6]), 1e-7, mode)
+        assert not np.any(sweep), mode
+        assert not np.signbit(np.r_[sweep.real, sweep.imag]).any(), mode  # no -0.0
+        beta = invert_to_time(dist, cavity, env, W0, np.linspace(0.0, 1e-7, 11), mode=mode).beta
+        assert not np.any(beta), mode
 
 
 def longdouble_time_sum(z, step, times):
@@ -823,9 +914,15 @@ def test_inversion_damped_oscillation_first_max_below_one(scen_III):
     assert abs2[idx[1]] < abs2[idx[0]]  # dark-state damping
 
 
+# An edge ratio that grows the bundled plus_I window, in both modes and for
+# a sweep and a trace alike, beyond the first grid.
+GROWN_RATIO = 3e-9
+
+
 @pytest.mark.parametrize(
     "mode, n_pumps, edge_ratio",
-    [(MODE_NARROW, 7, None), (MODE_EXACT, 3, None), (MODE_NARROW, 7, 1e-7), (MODE_EXACT, 2, 1e-7)],
+    [(MODE_NARROW, 7, None), (MODE_EXACT, 3, None), (MODE_NARROW, 7, GROWN_RATIO),
+     (MODE_EXACT, 2, GROWN_RATIO)],
     ids=["narrow", "exact", "narrow-grown", "exact-grown"],
 )
 def test_sweep_matches_pointwise(scen_I, mode, n_pumps, edge_ratio):
@@ -834,12 +931,23 @@ def test_sweep_matches_pointwise(scen_I, mode, n_pumps, edge_ratio):
     window once more for the pumps 3 MHz off center than for the center one,
     whose trace would then stop on a smaller grid than the sweep; so the
     grown exact case sweeps only those two outermost pumps."""
+    import qesr.dynamics as dynamics
+
     tau = 90e-9
     wps = scen_I.ens.center + TWO_PI * np.linspace(-3e6, 3e6, n_pumps)
     settings = scen_I.settings if edge_ratio is None else InversionSettings(edge_ratio=edge_ratio)
-    sweep = transfer_sweep(
-        scen_I.dist, scen_I.cavity, scen_I.env, wps, tau, mode=mode, settings=settings,
-    )
+    grids = []
+
+    def spy(*args):
+        grids.append(contour_grid(*args))
+        return grids[-1]
+
+    contour_grid = dynamics._ContourGrid
+    with mock.patch.object(dynamics, "_ContourGrid", spy):
+        sweep = transfer_sweep(
+            scen_I.dist, scen_I.cavity, scen_I.env, wps, tau, mode=mode, settings=settings,
+        )
+    assert (len(grids) > 1) == (edge_ratio is not None)
     singles = np.array(
         [
             invert_to_time(
@@ -1149,7 +1257,7 @@ def test_contour_rejects_empty_or_nan_pumps(scen_I, monkeypatch, pumps):
 
 
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
-@pytest.mark.parametrize("edge_ratio, n_grids", [(None, 1), (1e-7, 3)])
+@pytest.mark.parametrize("edge_ratio, n_grids", [(None, 1), (GROWN_RATIO, None)])
 def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, edge_ratio, n_grids):
     """A sweep's window search evaluates only its outermost pumps, at the
     window's two end points, the lowest first, and a failed grid stops at the
@@ -1157,7 +1265,9 @@ def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, e
     in exactly one block of the contraction.  A trace's window search
     evaluates its one pump at the two end points of every grid; one more
     call then forms its residual on the whole final grid, for every chunk
-    of times."""
+    of times.  n_grids None is a grown window: more than one grid, as many
+    as the search builds (in exact mode the sweep's outer pumps need more
+    than the trace's centre pump)."""
     import qesr.dynamics as dynamics
 
     grids, calls, sizes, blocks = [], [], [], []
@@ -1188,25 +1298,25 @@ def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, e
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         transfer_sweep(scen_I.dist, scen_I.cavity, scen_I.env, wps, 90e-9, mode, settings)
-        assert len(grids) == n_grids
-        assert calls == [(k, wps[1]) for k in range(1, n_grids)] + [
-            (n_grids, wps[1]), (n_grids, wps[2])
-        ]
-        assert sizes == [2] * (n_grids + 1)
-        # one partition of the pumps per blocked contraction: the two-pole
-        # sums, and in exact mode the numerators
+        n = len(grids)
+        assert n > 1 if n_grids is None else n == n_grids
+        assert calls == [(k, wps[1]) for k in range(1, n)] + [(n, wps[1]), (n, wps[2])]
+        assert sizes == [2] * (n + 1)
+        # one partition of the pumps per blocked contraction: the pole sums,
+        # and in exact mode the numerators
         assert len(blocks) == (2 if mode == MODE_EXACT else 1)
         for k, n_pumps, slices in blocks:
-            assert (k, n_pumps) == (n_grids, wps.size) and len(slices) > 1
+            assert (k, n_pumps) == (n, wps.size) and len(slices) > 1
             landed = np.concatenate([np.arange(n_pumps)[s] for s in slices])
             assert np.array_equal(landed, np.arange(n_pumps))
         grids.clear()
         calls.clear()
         sizes.clear()
         invert_to_time(scen_I.dist, scen_I.cavity, scen_I.env, wps[0], times, mode, settings)
-    assert len(grids) == n_grids
-    assert calls == [(k, wps[0]) for k in range(1, n_grids + 1)] + [(n_grids, wps[0])]
-    assert sizes == [2] * n_grids + [grids[-1].omega.size]
+    n = len(grids)
+    assert n > 1 if n_grids is None else n == n_grids
+    assert calls == [(k, wps[0]) for k in range(1, n + 1)] + [(n, wps[0])]
+    assert sizes == [2] * n + [grids[-1].omega.size]
 
 
 def test_grid_point_guard_raises(scen_I):

@@ -1,5 +1,6 @@
 """The package surface: `qesr` exports each submodule's `__all__`, once, and
 loads no SciPy module on import or on any command with a non-gaussian pulse."""
+import ast
 import importlib
 import json
 import os
@@ -66,3 +67,36 @@ def test_cold_start_loads_no_scipy(tmp_path, argv):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def _names_used(node):
+    """Every bare name and attribute name that node's subtree mentions."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def test_every_helper_is_used_or_exported():
+    """No dead helpers: each top-level function or class of `src/qesr` is
+    exported by its module's `__all__` or mentioned by some other top-level
+    statement of the package, so a helper kept only for its tests fails."""
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(Path(qesr.__file__).parent.glob("*.py"))
+    }
+    statements = [(name, stmt) for name, tree in modules.items() for stmt in tree.body]
+    used_by = [(name, stmt, _names_used(stmt)) for name, stmt in statements]
+    dead = []
+    for module, stmt in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        exported = getattr(importlib.import_module(f"qesr.{module}"), "__all__", ())
+        if stmt.name in exported:
+            continue
+        if not any(stmt.name in used for _, other, used in used_by if other is not stmt):
+            dead.append(f"{module}.{stmt.name}")
+    assert dead == []

@@ -273,6 +273,11 @@ def test_find_swap_time_failure_modes():
     taus = np.linspace(0.0, 400e-9, 161)
     with pytest.raises(NoOscillationError, match="overdamped"):
         find_swap_time(dist, cavity, taus=taus)
+    # without losses the line, ten times wider than g_K, washes the dip out:
+    # the message names the detuning and the line width, not losses
+    with pytest.raises(NoOscillationError, match="spin lines up to 1.257e\\+07 rad/s") as exc:
+        find_swap_time(dist, CavityModel(omega_c=W0, kappa=0.0), taus=taus)
+    assert "detuning of 0.000e+00 rad/s" in str(exc.value) and "losses" not in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
