@@ -301,19 +301,21 @@ def _no_overlap(dist: SpinDistribution, omega_p: float) -> NumericalGuardError:
     )
 
 
-def _exact_weights(dist: SpinDistribution, env: PulseEnvelope, omega_p: float):
-    """Per-node alpha_j g_j^2 and the normalization D = sqrt(sum alpha^2 g^2).
-
-    With zero coupling every weight is zero and D = 1, so beta = 0.
-    """
+def _pump_weights(dist: SpinDistribution, env: PulseEnvelope, omega_ps: np.ndarray):
+    """Exact-mode envelope rows alpha_pj = alpha(w_j - w_p) of a block of
+    pumps, their norms D_p = sqrt(sum_j alpha_pj^2 g_j^2) and far-field
+    coefficients c2_p = -sum_j alpha_pj g_j^2 / D_p.  With zero coupling
+    D_p = 1, so beta = 0; a pump whose envelope misses every node raises."""
     gsq = dist.couplings_sq
+    alpha = env.amplitude(dist.omega_nodes - omega_ps[:, None])
+    d_sq = np.square(alpha) @ gsq
     if dist.g_collective == 0.0:
-        return gsq, 1.0
-    alpha = env.amplitude(dist.omega_nodes - omega_p)
-    d_sq = float(np.sum(alpha * alpha * gsq))
-    if not d_sq > 0.0:
-        raise _no_overlap(dist, omega_p)
-    return alpha * gsq, math.sqrt(d_sq)
+        d_sq[:] = 1.0
+    missing = ~(d_sq > 0.0)
+    if missing.any():
+        raise _no_overlap(dist, float(omega_ps[np.argmax(missing)]))
+    d = np.sqrt(d_sq)
+    return alpha, d, -(alpha @ gsq) / d
 
 
 def _pump_transfer(
@@ -337,8 +339,8 @@ def _pump_transfer(
         scale = _narrow_scale(dist, env, omega_p)
         shape = env.cauchy(zeta - omega_p + 0.5j * cavity.gamma0)
         return 1j * t1 * scale * shape / env.norm_l1, -scale
-    extra, d_norm = _exact_weights(dist, env, omega_p)
-    return 1j * t1 * numerator(extra) / d_norm, -float(np.sum(extra)) / d_norm
+    (alpha,), (d,), (c2,) = _pump_weights(dist, env, np.array([omega_p]))
+    return 1j * t1 * numerator(alpha * dist.couplings_sq) / d, float(c2)
 
 
 def transfer_spectrum_t(
@@ -392,14 +394,14 @@ class InversionSettings:
     the window starts from the line/cavity/outermost-pump structure plus
     margins scaled by g_K, the line widths, kappa and the pulse bandwidth,
     then grows by a factor 1.6 up to 6 times until, at both outermost pumps,
-    the integrand less its two-mode far field, |T - T_far| with
-    T_far = -i c2 t1_far(zeta)/(zeta - p2) (`_FarField`), is at both window
-    edges at most edge_ratio * max|t1| * |c2| / (eta + pulse bandwidth), with
-    c2 the pump's 1/zeta^2 coefficient (that quotient estimates the spectrum
-    peak).  The swap calibration's cavity start, on these defaults, needs
-    |t1 - t1_far| <= edge_ratio / (eta + kappa/2) at both edges instead.  A
-    window given here is used as is: if it fails that test,
-    WindowTooSmallError is raised.
+    the lowest first, the integrand less its far field, |T - T_far| with
+    T_far the pump's far field (`_pump_far`), is at both window edges at most
+    edge_ratio * max|t1| * |c2| / (eta + pulse bandwidth), with c2 the pump's
+    1/zeta^2 coefficient (that quotient estimates the spectrum peak); the
+    first pump to fail stops the test.  The swap calibration's cavity start,
+    on these defaults, needs |t1 - t1_far| <= edge_ratio / (eta + kappa/2)
+    at both edges instead.  A window given here is used as is: if it fails
+    that test, WindowTooSmallError is raised.
 
     Every grid, automatic or given, is snapped to the node lattice (see
     `_ContourGrid`): the step becomes the largest m h / q <= d_omega, for
@@ -636,10 +638,10 @@ class _ContourGrid:
 
 # The contour primitive: one grid for every pump and time, the Fourier sum on
 # it, and the analytic inverse of a subtracted far field, `_FarField`: for a
-# cavity start the two-mode response t1_far, for a pump start
-# T_far = -i c2 t1_far(zeta)/(zeta - p2).  Each matches its integrand to two
-# orders beyond the leading 1/zeta^n, so the quadrature only sees the
-# remainder's faster-decaying tail.
+# cavity start the two-mode response t1_far (`_two_mode_far`), for a pump
+# start `_pump_far`.  Each matches its integrand to two orders beyond the
+# leading 1/zeta^n, so the quadrature only sees the remainder's
+# faster-decaying tail.
 
 
 def _phase_tables(n: int, step: float, times: np.ndarray):
@@ -693,11 +695,6 @@ class _FarField:
         x, dd = self.poles, _exp_divided_difference
         return -1j * self.c * ((x[0] - self.p_s) * dd(x, t) + dd(x[1:], t))
 
-    def pump(self, c2, p2) -> "_FarField":
-        """A pump start's T_far = -i c2 t1_far(zeta)/(zeta - p2), self being
-        t1_far: poles l+-, p2 and c = c2, so it tends to c2 / zeta^2 as T does."""
-        return _FarField(c2, self.p_s, self.poles + (p2,))
-
 
 def _two_mode_far(dist: SpinDistribution, cavity: CavityModel) -> _FarField:
     """The cavity coupled to one collective spin mode, as the far field of t1.
@@ -714,9 +711,13 @@ def _two_mode_far(dist: SpinDistribution, cavity: CavityModel) -> _FarField:
     return _FarField(1j, p_s, (p_s + half + root, p_s + half - root))
 
 
-def _pump_pole(cavity: CavityModel, env: PulseEnvelope, omega_p):
-    """p2 = omega_p - i (gamma0/2 + pulse bandwidth), at one pump or many."""
-    return omega_p - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+def _pump_far(t1_far: _FarField, cavity: CavityModel, env: PulseEnvelope, omega_p, c2):
+    """A pump start's far field T_far = -i c2 t1_far(zeta)/(zeta - p2), at one
+    pump or many: t1_far over the pump's pole p2 = omega_p - i (gamma0/2 +
+    pulse bandwidth), so it tends to c2 / zeta^2 as T = t_wp(-i zeta) does
+    and matches T two orders further.  Its poles are l+-, then p2."""
+    p2 = omega_p - 1j * (0.5 * cavity.gamma0 + env.bandwidth_scale)
+    return _FarField(c2, t1_far.p_s, t1_far.poles + (p2,))
 
 
 def _contour_grid(
@@ -769,12 +770,11 @@ def _pump_grid(
     mode: str,
     settings: Optional[InversionSettings],
 ):
-    """`_contour_grid` for a pump start, tested at both outermost pumps (the
-    lowest first).  Each pump's residual R = T - T_far, T_far the two-mode
-    far field over the pump's pole p2 (`_FarField.pump`), is formed at the
-    window's two end points only: in closed form in narrow-pulse mode, by
-    the dense node sums at those two points in exact-convolution mode; its
-    peak estimate is max|t1| |c2| / (eta + pulse bandwidth)."""
+    """`_contour_grid` for a pump start, with the edge rule of
+    `InversionSettings`.  Each outermost pump's residual T - T_far
+    (`_pump_far`) is formed at the window's two end points only: in closed
+    form in narrow-pulse mode, by the dense node sums at those two points in
+    exact-convolution mode."""
     if omega_ps.size == 0 or np.any(np.isnan(omega_ps)):
         raise ValueError("omega_ps must be non-empty and free of NaN")
     _check_narrow(dist, env, mode)
@@ -789,7 +789,7 @@ def _pump_grid(
                 dist, cavity, env, wp, zeta, mode, t1[[0, -1]],
                 lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
             )
-            z = T - t1_far.pump(c2, _pump_pole(cavity, env, wp))(zeta)
+            z = T - _pump_far(t1_far, cavity, env, wp, c2)(zeta)
             # unlike max, np.max keeps a NaN
             yield float(np.max(np.abs(z))), t1_max * abs(c2) / (eta + env.bandwidth_scale)
 
@@ -833,24 +833,16 @@ def _pole_sums(omega: np.ndarray, b: float, omega_ps: np.ndarray, y: np.ndarray)
 
 
 def _exact_sums(dist: SpinDistribution, env: PulseEnvelope, omega_ps: np.ndarray, u: np.ndarray):
-    """(sum_j e_pj u_j / D_p, sum_j e_pj / D_p) at every pump, a block of pumps
-    at a time; e_pj = alpha(w_j - w_p) g_j^2 and D_p are the weights and norm
-    of `_exact_weights`."""
+    """(sum_j alpha_pj g_j^2 u_j / D_p, c2_p) at every pump, from the rows,
+    norms and coefficients of `_pump_weights`, a block of pumps at a time."""
     gsq = dist.couplings_sq
-    cols = np.stack([gsq * u.real, gsq * u.imag, gsq], axis=1)
-    out = np.empty((omega_ps.size, 4))
+    cols = np.stack([gsq * u.real, gsq * u.imag], axis=1)
+    out = np.empty((omega_ps.size, 3))
     for blk in _blocks(omega_ps.size, dist.n_nodes):
-        alpha = env.amplitude(dist.omega_nodes - omega_ps[blk, None])
-        out[blk, :3] = alpha @ cols
-        out[blk, 3] = np.square(alpha, out=alpha) @ cols[:, 2]
-    re, im, total, d_sq = out.T
-    if dist.g_collective == 0.0:  # every weight is zero and D = 1, so beta = 0
-        d_sq[:] = 1.0
-    missing = ~(d_sq > 0.0)
-    if missing.any():
-        raise _no_overlap(dist, float(omega_ps[np.argmax(missing)]))
-    d = np.sqrt(d_sq)
-    return (re + 1j * im) / d, total / d
+        alpha, d, out[blk, 2] = _pump_weights(dist, env, omega_ps[blk])
+        out[blk, :2] = (alpha @ cols) / d[:, None]
+    re, im, c2 = out.T
+    return re + 1j * im, c2
 
 
 def _bromwich_sum(residual: np.ndarray, step: float, omega_ref: float, eta: float,
@@ -891,19 +883,18 @@ def invert_to_time(
 
     beta(t) = (e^{eta t}/2 pi) * integral e^{-i w t} t_wp(-i(w + i eta)) dw
     over the window of the residual T - T_far, plus the analytic inverse of
-    the far field T_far = -i c2 t1_far(zeta)/(zeta - p2) (`_FarField`), with
-    eta set by max(times).  The window search, shared with `transfer_sweep`,
-    tests the pump at each window's two end points; the pump's residual is
-    formed once, on the accepted grid, and summed over every chunk of times
-    by `_bromwich_sum`.  Raises WindowTooSmallError if the subtracted
-    integrand at the window edges stays above edge_ratio times the peak
-    estimate max|t1| |c2| / (eta + pulse bandwidth) after window growth.
+    the pump's far field T_far (`_pump_far`), with eta set by max(times).
+    The window search, shared with `transfer_sweep`, tests the pump at each
+    window's two end points; the pump's residual is formed once, on the
+    accepted grid, and summed over every chunk of times by `_bromwich_sum`.
+    Raises WindowTooSmallError if no window passes the edge rule of
+    `InversionSettings`.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     omega_p = float(omega_p)
     grid, t1, eta = _pump_grid(dist, cavity, env, np.array([omega_p]), times, mode, settings)
     T, c2 = _pump_transfer(dist, cavity, env, omega_p, grid.zeta, mode, t1, grid.convolve)
-    far = _two_mode_far(dist, cavity).pump(c2, _pump_pole(cavity, env, omega_p))
+    far = _pump_far(_two_mode_far(dist, cavity), cavity, env, omega_p, c2)
     residual = T - far(grid.zeta)
     step, omega_ref = grid.step, grid.omega[(grid.omega.size - 1) // 2]
     del grid, t1, T  # the grid's FFT row is not needed by the time sum
@@ -949,13 +940,14 @@ def transfer_sweep(
     The inversion of `invert_to_time`, with its window search, as one
     contraction per grid: beta_p needs only sum_k v_k R_pk (v_k = w_k
     e^{-i tau (k - c) step}, the trapezoid-weighted phase row), so no residual
-    R_pk is formed.  The rows x = i v t1 and y = -i v t1_far (`_FarField`)
-    are built once and contracted against blocks of pumps: the pole sums
-    sum_k y_k / (zeta_k - p2_p) by `_pole_sums`, and in exact-convolution
-    mode the numerators from u = `_ContourGrid.correlate`(x), one FFT
+    R_pk is formed.  The rows x = i v t1 and y = i v t1_far are built once
+    and contracted against blocks of pumps: with T_far = -i c2 t1_far /
+    (zeta - p2) (`_pump_far`), the far field adds c2_p sum_k y_k /
+    (zeta_k - p2_p), the pole sums of `_pole_sums`; in exact-convolution
+    mode the numerators come from u = `_ContourGrid.correlate`(x), one FFT
     correlation per grid.  A pump costs O(n_grid + n_nodes) in either mode.
     A Lorentzian narrow-pulse numerator has the pole p2 too and folds into
-    y; other shapes contract their Cauchy transform with x.
+    y as y - x; other shapes contract their Cauchy transform with x.
     """
     omega_ps = np.atleast_1d(np.asarray(omega_ps, dtype=float))
     tau = float(tau)
@@ -966,27 +958,26 @@ def transfer_sweep(
     v[[0, -1]] *= 0.5
     t1_far = _two_mode_far(dist, cavity)
     x = 1j * v * t1
-    y = -1j * v * t1_far(grid.zeta)
-    # sum_k v_k R_pk = numerator_p + weight_p sum_k y_k / (zeta_k - p2_p), weight = -c2
+    y = 1j * v * t1_far(grid.zeta)
+    # sum_k v_k R_pk = numerator_p + c2_p sum_k y_k / (zeta_k - p2_p)
     if mode == MODE_EXACT:
-        numerator, weight = _exact_sums(dist, env, omega_ps, grid.correlate(x))
+        numerator, c2 = _exact_sums(dist, env, omega_ps, grid.correlate(x))
     else:
-        weight = _narrow_scale(dist, env, omega_ps)
+        c2 = -_narrow_scale(dist, env, omega_ps)
         if env.shape == "lorentzian":  # C(u) / |alpha|_1 = 1 / (zeta - p2)
             numerator = 0.0
-            y += x
+            y -= x
         else:
             numerator = np.empty(omega_ps.size, dtype=complex)
             for blk in _blocks(omega_ps.size, n):
                 detuning = grid.zeta - omega_ps[blk, None] + 0.5j * cavity.gamma0
                 numerator[blk] = env.cauchy(detuning) @ x
-            numerator *= weight / env.norm_l1
-    p2 = _pump_pole(cavity, env, omega_ps)
+            numerator *= -c2 / env.norm_l1
+    far = _pump_far(t1_far, cavity, env, omega_ps, c2)
     # every p2 lies as far below the axis: zeta_k - p2_p = omega_k - w_p + i (eta - Im p2)
-    sums = numerator + weight * _pole_sums(grid.omega, eta - p2[0].imag, omega_ps, y)
-    far = t1_far.pump(-weight, p2).inverse(tau) + 0.0
+    sums = numerator + c2 * _pole_sums(grid.omega, eta - far.poles[-1][0].imag, omega_ps, y)
     pref = grid.step * np.exp((eta - 1j * grid.omega[c]) * tau) / (2.0 * math.pi)
-    return pref * sums + far
+    return pref * sums + (far.inverse(tau) + 0.0)
 
 
 # ---------------------------------------------------------------------------

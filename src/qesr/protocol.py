@@ -258,8 +258,8 @@ def find_swap_time(
     default `InversionSettings`, lossless systems included; `simulate_swap`
     is the ODE route.  rtol is accepted for compatibility and has no effect.
     Raises NoOscillationError when the coupling is zero or the trace shows
-    no resolvable dip: overdamped by the losses or, without losses, washed
-    out by the cavity's detuning or the spin line width.
+    no resolvable dip; the message names g_K against the cavity's detuning
+    and the widest spin line, and the losses when kappa or gamma0 is above 0.
     """
     if not dist.g_collective > 0.0:
         raise NoOscillationError("collective coupling is zero; nothing oscillates")
@@ -269,15 +269,14 @@ def find_swap_time(
     pop = np.abs(_cavity_amplitude(dist, cavity, taus)) ** 2
     cal = _calibrate_trace(taus, pop, pop, min_drop)  # P_e of an ideal chain is the population
     if cal is None:
-        cause = "coupling too weak against the losses (overdamped)"
-        if cavity.kappa == 0.0 and cavity.gamma0 == 0.0:  # no losses to blame
-            detuning = cavity.omega_c - float(dist.weights @ dist.omega_nodes)
-            width = max(ln.fwhm for ln in dist.lines)
-            cause = (f"g_K = {dist.g_collective:.3e} rad/s too weak against the cavity's "
-                     f"detuning of {detuning:.3e} rad/s from the spins' mean frequency "
-                     f"and spin lines up to {width:.3e} rad/s wide")
+        detuning = cavity.omega_c - float(dist.weights @ dist.omega_nodes)
+        width = max(ln.fwhm for ln in dist.lines)
+        losses = " and the losses (overdamped)" if cavity.kappa > 0.0 or cavity.gamma0 > 0.0 else ""
         raise NoOscillationError(
-            f"no cavity-population minimum found: {cause} or the storage span too short"
+            f"no cavity-population minimum found: g_K = {dist.g_collective:.3e} rad/s too "
+            f"weak against the cavity's detuning of {detuning:.3e} rad/s from the spins' "
+            f"mean frequency, spin lines up to {width:.3e} rad/s wide{losses}, or the "
+            "storage span too short"
         )
     return cal
 

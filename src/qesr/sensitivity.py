@@ -80,6 +80,18 @@ class WeakCouplingScenario:
             )
 
 
+def _closed_form(scenario: WeakCouplingScenario):
+    """The real amplitude i <a>(t) as a function of t, and the time t* of its
+    peak: g N (e^{-kappa t/2} - e^{-Delta t}) / (2 Delta - kappa) and
+    t* = ln(2 Delta/kappa)/(Delta - kappa/2), or, within _DEGENERATE_TOL of
+    kappa = 2 Delta, their limits g (N/2) t e^{-kappa t/2} and t* = 2/kappa."""
+    g, n, k, d = scenario.coupling, scenario.n_spins, scenario.kappa, scenario.dephasing_rate
+    if abs(k - 2.0 * d) < _DEGENERATE_TOL * d:
+        return (lambda t: g * (n / 2.0) * t * np.exp(-0.5 * k * t)), 2.0 / k
+    t_peak = math.log(2.0 * d / k) / (d - 0.5 * k)
+    return (lambda t: g * n * (np.exp(-0.5 * k * t) - np.exp(-d * t)) / (2.0 * d - k)), t_peak
+
+
 def mean_field_trajectory(scenario: WeakCouplingScenario, times) -> np.ndarray:
     """<a>(t) for t >= 0 in the rotating frame (complex array).
 
@@ -89,13 +101,8 @@ def mean_field_trajectory(scenario: WeakCouplingScenario, times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if np.any(t < 0):
         raise ValueError("times must be non-negative")
-    g = scenario.coupling
-    n = scenario.n_spins
-    k = scenario.kappa
-    d = scenario.dephasing_rate
-    if abs(k - 2.0 * d) < _DEGENERATE_TOL * d:
-        return -1j * g * (n / 2.0) * t * np.exp(-0.5 * k * t)
-    return -1j * g * n * (np.exp(-0.5 * k * t) - np.exp(-d * t)) / (2.0 * d - k)
+    amplitude, _ = _closed_form(scenario)
+    return -1j * amplitude(t)
 
 
 @dataclass(frozen=True)
@@ -115,19 +122,9 @@ def peak_photon_number(scenario: WeakCouplingScenario) -> PeakPhotons:
     scenario sits outside the weak-coupling window.
     """
     scenario.check_validity()
-    g = scenario.coupling
-    n = scenario.n_spins
-    k = scenario.kappa
-    d = scenario.dephasing_rate
-    estimate = (g * n / (2.0 * d)) ** 2
-    if abs(k - 2.0 * d) < _DEGENERATE_TOL * d:
-        t_peak = 2.0 / k
-        amp = g * (n / 2.0) * t_peak * math.exp(-1.0)
-    else:
-        t_peak = math.log(2.0 * d / k) / (d - 0.5 * k)
-        amp = (
-            g * n * (math.exp(-0.5 * k * t_peak) - math.exp(-d * t_peak)) / (2.0 * d - k)
-        )
+    amplitude, t_peak = _closed_form(scenario)
+    amp = float(amplitude(t_peak))
+    estimate = (scenario.coupling * scenario.n_spins / (2.0 * scenario.dephasing_rate)) ** 2
     return PeakPhotons(analytic_estimate=estimate, exact_max=amp * amp, t_peak=t_peak)
 
 

@@ -35,13 +35,14 @@ from qesr.dynamics import (
 from qesr.dynamics import (
     _auto_window,
     _ContourGrid,
-    _exact_weights,
     _FarField,
     _grid_controls,
     _initial_vector,
     _node_sums,
     _phase_tables,
     _propagate_state,
+    _pump_far,
+    _pump_weights,
     _size_guard,
     _time_sum,
     _two_mode_far,
@@ -149,8 +150,8 @@ def _lattice_case(request, case):
         eta, d_omega = _grid_controls(InversionSettings(), math.pi / (2.0 * dist.g_collective),
                                       dist, cavity)
         window = _auto_window(dist, cavity, env.bandwidth_scale, [cavity.omega_c])
-        extra, _ = _exact_weights(dist, env, cavity.omega_c)
-        return dist, cavity.gamma0, eta, d_omega, window, extra
+        alpha, _, _ = _pump_weights(dist, env, np.array([cavity.omega_c]))
+        return dist, cavity.gamma0, eta, d_omega, window, alpha[0] * dist.couplings_sq
     scen = request.getfixturevalue("scen_III" if case.startswith("III") else "scen_I")
     dist, cavity = scen.dist, scen.cavity
     if case == "I_gamma0":
@@ -161,8 +162,8 @@ def _lattice_case(request, case):
         h = (dist.omega_nodes[-1] - dist.omega_nodes[0]) / (dist.n_nodes - 1)
         d_omega = h / 2.7
         window = (scen.ens.center - TWO_PI * 1e7, scen.ens.center + TWO_PI * 1e7)
-    extra, _ = _exact_weights(dist, scen.env, scen.ens.center)
-    return dist, cavity.gamma0, eta, d_omega, window, extra
+    alpha, _, _ = _pump_weights(dist, scen.env, np.array([scen.ens.center]))
+    return dist, cavity.gamma0, eta, d_omega, window, alpha[0] * dist.couplings_sq
 
 
 @pytest.mark.parametrize("case", ["I", "III", "I_gamma0", "III_fine_step", "degenerate"])
@@ -796,7 +797,7 @@ def test_far_field_inverse_is_its_transform(request, name):
     eta = 0.25 / times[-1]
     omega = scen.ens.center + g * np.linspace(-4e3, 4e3, 400_001)
     step = omega[1] - omega[0]
-    for far in (t1_far, t1_far.pump(-g, scen.ens.center - 1j * scen.env.bandwidth_scale)):
+    for far in (t1_far, _pump_far(t1_far, scen.cavity, scen.env, scen.ens.center, -g)):
         values = far(omega + 1j * eta)
         quad_sum = np.array([
             step / (2.0 * np.pi) * np.exp(eta * t) * np.sum(values * np.exp(-1j * omega * t))
@@ -1514,5 +1515,12 @@ def test_pulse_without_overlap_is_a_guard():
     with pytest.raises(NumericalGuardError, match="no overlap") as exc:
         invert_to_time(dist, cavity, env, wp, [0.0, 1e-7], mode=MODE_EXACT)
     assert repr(wp) in str(exc.value)
+    # a sweep whose lowest pump misses the grid names that pump, as its trace does
+    low = TWO_PI * 2.3e9
+    with pytest.raises(NumericalGuardError, match="no overlap") as trace:
+        invert_to_time(dist, cavity, env, low, [0.0, 1e-7], mode=MODE_EXACT)
+    with pytest.raises(NumericalGuardError, match="no overlap") as sweep:
+        transfer_sweep(dist, cavity, env, [W0, low, wp], 1e-7, mode=MODE_EXACT)
+    assert str(sweep.value) == str(trace.value) and repr(low) in str(sweep.value)
     with pytest.raises(NumericalGuardError, match="no overlap"):
         time_domain_propagate(dist, cavity, "pulse", [0.0, 1e-7], env=env, omega_p=wp)

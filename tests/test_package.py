@@ -80,23 +80,53 @@ def _names_used(node):
     return used
 
 
+def _private_class(stmt):
+    return isinstance(stmt, ast.ClassDef) and stmt.name.startswith("_")
+
+
+def _definitions(stmt):
+    """(name, node) of each definition that a top-level statement makes and
+    the dead-code rule covers: a function or class, a private constant, and
+    each method of a private class but its dunders."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield stmt.name, stmt
+        if _private_class(stmt):
+            for member in stmt.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                        not member.name.startswith("__"):
+                    yield member.name, member
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        for node in (sub for target in targets for sub in ast.walk(target)):
+            if isinstance(node, ast.Name) and node.id.startswith("_") and \
+                    not node.id.startswith("__"):
+                yield node.id, stmt
+
+
 def test_every_helper_is_used_or_exported():
-    """No dead helpers: each top-level function or class of `src/qesr` is
-    exported by its module's `__all__` or mentioned by some other top-level
-    statement of the package, so a helper kept only for its tests fails."""
+    """No dead helpers: each top-level function, class and private constant
+    of `src/qesr` is exported by its module's `__all__` or mentioned by some
+    other top-level statement of the package, and each method of a private
+    class by some statement or method other than itself, so a helper kept
+    only for its tests fails."""
     modules = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(Path(qesr.__file__).parent.glob("*.py"))
     }
-    statements = [(name, stmt) for name, tree in modules.items() for stmt in tree.body]
-    used_by = [(name, stmt, _names_used(stmt)) for name, stmt in statements]
+    # the statements that can use a name: top-level ones, a private class
+    # split into its members
+    units = [
+        (stmt, node, _names_used(node))
+        for tree in modules.values()
+        for stmt in tree.body
+        for node in (stmt.body if _private_class(stmt) else [stmt])
+    ]
     dead = []
-    for module, stmt in statements:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
+    for module, tree in modules.items():
         exported = getattr(importlib.import_module(f"qesr.{module}"), "__all__", ())
-        if stmt.name in exported:
-            continue
-        if not any(stmt.name in used for _, other, used in used_by if other is not stmt):
-            dead.append(f"{module}.{stmt.name}")
+        for name, node in (d for stmt in tree.body for d in _definitions(stmt)):
+            if name in exported:
+                continue
+            if not any(name in used for top, other, used in units if node not in (top, other)):
+                dead.append(f"{module}.{name}")
     assert dead == []

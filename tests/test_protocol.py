@@ -278,6 +278,12 @@ def test_find_swap_time_failure_modes():
     with pytest.raises(NoOscillationError, match="spin lines up to 1.257e\\+07 rad/s") as exc:
         find_swap_time(dist, CavityModel(omega_c=W0, kappa=0.0), taus=taus)
     assert "detuning of 0.000e+00 rad/s" in str(exc.value) and "losses" not in str(exc.value)
+    # losses of 1e-3 g_K do not change the cause: the message still names the
+    # line width, and adds the losses
+    weak_losses = CavityModel(omega_c=W0, kappa=1e-3 * dist.g_collective)
+    with pytest.raises(NoOscillationError, match="spin lines up to 1.257e\\+07 rad/s") as exc:
+        find_swap_time(dist, weak_losses, taus=taus)
+    assert "losses (overdamped)" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
