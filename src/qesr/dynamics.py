@@ -214,11 +214,45 @@ class TransferResult:
 # spectral building blocks
 
 
-def _node_sums(dist: SpinDistribution, gamma0: float, zeta: np.ndarray, weights: np.ndarray):
-    """sum_j weights_j / (zeta - w_j + i gamma0/2) at every zeta, dense.
+# Pump-by-point entries of one block of `_pole_sums`; a block's real work
+# arrays take 16 bytes per entry, 0.5 MiB at this size.  This bounds every
+# direct sum: the sweep's pole sums, the dense node sums, direct-sum grids.
+_BLOCK_ENTRIES = 32_768
 
-    Chunked to bound memory.  Raises PoleCollisionError on an exact
-    real-axis node hit with gamma0 = 0 (the caller must offset or
+
+def _blocks(n_pumps: int, width: int):
+    """Slices of the pumps, _BLOCK_ENTRIES // width at a time (at least one)."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(s, s + step) for s in range(0, n_pumps, step)]
+
+
+def _pole_sums(omega: np.ndarray, b, omega_ps: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k y_k / (omega_k - w_p + i b_p) at every pump, b one value or one
+    per pump: one real reciprocal r = 1/(D^2 + b_p^2) per entry (D = omega_k -
+    w_p), then per block of pumps one real GEMM of [D r; r] with [Re y, Im y].
+    The package's one direct Cauchy sum."""
+    n = omega.size
+    cols = np.ascontiguousarray(y, dtype=complex).view(float).reshape(n, 2)  # [Re y, Im y]
+    b = np.broadcast_to(np.asarray(b, dtype=float), omega_ps.shape)
+    out = np.empty((2, omega_ps.size, 2))
+    for blk in _blocks(omega_ps.size, n):
+        work = np.empty((2, omega_ps[blk].size, n))
+        d, r = work
+        np.subtract(omega, omega_ps[blk, None], out=d)
+        np.multiply(d, d, out=r)
+        r += np.square(b[blk])[:, None]
+        np.reciprocal(r, out=r)
+        d *= r
+        out[:, blk] = (work.reshape(-1, n) @ cols).reshape(2, -1, 2)
+    (dr, di), (rr, ri) = out.transpose(0, 2, 1)
+    return (dr + b * ri) + 1j * (di - b * rr)
+
+
+def _node_sums(dist: SpinDistribution, gamma0: float, zeta: np.ndarray, weights: np.ndarray):
+    """sum_j weights_j / (zeta - w_j + i gamma0/2) at every zeta, dense: the
+    pole sums of `_pole_sums` with nodes and points swapped (omega_k = -w_j,
+    w_p = -Re zeta, b_p = Im zeta + gamma0/2).  Raises PoleCollisionError on
+    an exact real-axis node hit with gamma0 = 0 (the caller must offset or
     complex-shift instead).
     """
     zeta = np.asarray(zeta, dtype=complex)
@@ -231,11 +265,7 @@ def _node_sums(dist: SpinDistribution, gamma0: float, zeta: np.ndarray, weights:
                 "evaluation frequency coincides with a spectral node and gamma_0 = 0; "
                 "evaluate at a complex-shifted or offset frequency"
             )
-    shift = 0.5j * gamma0
-    out = np.empty(flat.shape, dtype=complex)
-    step = max(1, 2_000_000 // max(nodes.size, 1))
-    for s in range(0, flat.size, step):
-        out[s : s + step] = (1.0 / (flat[s : s + step, None] - nodes[None, :] + shift)) @ weights
+    out = _pole_sums(-nodes, flat.imag + 0.5 * gamma0, -flat.real, weights)
     return out.reshape(zeta.shape)
 
 
@@ -555,9 +585,9 @@ class _ContourGrid:
     transformed once per grid, so W (built here), each exact-mode numerator
     N of a trace and the one transposed product of an exact-mode sweep cost
     one FFT product each.  Where n_grid * n_nodes is at most the row's
-    length, as for a few nodes, `direct` is set and both products sum
-    directly instead (`convolve` through `_node_sums`), with no row.  The
-    grid covers [lo, hi] and exceeds it by less than one step on each side.
+    length, as for a few nodes, `direct` is set and both products are pole
+    sums (`_pole_sums`, offset b) instead, with no row.  The grid covers
+    [lo, hi] and exceeds it by less than one step on each side.
     """
 
     def __init__(self, dist: SpinDistribution, gamma0: float, eta: float,
@@ -596,7 +626,7 @@ class _ContourGrid:
         self.zeta = self.omega + 1j * eta
         self.step, self.delta, self.m, self.q, self.b = step, delta, m, q, b
         if self.direct:
-            self._dist, self._gamma0 = dist, gamma0
+            self._nodes = nodes
         else:
             row = 1.0 / (delta * (float(s - self._first) + np.arange(length, dtype=float)) + 1j * b)
             self._size = _fast_length(length)
@@ -606,21 +636,15 @@ class _ContourGrid:
     def convolve(self, weights: np.ndarray) -> np.ndarray:
         """sum_j weights_j / (zeta_k - w_j + i gamma0/2) on every grid point."""
         if self.direct:
-            return _node_sums(self._dist, self._gamma0, self.zeta, weights)
+            return _pole_sums(-self._nodes, self.b, -self.omega, weights)
         out = self._row_product(weights, self.q, float)
         return out[self._first : self._first + self.m * (self.omega.size - 1) + 1 : self.m].copy()
 
     def correlate(self, values: np.ndarray) -> np.ndarray:
         """sum_k values_k / (zeta_k - w_j + i gamma0/2) at every node j: the
-        transposed product of `convolve`, one FFT correlation."""
+        transposed product of `convolve`, one FFT correlation (or pole sums)."""
         if self.direct:
-            nodes, shift = self._dist.omega_nodes, 0.5j * self._gamma0
-            out = np.zeros(nodes.size, dtype=complex)
-            step = max(1, 2_000_000 // nodes.size)
-            for s in range(0, values.size, step):
-                inv = 1.0 / (self.zeta[s : s + step, None] - nodes + shift)
-                out += values[s : s + step] @ inv
-            return out
+            return _pole_sums(self.omega, self.b, self._nodes, values)
         span = self.m * (self.omega.size - 1) + 1
         out = self._row_product(values[::-1], self.m, complex)
         return out[span - 1 : span + self._first : self.q][::-1].copy()
@@ -799,37 +823,6 @@ def _pump_grid(
 # Entries of the two phase tables of one chunk of times; each table and its
 # temporaries hold a chunk at a time.
 _PHASE_CHUNK = 131_072
-
-
-# Pump-by-point entries of one block of the sweep's contraction; a block's
-# real work arrays take 16 bytes per entry, 0.5 MiB at this size.
-_BLOCK_ENTRIES = 32_768
-
-
-def _blocks(n_pumps: int, width: int):
-    """Slices of the pumps, _BLOCK_ENTRIES // width at a time (at least one)."""
-    step = max(1, _BLOCK_ENTRIES // width)
-    return [slice(s, s + step) for s in range(0, n_pumps, step)]
-
-
-def _pole_sums(omega: np.ndarray, b: float, omega_ps: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k y_k / (omega_k - w_p + i b) at every pump: one real reciprocal
-    r = 1/(D^2 + b^2) per entry (D = omega_k - w_p), then per block of pumps
-    one real GEMM of [D r; r] with [Re y, Im y]."""
-    n = omega.size
-    cols = y.view(float).reshape(n, 2)  # [Re y, Im y] without a copy
-    out = np.empty((2, omega_ps.size, 2))
-    for blk in _blocks(omega_ps.size, n):
-        work = np.empty((2, omega_ps[blk].size, n))
-        d, r = work
-        np.subtract(omega, omega_ps[blk, None], out=d)
-        np.multiply(d, d, out=r)
-        r += b * b
-        np.reciprocal(r, out=r)
-        d *= r
-        out[:, blk] = (work.reshape(-1, n) @ cols).reshape(2, -1, 2)
-    (dr, di), (rr, ri) = out.transpose(0, 2, 1)
-    return (dr + b * ri) + 1j * (di - b * rr)
 
 
 def _exact_sums(dist: SpinDistribution, env: PulseEnvelope, omega_ps: np.ndarray, u: np.ndarray):

@@ -76,7 +76,7 @@ class QubitChain:
         if np.isnan(abs2).any():
             raise ValueError("abs2_beta must be free of NaN")
         transferred = n_pump * abs2
-        worst = float(np.max(transferred))
+        worst = float(np.max(transferred, initial=0.0))  # 0.0: no pumps, no excess
         # a lossless trace sits at occupancy 1.0 up to integrator round-off;
         # the guard must not trip on that last-digit excess
         if worst > self.saturation_guard * (1.0 + 1e-9):
@@ -322,13 +322,9 @@ def esr_spectrum(
         raise ValueError("n_pump must be non-negative and finite")
     if n_pump == 0.0:
         abs2 = np.zeros(omega_ps.shape)
-        pe = np.full(omega_ps.shape, chain.baseline)
-        return SpectrumResult(
-            omega_p=omega_ps, abs2_beta=abs2, pe=pe, tau_s=float(tau_s),
-            n_excitations_peak=0.0, scale=0.0,
-        )
-    beta = transfer_sweep(dist, cavity, env, omega_ps, tau_s, mode=mode, settings=settings)
-    abs2 = np.abs(beta) ** 2
+    else:
+        beta = transfer_sweep(dist, cavity, env, omega_ps, tau_s, mode=mode, settings=settings)
+        abs2 = np.abs(beta) ** 2
     try:
         pe = chain.excited_probability(abs2, n_pump=n_pump)
     except SaturationError:

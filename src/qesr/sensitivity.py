@@ -37,10 +37,6 @@ __all__ = [
 
 N_THRESHOLD = 0.05  # default detection threshold, in mean cavity photons
 
-# |kappa - 2 Delta| below this fraction of Delta switches to the
-# removable-singularity branch of the trajectory
-_DEGENERATE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class WeakCouplingScenario:
@@ -83,13 +79,19 @@ class WeakCouplingScenario:
 def _closed_form(scenario: WeakCouplingScenario):
     """The real amplitude i <a>(t) as a function of t, and the time t* of its
     peak: g N (e^{-kappa t/2} - e^{-Delta t}) / (2 Delta - kappa) and
-    t* = ln(2 Delta/kappa)/(Delta - kappa/2), or, within _DEGENERATE_TOL of
-    kappa = 2 Delta, their limits g (N/2) t e^{-kappa t/2} and t* = 2/kappa."""
+    t* = ln(2 Delta/kappa)/(Delta - kappa/2).  With x = Delta - kappa/2, so
+    that 2 Delta - kappa = 2x exactly, and s = min(Delta, kappa/2) they are
+    g N e^{-s t} (-expm1(-|x| t)) / (2|x|) and log1p(2x/kappa)/x: no
+    difference of close numbers at any x, and no overflow at any t.  Only
+    x = 0 takes the limits g (N/2) t e^{-kappa t/2} and t* = 2/kappa."""
     g, n, k, d = scenario.coupling, scenario.n_spins, scenario.kappa, scenario.dephasing_rate
-    if abs(k - 2.0 * d) < _DEGENERATE_TOL * d:
-        return (lambda t: g * (n / 2.0) * t * np.exp(-0.5 * k * t)), 2.0 / k
-    t_peak = math.log(2.0 * d / k) / (d - 0.5 * k)
-    return (lambda t: g * n * (np.exp(-0.5 * k * t) - np.exp(-d * t)) / (2.0 * d - k)), t_peak
+    x = d - 0.5 * k
+    s = min(d, 0.5 * k)
+    if x == 0.0:
+        return (lambda t: g * (n / 2.0) * t * np.exp(-s * t)), 2.0 / k
+    ax = abs(x)
+    t_peak = math.log1p(2.0 * x / k) / x
+    return (lambda t: g * n * np.exp(-s * t) * -np.expm1(-ax * t) / (2.0 * ax)), t_peak
 
 
 def mean_field_trajectory(scenario: WeakCouplingScenario, times) -> np.ndarray:

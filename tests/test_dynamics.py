@@ -137,6 +137,32 @@ def test_kernel_pole_collision():
     assert np.isfinite(memory_kernel_W(dist, damped, node).real)
 
 
+@pytest.mark.parametrize("gamma0", [0.0, TWO_PI * 2e5])
+def test_dense_node_sums_match_complex_division(scen_III, gamma0):
+    """The dense node sums (`_pole_sums` with nodes and points swapped) agree
+    with a complex-division reference to 1e-14 of their peak, for zeta above
+    the real axis, below it and, with gamma0 > 0, on it; at gamma0 = 0,
+    W(zeta*) = W(zeta)* exactly."""
+    dist = scen_III.dist
+    nodes = dist.omega_nodes
+    alpha, _, _ = _pump_weights(dist, scen_III.env, np.array([nodes[nodes.size // 3]]))
+    cavity = CavityModel(scen_III.cavity.omega_c, scen_III.cavity.kappa, gamma0=gamma0)
+    margin = 0.1 * (nodes[-1] - nodes[0])
+    omega = np.linspace(nodes[0] - margin, nodes[-1] + margin, 301) + 0.37  # off the nodes
+    for offset in [TWO_PI * 1e5, -TWO_PI * 1e5] + ([0.0] if gamma0 > 0 else []):
+        zeta = omega + 1j * offset
+        for weights in (dist.couplings_sq, alpha[0] * dist.couplings_sq):
+            want = np.concatenate([
+                (1.0 / (zeta[a : a + 50, None] - nodes + 0.5j * gamma0)) @ weights
+                for a in range(0, zeta.size, 50)
+            ])
+            got = _node_sums(dist, gamma0, zeta, weights)
+            assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
+        if gamma0 == 0.0:
+            W = memory_kernel_W(dist, cavity, zeta)
+            assert np.array_equal(memory_kernel_W(dist, cavity, zeta.conj()), W.conj())
+
+
 # ---------------------------------------------------------------------------
 # the contour grid on the node lattice, and its FFT kernel
 # ---------------------------------------------------------------------------
@@ -145,8 +171,10 @@ def test_kernel_pole_collision():
 def _lattice_case(request, case):
     """(dist, gamma0, eta, d_omega, window) of the contour grid to check, and
     the exact-mode weights alpha_j g_j^2 of a pump at the ensemble centre."""
-    if case == "degenerate":  # 21 nodes at the swap time pi / 2 g_K, as its sweep runs
+    if case.startswith("degenerate"):  # 21 nodes at the swap time pi / 2 g_K, as its sweep runs
         dist, cavity, env = request.getfixturevalue("degenerate_factory")()
+        if case == "degenerate_gamma0":
+            cavity = CavityModel(cavity.omega_c, cavity.kappa, gamma0=1e-3 * dist.g_collective)
         eta, d_omega = _grid_controls(InversionSettings(), math.pi / (2.0 * dist.g_collective),
                                       dist, cavity)
         window = _auto_window(dist, cavity, env.bandwidth_scale, [cavity.omega_c])
@@ -166,18 +194,21 @@ def _lattice_case(request, case):
     return dist, cavity.gamma0, eta, d_omega, window, alpha[0] * dist.couplings_sq
 
 
-@pytest.mark.parametrize("case", ["I", "III", "I_gamma0", "III_fine_step", "degenerate"])
+@pytest.mark.parametrize(
+    "case", ["I", "III", "I_gamma0", "III_fine_step", "degenerate", "degenerate_gamma0"]
+)
 def test_lattice_kernel_matches_references(request, case):
     """W and an exact-mode numerator N from the grid's node sum agree with an
     exact-difference reference, built from the integer lattice offsets, and
     with the dense node sums at the same zeta, to 1e-12 of max|W| (max|N|);
     so does the transposed product `correlate` with its reference.  The
     bundled grids take the FFT convolution and correlation; the 21-node
-    degenerate grid, whose n_grid * n_nodes is below the kernel lattice's
-    length, sums the nodes directly."""
+    degenerate grids, whose n_grid * n_nodes is below the kernel lattice's
+    length, sum the nodes directly, by `_pole_sums`, with and without
+    gamma0."""
     dist, gamma0, eta, d_omega, (lo, hi), extra = _lattice_case(request, case)
     grid = _ContourGrid(dist, gamma0, eta, d_omega, lo, hi)
-    assert grid.direct == (case == "degenerate")
+    assert grid.direct == case.startswith("degenerate")
     if case == "III_fine_step":
         assert grid.q > 1 and grid.step < d_omega
     W, N = grid.W, grid.convolve(extra)
@@ -1304,9 +1335,12 @@ def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, e
         assert calls == [(k, wps[1]) for k in range(1, n)] + [(n, wps[1]), (n, wps[2])]
         assert sizes == [2] * (n + 1)
         # one partition of the pumps per blocked contraction: the pole sums,
-        # and in exact mode the numerators
-        assert len(blocks) == (2 if mode == MODE_EXACT else 1)
-        for k, n_pumps, slices in blocks:
+        # and in exact mode the numerators; every other partition is of the
+        # exact-mode edge test's dense node sums at the two window end points
+        contractions = [blk for blk in blocks if blk[1] == wps.size]
+        assert all(n_pumps == 2 for _, n_pumps, _ in blocks if n_pumps != wps.size)
+        assert len(contractions) == (2 if mode == MODE_EXACT else 1)
+        for k, n_pumps, slices in contractions:
             assert (k, n_pumps) == (n, wps.size) and len(slices) > 1
             landed = np.concatenate([np.arange(n_pumps)[s] for s in slices])
             assert np.array_equal(landed, np.arange(n_pumps))
@@ -1450,6 +1484,16 @@ def test_time_domain_trace_memory_is_bounded(scen_I):
         scen_I.dist, scen_I.cavity, "pulse", times, env=scen_I.env, omega_p=scen_I.ens.center,
     ))
     assert peak < 16.0
+
+
+def test_dense_kernel_memory_is_bounded(scen_III):
+    """The dense node sums go through `_pole_sums` a block of points at a
+    time: W on 6,000 points of the 5,001-node grid stays under 4 MiB (all its
+    complex denominators at once would take 458 MiB)."""
+    nodes = scen_III.dist.omega_nodes
+    zeta = np.linspace(nodes[0], nodes[-1], 6000) + 1j * TWO_PI * 1e5
+    peak = traced_peak_mib(lambda: memory_kernel_W(scen_III.dist, scen_III.cavity, zeta))
+    assert peak <= 4.0
 
 
 def test_contour_trace_memory_is_bounded(scen_I):

@@ -106,6 +106,44 @@ def test_removable_branch_is_continuous():
     assert float(np.max(np.abs(just_inside - on_branch))) < 1e-5 * scale
 
 
+def test_closed_form_is_accurate_through_the_removable_point():
+    """Against a 50-digit reference, the trajectory (t <= 10/Delta) and the
+    peak time hold 1e-14 relative at every offset of kappa from 2 Delta, from
+    0.5 down to 1e-17 and 0, on both sides: no cancellation next to the
+    limit, no tolerance band around it.  Each public call still warns once."""
+    from decimal import Decimal, localcontext
+
+    def reference(scen, t):
+        g, n, k, d, t = map(Decimal, (scen.coupling, scen.n_spins, scen.kappa,
+                                      scen.dephasing_rate, t))
+        if 2 * d == k:
+            return g * n / 2 * t * (-k * t / 2).exp()
+        return g * n * ((-k * t / 2).exp() - (-d * t).exp()) / (2 * d - k)
+
+    def reference_peak(scen):
+        k, d = Decimal(scen.kappa), Decimal(scen.dephasing_rate)
+        return 2 / k if 2 * d == k else (2 * d / k).ln() / (d - k / 2)
+
+    delta = TWO_PI * 1e6
+    times = np.linspace(0.0, 10.0 / delta, 41)
+    offsets = [0.5, 1e-2, 1e-4, 1e-6, 1e-7, 1e-9, 1e-12, 1e-15, 1e-16, 1e-17]
+    for kappa in [2.0 * delta] + [2.0 * delta * (1.0 + s * x) for x in offsets for s in (1, -1)]:
+        scen = quiet_scenario(dephasing_rate=delta, kappa=kappa)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = mean_field_trajectory(scen, times)
+            peak = peak_photon_number(scen)
+        assert len(caught) == 2
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = np.array([float(reference(scen, t)) for t in times])
+            t_peak = float(reference_peak(scen))
+            n_max = float(reference(scen, peak.t_peak) ** 2)
+        assert float(np.max(np.abs(got - (-1j) * want))) <= 1e-14 * float(np.max(want))
+        assert abs(peak.t_peak - t_peak) <= 1e-14 * t_peak
+        assert abs(peak.exact_max - n_max) <= 1e-14 * n_max
+
+
 def test_peak_estimate_reaches_one_photon():
     # N = 2 Delta / g puts the kappa << Delta peak estimate at exactly one
     delta = TWO_PI * 2.8e6
