@@ -214,16 +214,17 @@ class TransferResult:
 # spectral building blocks
 
 
-# Pump-by-point entries of one block of `_pole_sums`; a block's real work
-# arrays take 16 bytes per entry, 0.5 MiB at this size.  This bounds every
-# direct sum: the sweep's pole sums, the dense node sums, direct-sum grids.
+# Entries of one block of every blocked loop: the pump-by-point entries of
+# `_pole_sums` (its real work arrays take 16 bytes each, 0.5 MiB; this bounds
+# every direct sum: the sweep's pole sums, the dense node sums, direct-sum
+# grids) and the time-by-column entries of `_bromwich_sum`'s phase tables.
 _BLOCK_ENTRIES = 32_768
 
 
-def _blocks(n_pumps: int, width: int):
-    """Slices of the pumps, _BLOCK_ENTRIES // width at a time (at least one)."""
+def _blocks(n: int, width: int):
+    """Slices of n rows, _BLOCK_ENTRIES // width at a time (at least one)."""
     step = max(1, _BLOCK_ENTRIES // width)
-    return [slice(s, s + step) for s in range(0, n_pumps, step)]
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _pole_sums(omega: np.ndarray, b, omega_ps: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,20 +253,21 @@ def _node_sums(dist: SpinDistribution, gamma0: float, zeta: np.ndarray, weights:
     """sum_j weights_j / (zeta - w_j + i gamma0/2) at every zeta, dense: the
     pole sums of `_pole_sums` with nodes and points swapped (omega_k = -w_j,
     w_p = -Re zeta, b_p = Im zeta + gamma0/2).  Raises PoleCollisionError on
-    an exact real-axis node hit with gamma0 = 0 (the caller must offset or
-    complex-shift instead).
+    an exact hit of a pole w_j - i gamma0/2, b_p = 0 at a node (the caller
+    must offset or complex-shift instead).
     """
     zeta = np.asarray(zeta, dtype=complex)
     flat = zeta.ravel()
     nodes = dist.omega_nodes
-    if gamma0 == 0.0:
-        real_mask = flat.imag == 0.0
-        if np.any(real_mask) and np.any(np.isin(flat[real_mask].real, nodes)):
-            raise PoleCollisionError(
-                "evaluation frequency coincides with a spectral node and gamma_0 = 0; "
-                "evaluate at a complex-shifted or offset frequency"
-            )
-    out = _pole_sums(-nodes, flat.imag + 0.5 * gamma0, -flat.real, weights)
+    b = flat.imag + 0.5 * gamma0
+    on_poles = b == 0.0
+    # np.isin only on a hit: on arrays of nodes its first call imports numpy.ma
+    if on_poles.any() and np.any(np.isin(flat[on_poles].real, nodes)):
+        raise PoleCollisionError(
+            "evaluation frequency coincides with a pole w_j - i gamma_0/2 of the spin "
+            "kernel; evaluate at a complex-shifted or offset frequency"
+        )
+    out = _pole_sums(-nodes, b, -flat.real, weights)
     return out.reshape(zeta.shape)
 
 
@@ -275,7 +277,8 @@ def memory_kernel_W(dist: SpinDistribution, cavity: CavityModel, omega):
     omega may be real or complex, scalar or array.  With gamma0 = 0 and a
     dense grid, evaluating at omega + i*eta (node spacing << eta << line
     width) approximates the continuum kernel; for a single Lorentzian line of
-    FWHM w that limit is g_K^2 / (omega - w_s + i w/2).
+    FWHM w that limit is g_K^2 / (omega - w_s + i w/2).  An omega on a pole
+    w_j - i gamma0/2 (a real node when gamma0 = 0) raises PoleCollisionError.
     """
     scalar = np.isscalar(omega)
     W = _node_sums(dist, cavity.gamma0, omega, dist.couplings_sq)
@@ -289,8 +292,8 @@ def _t1(cavity: CavityModel, zeta: np.ndarray, W: np.ndarray) -> np.ndarray:
 def cavity_amplitude_t1(dist: SpinDistribution, cavity: CavityModel, omega):
     """Cavity response t1(-i omega) = i / (omega - w_c + i kappa/2 - W(omega)).
 
-    Lossless systems included: as for `memory_kernel_W`, a real omega on a
-    node with gamma0 = 0 raises PoleCollisionError.
+    Lossless systems included: as for `memory_kernel_W`, an omega on a pole
+    w_j - i gamma0/2 of W raises PoleCollisionError.
     """
     scalar = np.isscalar(omega)
     zeta = np.asarray(omega, dtype=complex)
@@ -751,30 +754,34 @@ def _contour_grid(
     settings: Optional[InversionSettings],
     pulse_scale: float,
     anchors: Sequence[float],
-    edges: Callable,
+    remainders: Callable,
 ):
     """The window search: the first grid whose window passes the edge rule of
-    `InversionSettings`.
+    `InversionSettings`, the rule's one owner.
 
-    edges(grid, t1, eta) yields one (edge, peak) pair per test of the
-    integrand's subtracted remainder at the window's two end points; the
-    grid passes when every edge <= edge_ratio * peak, and the first failure
-    stops the tests.  The automatic window covers the spectrum, the anchors
-    and margins scaled by pulse_scale.  Returns the grid, t1 on it and eta.
+    t1_far (`_two_mode_far`) is built once.  On each grid, remainders(
+    zeta_ends, t1, eta, t1_far) yields one (remainder, peak) pair per test,
+    the start's integrand less its far field at the window's two end points;
+    the grid passes when every max|remainder| <= edge_ratio * peak, and the
+    first failure stops the tests.  The automatic window covers the spectrum,
+    the anchors and margins scaled by pulse_scale.  Returns the grid, t1 on
+    it, eta and t1_far.
     """
     settings = settings or InversionSettings()
     if times.size == 0 or np.any(~np.isfinite(times) | (times < 0)) or not times.max() > 0:
         raise ValueError("times must be non-empty, finite, non-negative and reach beyond t = 0")
     eta, d_omega = _grid_controls(settings, float(times.max()), dist, cavity)
     lo, hi = settings.window or _auto_window(dist, cavity, pulse_scale, anchors)
+    t1_far = _two_mode_far(dist, cavity)
     for attempt in range(_MAX_GROWTH + 1):
         grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, lo, hi)
         t1 = _t1(cavity, grid.zeta, grid.W)
-        for edge, peak in edges(grid, t1, eta):
+        for remainder, peak in remainders(grid.zeta[[0, -1]], t1, eta, t1_far):
+            edge = float(np.max(np.abs(remainder)))  # unlike max, np.max keeps a NaN
             if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
                 break
         else:
-            return grid, t1, eta
+            return grid, t1, eta, t1_far
         if settings.window is not None or attempt == _MAX_GROWTH:
             raise WindowTooSmallError(
                 f"inversion window [{lo:.6g}, {hi:.6g}] rad/s too small: edge "
@@ -794,35 +801,27 @@ def _pump_grid(
     mode: str,
     settings: Optional[InversionSettings],
 ):
-    """`_contour_grid` for a pump start, with the edge rule of
-    `InversionSettings`.  Each outermost pump's residual T - T_far
-    (`_pump_far`) is formed at the window's two end points only: in closed
+    """`_contour_grid` for a pump start.  Its remainders are each outermost
+    pump's T - T_far (`_pump_far`) at the window's two end points, the lowest
+    pump first, against max|t1| |c2| / (eta + pulse bandwidth): T in closed
     form in narrow-pulse mode, by the dense node sums at those two points in
     exact-convolution mode."""
     if omega_ps.size == 0 or np.any(np.isnan(omega_ps)):
         raise ValueError("omega_ps must be non-empty and free of NaN")
     _check_narrow(dist, env, mode)
     outer = [float(omega_ps.min()), float(omega_ps.max())]
-    t1_far = _two_mode_far(dist, cavity)
 
-    def edges(grid, t1, eta):
+    def remainders(zeta, t1, eta, t1_far):
         t1_max = float(np.max(np.abs(t1)))
-        zeta = grid.zeta[[0, -1]]
         for wp in dict.fromkeys(outer):
             T, c2 = _pump_transfer(
                 dist, cavity, env, wp, zeta, mode, t1[[0, -1]],
                 lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
             )
-            z = T - _pump_far(t1_far, cavity, env, wp, c2)(zeta)
-            # unlike max, np.max keeps a NaN
-            yield float(np.max(np.abs(z))), t1_max * abs(c2) / (eta + env.bandwidth_scale)
+            far = _pump_far(t1_far, cavity, env, wp, c2)
+            yield T - far(zeta), t1_max * abs(c2) / (eta + env.bandwidth_scale)
 
-    return _contour_grid(dist, cavity, times, settings, env.bandwidth_scale, outer, edges)
-
-
-# Entries of the two phase tables of one chunk of times; each table and its
-# temporaries hold a chunk at a time.
-_PHASE_CHUNK = 131_072
+    return _contour_grid(dist, cavity, times, settings, env.bandwidth_scale, outer, remainders)
 
 
 def _exact_sums(dist: SpinDistribution, env: PulseEnvelope, omega_ps: np.ndarray, u: np.ndarray):
@@ -843,9 +842,9 @@ def _bromwich_sum(residual: np.ndarray, step: float, omega_ref: float, eta: floa
     """step e^{(eta - i omega_ref) t} / 2 pi sum_k w_k R_k e^{-i t (k - c) step}
     + far(t) at every time: the trapezoid sum (w_k = 1, 1/2 at the ends) of the
     residual R on a uniform contour grid whose point c = (n - 1) // 2 sits at
-    omega_ref, plus the inverse of the subtracted far field.  A chunk of times
-    at a time, by the factored time sum: n_times 2 sqrt(n_grid) exponentials
-    in all."""
+    omega_ref, plus the inverse of the subtracted far field.  A block of times
+    at a time (`_blocks`), by the factored time sum: n_times 2 sqrt(n_grid)
+    exponentials in all."""
     n = residual.size
     k1 = math.isqrt(n - 1) + 1
     padded = np.zeros(k1 * -(-n // k1), dtype=complex)  # w_k R_k, zero-padded
@@ -853,13 +852,12 @@ def _bromwich_sum(residual: np.ndarray, step: float, omega_ref: float, eta: floa
     padded[0] *= 0.5
     padded[n - 1] *= 0.5
     out = np.empty(times.size, dtype=complex)
-    chunk_size = max(1, _PHASE_CHUNK // (2 * k1 + 2))
-    for s in range(0, times.size, chunk_size):
-        chunk = times[s : s + chunk_size]
+    for blk in _blocks(times.size, 2 * k1 + 2):
+        chunk = times[blk]
         baby, giant = _phase_tables(n, step, chunk)
         pref = step * np.exp((eta - 1j * omega_ref) * chunk) / (2.0 * math.pi)
         # + 0.0: a zero amplitude has no -0.0
-        out[s : s + chunk_size] = pref * _time_sum(padded, baby, giant) + (far(chunk) + 0.0)
+        out[blk] = pref * _time_sum(padded, baby, giant) + (far(chunk) + 0.0)
     return out
 
 
@@ -879,15 +877,16 @@ def invert_to_time(
     the pump's far field T_far (`_pump_far`), with eta set by max(times).
     The window search, shared with `transfer_sweep`, tests the pump at each
     window's two end points; the pump's residual is formed once, on the
-    accepted grid, and summed over every chunk of times by `_bromwich_sum`.
+    accepted grid, and summed over every block of times by `_bromwich_sum`.
     Raises WindowTooSmallError if no window passes the edge rule of
     `InversionSettings`.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     omega_p = float(omega_p)
-    grid, t1, eta = _pump_grid(dist, cavity, env, np.array([omega_p]), times, mode, settings)
+    pumps = np.array([omega_p])
+    grid, t1, eta, t1_far = _pump_grid(dist, cavity, env, pumps, times, mode, settings)
     T, c2 = _pump_transfer(dist, cavity, env, omega_p, grid.zeta, mode, t1, grid.convolve)
-    far = _pump_far(_two_mode_far(dist, cavity), cavity, env, omega_p, c2)
+    far = _pump_far(t1_far, cavity, env, omega_p, c2)
     residual = T - far(grid.zeta)
     step, omega_ref = grid.step, grid.omega[(grid.omega.size - 1) // 2]
     del grid, t1, T  # the grid's FFT row is not needed by the time sum
@@ -900,18 +899,16 @@ def _cavity_amplitude(dist: SpinDistribution, cavity: CavityModel, times: np.nda
     contour inversion of t1 with the two-mode far field subtracted, on the
     automatic grid of the default `InversionSettings`.
 
-    The window search tests |t1 - t1_far| at the window's two end points
-    (`cavity_amplitude_t1` at those two points) against edge_ratio / (eta +
-    kappa/2), which bounds |t1| on the contour because Im W <= 0 there.
+    Its remainder is t1 - t1_far at the window's two end points
+    (`cavity_amplitude_t1` at those two points), against the peak 1 / (eta
+    + kappa/2), which bounds |t1| on the contour because Im W <= 0 there.
     """
-    t1_far = _two_mode_far(dist, cavity)
 
-    def edges(grid, t1, eta):
-        zeta = grid.zeta[[0, -1]]
+    def remainders(zeta, t1, eta, t1_far):
         remainder = cavity_amplitude_t1(dist, cavity, zeta) - t1_far(zeta)
-        yield float(np.max(np.abs(remainder))), 1.0 / (eta + 0.5 * cavity.kappa)
+        yield remainder, 1.0 / (eta + 0.5 * cavity.kappa)
 
-    grid, t1, eta = _contour_grid(dist, cavity, times, None, 0.0, (), edges)
+    grid, t1, eta, t1_far = _contour_grid(dist, cavity, times, None, 0.0, (), remainders)
     residual = t1 - t1_far(grid.zeta)
     step, omega_ref = grid.step, grid.omega[(grid.omega.size - 1) // 2]
     del grid, t1  # the grid's FFT row is not needed by the time sum
@@ -944,12 +941,11 @@ def transfer_sweep(
     """
     omega_ps = np.atleast_1d(np.asarray(omega_ps, dtype=float))
     tau = float(tau)
-    grid, t1, eta = _pump_grid(dist, cavity, env, omega_ps, np.array([tau]), mode, settings)
+    grid, t1, eta, t1_far = _pump_grid(dist, cavity, env, omega_ps, np.array([tau]), mode, settings)
     n = grid.omega.size
     c = (n - 1) // 2
     v = np.exp(-1j * ((grid.step * tau) * (np.arange(n, dtype=float) - c)))
     v[[0, -1]] *= 0.5
-    t1_far = _two_mode_far(dist, cavity)
     x = 1j * v * t1
     y = 1j * v * t1_far(grid.zeta)
     # sum_k v_k R_pk = numerator_p + c2_p sum_k y_k / (zeta_k - p2_p)

@@ -46,7 +46,8 @@ class NumericalGuardError(QesrError):
 
 
 class PoleCollisionError(NumericalGuardError):
-    """Evaluation frequency hit a spectral node exactly with gamma_0 = 0.
+    """Evaluation frequency hit a pole w_j - i gamma_0/2 of the spin kernel
+    exactly (a real spectral node when gamma_0 = 0).
 
     Evaluate at a complex-shifted or offset frequency instead; the kernel is
     never regularized behind the caller's back.

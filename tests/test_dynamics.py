@@ -132,9 +132,11 @@ def test_kernel_pole_collision():
     node = float(dist.omega_nodes[57])
     with pytest.raises(PoleCollisionError):
         memory_kernel_W(dist, lossless, node)
-    # finite gamma0 moves the poles off the real axis
+    # finite gamma0 moves the poles off the real axis, to w_j - i gamma0/2
     damped = CavityModel(omega_c=W0, kappa=0.0, gamma0=TWO_PI * 1e3)
     assert np.isfinite(memory_kernel_W(dist, damped, node).real)
+    with pytest.raises(PoleCollisionError, match=r"pole w_j - i gamma_0/2"):
+        memory_kernel_W(dist, damped, node - 0.5j * damped.gamma0)
 
 
 @pytest.mark.parametrize("gamma0", [0.0, TWO_PI * 2e5])
@@ -1269,6 +1271,60 @@ def test_a_nan_at_either_window_end_fails_the_edge_rule(scen_I, monkeypatch, mod
             invert_to_time(s.dist, s.cavity, s.env, s.ens.center, [0.0, 90e-9], mode, settings)
 
 
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+def test_a_nan_at_either_window_end_fails_the_cavity_edge_rule(scen_I, monkeypatch, end):
+    """The swap calibration's cavity start goes through the same edge rule:
+    a NaN in t1 - t1_far at either window end point fails every window, up
+    to the growth cap.  The calibration passes without the NaN."""
+    import qesr.dynamics as dynamics
+
+    amplitude = dynamics.cavity_amplitude_t1
+
+    def nan_at_end(*args):
+        t1 = amplitude(*args).copy()
+        t1[end] = math.nan
+        return t1
+
+    find_swap_time(scen_I.dist, scen_I.cavity)
+    monkeypatch.setattr(dynamics, "cavity_amplitude_t1", nan_at_end)
+    with pytest.raises(WindowTooSmallError, match="edge magnitude nan"):
+        find_swap_time(scen_I.dist, scen_I.cavity)
+
+
+@pytest.mark.parametrize(
+    "call, edge_ratio",
+    [("trace", None), ("trace", GROWN_RATIO), ("sweep", None), ("sweep", GROWN_RATIO),
+     ("calibration", None)],
+)
+def test_each_inversion_builds_one_far_field(scen_I, monkeypatch, call, edge_ratio):
+    """The window search builds the two-mode far field t1_far once and hands
+    it to the inversion: a trace, a sweep and a swap calibration build it
+    exactly once, however many grids the search tries."""
+    import qesr.dynamics as dynamics
+
+    s = scen_I
+    builds = []
+    two_mode_far = dynamics._two_mode_far
+
+    def spy(*args):
+        builds.append(args)
+        return two_mode_far(*args)
+
+    monkeypatch.setattr(dynamics, "_two_mode_far", spy)
+    settings = s.settings if edge_ratio is None else InversionSettings(edge_ratio=edge_ratio)
+    runs = {
+        "trace": lambda: invert_to_time(
+            s.dist, s.cavity, s.env, s.ens.center, [0.0, 90e-9], MODE_EXACT, settings
+        ),
+        "sweep": lambda: transfer_sweep(
+            s.dist, s.cavity, s.env, s.omegas, 90e-9, MODE_EXACT, settings
+        ),
+        "calibration": lambda: find_swap_time(s.dist, s.cavity),
+    }
+    runs[call]()
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("pumps", [[], [math.nan], [W0, math.nan]])
 def test_contour_rejects_empty_or_nan_pumps(scen_I, monkeypatch, pumps):
     """Empty or NaN pumps are refused by name before any grid is built; no
@@ -1497,8 +1553,8 @@ def test_dense_kernel_memory_is_bounded(scen_III):
 
 
 def test_contour_trace_memory_is_bounded(scen_I):
-    """The phase tables are built a chunk of times at a time: 20,001 times fit
-    under the cap that the unchunked tables would exceed."""
+    """The phase tables are built a block of times at a time (`_blocks`):
+    20,001 times fit under the cap that the unblocked tables would exceed."""
     times = np.linspace(0.0, 1.5 * np.pi / scen_I.dist.g_collective, 20001)
     peak = traced_peak_mib(lambda: invert_to_time(
         scen_I.dist, scen_I.cavity, scen_I.env, scen_I.ens.center, times,
@@ -1528,7 +1584,7 @@ def test_sweep_memory_stays_below_the_swap_calibration(scen_III, mode):
 def test_contour_calibration_memory_stays_below_the_ode_calibration(request, name):
     """The contour swap calibration drops its grid and FFT row before the
     time sum: its traced peak stays at or below that of the ODE calibration
-    on the same storage grid (2.2 / 2.9 MiB against 3.5 MiB)."""
+    on the same storage grid (1.7 / 3.0 MiB against 3.5 MiB)."""
     s = request.getfixturevalue(f"scen_{name}")
     taus = np.linspace(0.0, 1.2 * np.pi / s.dist.g_collective, 481)
     ode = traced_peak_mib(lambda: simulate_swap(s.dist, s.cavity, QubitChain(), taus))

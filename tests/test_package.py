@@ -1,5 +1,6 @@
 """The package surface: `qesr` exports each submodule's `__all__`, once, and
-loads no SciPy module on import or on any command with a non-gaussian pulse."""
+loads no SciPy module and no `numpy.ma` on import or on any command with a
+non-gaussian pulse."""
 import ast
 import importlib
 import json
@@ -44,7 +45,8 @@ COLD_RUNS = {
     "transfer-time-domain": ["transfer", "--config", PLUS_I, "--method", "time-domain"],
 }
 
-# runs in a fresh interpreter: the optional CLI call, then the loaded SciPy modules
+# runs in a fresh interpreter: the optional CLI call, then the loaded SciPy and
+# numpy.ma modules
 COLD_SCRIPT = """
 import json, sys
 import qesr
@@ -52,13 +54,17 @@ argv = json.loads(sys.argv[1])
 if argv:
     from qesr.cli import main
     assert main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]
+)))
 """
 
 
 @pytest.mark.parametrize("argv", COLD_RUNS.values(), ids=COLD_RUNS.keys())
 def test_cold_start_loads_no_scipy(tmp_path, argv):
-    """SciPy is imported only where it is used: by gaussian pulses (wofz)."""
+    """SciPy is imported only where it is used: by gaussian pulses (wofz).
+    `numpy.ma`, which `np.isin` imports when first called on the nodes, stays
+    unloaded: the dense node sums call it only on an exact pole hit."""
     if argv:
         argv = argv + ["--out", str(tmp_path)]
     env = dict(os.environ, PYTHONPATH=str(Path(qesr.__file__).resolve().parents[1]))
