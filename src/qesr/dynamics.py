@@ -301,11 +301,11 @@ def cavity_amplitude_t1(dist: SpinDistribution, cavity: CavityModel, omega):
     return complex(t1) if scalar else t1
 
 
-def _narrow_scale(dist: SpinDistribution, env: PulseEnvelope, omega_p):
-    """g_K * A * sqrt(rho(omega_p)) for the narrow-pulse factorization, at one
-    pump or an array of them."""
+def _narrow_c2(dist: SpinDistribution, env: PulseEnvelope, omega_p):
+    """The narrow-pulse far-field coefficient c2 = -g_K * A * sqrt(rho(omega_p)),
+    at one pump or an array of them."""
     rho = density_at(dist, omega_p)
-    return dist.g_collective * pulse_constant_A(env) * np.sqrt(np.maximum(rho, 0.0))
+    return -dist.g_collective * pulse_constant_A(env) * np.sqrt(np.maximum(rho, 0.0))
 
 
 # Narrow-pulse mode is accurate to a few percent only for pulses narrower than
@@ -369,9 +369,9 @@ def _pump_transfer(
     called once in exact mode and never in narrow mode.
     """
     if mode == MODE_NARROW:
-        scale = _narrow_scale(dist, env, omega_p)
+        c2 = _narrow_c2(dist, env, omega_p)
         shape = env.cauchy(zeta - omega_p + 0.5j * cavity.gamma0)
-        return 1j * t1 * scale * shape / env.norm_l1, -scale
+        return -1j * t1 * c2 * shape / env.norm_l1, c2
     (alpha,), (d,), (c2,) = _pump_weights(dist, env, np.array([omega_p]))
     return 1j * t1 * numerator(alpha * dist.couplings_sq) / d, float(c2)
 
@@ -396,12 +396,10 @@ def transfer_spectrum_t(
     _check_narrow(dist, env, mode)
     scalar = np.isscalar(omega)
     zeta = np.asarray(omega, dtype=complex)
-
-    def numerator(weights):
-        return _node_sums(dist, cavity.gamma0, zeta, weights)
-
-    t1 = _t1(cavity, zeta, numerator(dist.couplings_sq))
-    out, _ = _pump_transfer(dist, cavity, env, omega_p, zeta, mode, t1, numerator)
+    out, _ = _pump_transfer(
+        dist, cavity, env, omega_p, zeta, mode, cavity_amplitude_t1(dist, cavity, zeta),
+        lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
+    )
     return complex(out) if scalar else out
 
 
@@ -585,12 +583,13 @@ class _ContourGrid:
     transpose, `correlate`, sums over the grid instead: sum_k x_k /
     (zeta_k - w_j + i gamma0/2) at every node j, the grid values stuffed
     every m-th point in reverse and convolved with the same row.  The row is
-    transformed once per grid, so W (built here), each exact-mode numerator
-    N of a trace and the one transposed product of an exact-mode sweep cost
-    one FFT product each.  Where n_grid * n_nodes is at most the row's
-    length, as for a few nodes, `direct` is set and both products are pole
-    sums (`_pole_sums`, offset b) instead, with no row.  The grid covers
-    [lo, hi] and exceeds it by less than one step on each side.
+    transformed once per grid, so W (which the window search forms t1 from),
+    each exact-mode numerator N of a trace and the one transposed product of
+    an exact-mode sweep cost one FFT product each.  Where n_grid * n_nodes
+    is at most the row's length, as for a few nodes, `direct` is set and
+    both products are pole sums (`_pole_sums`, offset b) instead, with no
+    row.  The grid covers [lo, hi] and exceeds it by less than one step on
+    each side.
     """
 
     def __init__(self, dist: SpinDistribution, gamma0: float, eta: float,
@@ -634,13 +633,12 @@ class _ContourGrid:
             row = 1.0 / (delta * (float(s - self._first) + np.arange(length, dtype=float)) + 1j * b)
             self._size = _fast_length(length)
             self._row_hat = np.fft.fft(row, self._size)
-        self.W = self.convolve(dist.couplings_sq)
 
     def convolve(self, weights: np.ndarray) -> np.ndarray:
         """sum_j weights_j / (zeta_k - w_j + i gamma0/2) on every grid point."""
         if self.direct:
             return _pole_sums(-self._nodes, self.b, -self.omega, weights)
-        out = self._row_product(weights, self.q, float)
+        out = self._row_product(weights, self.q)
         return out[self._first : self._first + self.m * (self.omega.size - 1) + 1 : self.m].copy()
 
     def correlate(self, values: np.ndarray) -> np.ndarray:
@@ -649,14 +647,15 @@ class _ContourGrid:
         if self.direct:
             return _pole_sums(self.omega, self.b, self._nodes, values)
         span = self.m * (self.omega.size - 1) + 1
-        out = self._row_product(values[::-1], self.m, complex)
+        out = self._row_product(values[::-1], self.m)
         return out[span - 1 : span + self._first : self.q][::-1].copy()
 
-    def _row_product(self, values: np.ndarray, stride: int, dtype) -> np.ndarray:
-        """The row convolved with values stuffed every stride-th point, by FFT;
-        at most two work arrays of the row's length are alive at a time, and
-        the callers copy out their points so that none outlives the call."""
-        spectrum = np.zeros(self._size, dtype=dtype)
+    def _row_product(self, values: np.ndarray, stride: int) -> np.ndarray:
+        """The row convolved with values stuffed every stride-th point of one
+        complex buffer, by FFT; at most two work arrays of the row's length
+        are alive at a time, and the callers copy out their points so that
+        none outlives the call."""
+        spectrum = np.zeros(self._size, dtype=complex)
         spectrum[: stride * (values.size - 1) + 1 : stride] = values
         spectrum = np.fft.fft(spectrum)
         spectrum *= self._row_hat
@@ -759,7 +758,8 @@ def _contour_grid(
     """The window search: the first grid whose window passes the edge rule of
     `InversionSettings`, the rule's one owner.
 
-    t1_far (`_two_mode_far`) is built once.  On each grid, remainders(
+    t1_far (`_two_mode_far`) is built once.  On each grid, t1 is formed
+    from the grid's node sum W = `convolve`(g_j^2), and remainders(
     zeta_ends, t1, eta, t1_far) yields one (remainder, peak) pair per test,
     the start's integrand less its far field at the window's two end points;
     the grid passes when every max|remainder| <= edge_ratio * peak, and the
@@ -775,7 +775,7 @@ def _contour_grid(
     t1_far = _two_mode_far(dist, cavity)
     for attempt in range(_MAX_GROWTH + 1):
         grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, lo, hi)
-        t1 = _t1(cavity, grid.zeta, grid.W)
+        t1 = _t1(cavity, grid.zeta, grid.convolve(dist.couplings_sq))
         for remainder, peak in remainders(grid.zeta[[0, -1]], t1, eta, t1_far):
             edge = float(np.max(np.abs(remainder)))  # unlike max, np.max keeps a NaN
             if not edge <= settings.edge_ratio * peak:  # a NaN edge fails too
@@ -899,14 +899,13 @@ def _cavity_amplitude(dist: SpinDistribution, cavity: CavityModel, times: np.nda
     contour inversion of t1 with the two-mode far field subtracted, on the
     automatic grid of the default `InversionSettings`.
 
-    Its remainder is t1 - t1_far at the window's two end points
-    (`cavity_amplitude_t1` at those two points), against the peak 1 / (eta
-    + kappa/2), which bounds |t1| on the contour because Im W <= 0 there.
+    Its remainder is t1 - t1_far at the window's two end points, read off
+    the grid's t1 that the inversion sums, against the peak 1 / (eta +
+    kappa/2), which bounds |t1| on the contour because Im W <= 0 there.
     """
 
     def remainders(zeta, t1, eta, t1_far):
-        remainder = cavity_amplitude_t1(dist, cavity, zeta) - t1_far(zeta)
-        yield remainder, 1.0 / (eta + 0.5 * cavity.kappa)
+        yield t1[[0, -1]] - t1_far(zeta), 1.0 / (eta + 0.5 * cavity.kappa)
 
     grid, t1, eta, t1_far = _contour_grid(dist, cavity, times, None, 0.0, (), remainders)
     residual = t1 - t1_far(grid.zeta)
@@ -952,7 +951,7 @@ def transfer_sweep(
     if mode == MODE_EXACT:
         numerator, c2 = _exact_sums(dist, env, omega_ps, grid.correlate(x))
     else:
-        c2 = -_narrow_scale(dist, env, omega_ps)
+        c2 = _narrow_c2(dist, env, omega_ps)
         if env.shape == "lorentzian":  # C(u) / |alpha|_1 = 1 / (zeta - p2)
             numerator = 0.0
             y -= x

@@ -213,7 +213,7 @@ def test_lattice_kernel_matches_references(request, case):
     assert grid.direct == case.startswith("degenerate")
     if case == "III_fine_step":
         assert grid.q > 1 and grid.step < d_omega
-    W, N = grid.W, grid.convolve(extra)
+    W, N = grid.convolve(dist.couplings_sq), grid.convolve(extra)
     rows = np.unique(np.r_[0 : W.size : 4, W.size - 1, np.argmax(np.abs(W))])
     j = np.arange(dist.n_nodes)
     ref = np.empty((2, rows.size), dtype=complex)
@@ -290,7 +290,8 @@ def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
     """On a contour, W, N and the sweep's transposed product come from the FFT
     kernel: the dense node sums only see the exact-mode edge test, at the
     window's two end points, once for each outermost pump of a sweep and once
-    for a trace's one pump."""
+    for a trace's one pump.  The swap calibration reads its cavity start's
+    window ends off the grid's t1 and adds none."""
     import qesr.dynamics as dynamics
 
     seen = []
@@ -309,6 +310,7 @@ def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
             scen_I.dist, scen_I.cavity, scen_I.env, wps[1], np.linspace(0.0, 2e-7, 21),
             mode=mode,
         )
+    find_swap_time(scen_I.dist, scen_I.cavity)
     assert seen == ([2, 2, 2] if mode == MODE_EXACT else [])
 
 
@@ -1274,19 +1276,19 @@ def test_a_nan_at_either_window_end_fails_the_edge_rule(scen_I, monkeypatch, mod
 @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
 def test_a_nan_at_either_window_end_fails_the_cavity_edge_rule(scen_I, monkeypatch, end):
     """The swap calibration's cavity start goes through the same edge rule:
-    a NaN in t1 - t1_far at either window end point fails every window, up
+    a NaN in the grid's t1 at either window end point fails every window, up
     to the growth cap.  The calibration passes without the NaN."""
     import qesr.dynamics as dynamics
 
-    amplitude = dynamics.cavity_amplitude_t1
+    t1_of = dynamics._t1
 
     def nan_at_end(*args):
-        t1 = amplitude(*args).copy()
+        t1 = t1_of(*args)
         t1[end] = math.nan
         return t1
 
     find_swap_time(scen_I.dist, scen_I.cavity)
-    monkeypatch.setattr(dynamics, "cavity_amplitude_t1", nan_at_end)
+    monkeypatch.setattr(dynamics, "_t1", nan_at_end)
     with pytest.raises(WindowTooSmallError, match="edge magnitude nan"):
         find_swap_time(scen_I.dist, scen_I.cavity)
 
@@ -1584,12 +1586,14 @@ def test_sweep_memory_stays_below_the_swap_calibration(scen_III, mode):
 def test_contour_calibration_memory_stays_below_the_ode_calibration(request, name):
     """The contour swap calibration drops its grid and FFT row before the
     time sum: its traced peak stays at or below that of the ODE calibration
-    on the same storage grid (1.7 / 3.0 MiB against 3.5 MiB)."""
+    on the same storage grid, and within 2/3 of it (1.5 / 2.0 MiB against
+    3.5 MiB)."""
     s = request.getfixturevalue(f"scen_{name}")
     taus = np.linspace(0.0, 1.2 * np.pi / s.dist.g_collective, 481)
     ode = traced_peak_mib(lambda: simulate_swap(s.dist, s.cavity, QubitChain(), taus))
     contour = traced_peak_mib(lambda: find_swap_time(s.dist, s.cavity))
     assert contour <= ode
+    assert contour <= 2.0 / 3.0 * ode
 
 
 def test_zero_coupling_gives_zero_beta_on_both_routes():

@@ -35,12 +35,15 @@ COLD_RUNS = {
     "density": ["density", "--config", PLUS_I],
     "sensitivity": ["sensitivity", "--config", PLUS_I],
     "print-effective-config": ["spectrum", "--config", PLUS_I, "--print-effective-config"],
-    # the contour route, FFT kernel included
+    # the contour route, FFT kernel included: the swap-time calibration, the
+    # narrow and exact sweeps (the exact one with its FFT correlation and
+    # dense two-point edge sums) and the exact trace
     "transfer-contour-exact": [
         "transfer", "--config", PLUS_I, "--method", "contour", "--mode", "exact-convolution",
     ],
-    # the ODE route: the swap-time calibration, the swap trace, the time-domain transfer
     "spectrum": ["spectrum", "--config", PLUS_I],
+    "spectrum-exact": ["spectrum", "--config", PLUS_I, "--mode", "exact-convolution"],
+    # the ODE route: the swap trace, the time-domain transfer
     "swap": ["swap", "--config", PLUS_I],
     "transfer-time-domain": ["transfer", "--config", PLUS_I, "--method", "time-domain"],
 }
