@@ -4,9 +4,11 @@ A port of SciPy 1.17.1's DOP853 (`solve_ivp(method="DOP853", t_eval=...)`;
 Hairer, Norsett & Wanner, "Solving ODEs I", Sec. II.4-II.6), trimmed to the
 time-domain route: forward from t = 0, values only at t_eval, no events, no
 maximum step.  Tableau, initial step, step controller and the order of the
-floating-point operations are SciPy's, so the results are the same bits.  The
-coefficients are SciPy's (dop853_coefficients.py, BSD-3-Clause, (c) 2001-2002
-Enthought, Inc. and 2003-2024 SciPy Developers) as shortest round-trip decimals.
+floating-point operations are SciPy's, so the results are the same bits; each
+stage argument y + dot(K, a) * h is formed in one reused buffer (+ and * commute)
+and F only on the kept rows.  The coefficients are SciPy's (dop853_coefficients.py,
+BSD-3-Clause, (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers) as
+shortest round-trip decimals.
 """
 from __future__ import annotations
 
@@ -18,11 +20,12 @@ from .errors import NumericalGuardError, _warn
 
 
 def _dense(n_cols: int, *rows: dict) -> np.ndarray:
-    """Rows given as {column: value} for their nonzero entries."""
-    out = np.zeros((len(rows), n_cols))
+    """Rows from {column: nonzero value}; complex, as np.dot casts them, and read-only."""
+    out = np.zeros((len(rows), n_cols), dtype=complex)
     for i, row in enumerate(rows):
         for j, value in row.items():
             out[i, j] = value
+    out.flags.writeable = False
     return out
 
 
@@ -147,6 +150,14 @@ def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, ato
         _warn(f"rtol = {float(rtol)!r} is too small; using {_MIN_RTOL!r}")
         rtol = _MIN_RTOL
     K = np.empty((16, y.size), dtype=complex)
+    arg = np.empty_like(y)
+
+    def stage(s: int, y_start: np.ndarray, h: float) -> None:
+        """K[s] = fun(y_start + h * sum_j _A[s, j] K[j]), its argument formed in arg."""
+        np.dot(K[:s].T, _A[s, :s], out=arg)
+        np.multiply(arg, h, out=arg)
+        K[s] = fun(np.add(arg, y_start, out=arg))
+
     f = fun(y)
     h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
     t, done = 0.0, 0  # done: the number of t_eval entries filled
@@ -166,7 +177,7 @@ def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, ato
             h_abs = np.abs(h)
             K[0] = f
             for s in range(1, 12):
-                K[s] = fun(y + np.dot(K[:s].T, _A[s, :s]) * h)
+                stage(s, y, h)
             y_new = y + h * np.dot(K[:12].T, _B)
             f_new = K[12] = fun(y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -183,23 +194,20 @@ def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, ato
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
         stop = int(np.searchsorted(t_eval, t, side="right"))
         if stop > done:
-            # the interpolant on [t_old, t]: three more stages, then F's rows
+            # the interpolant on [t_old, t]: three more stages, then F on the kept rows
             for s in range(13, 16):
-                K[s] = fun(y_old + np.dot(K[:s].T, _A[s, :s]) * h)
-            F = np.empty((7, y.size), dtype=complex)
-            f_old = K[0]
-            delta_y = y - y_old
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f + f_old)
-            F[3:] = h * np.dot(_D, K)
-            F = F[:, rows]  # after the product: BLAS may sum a column slice in another order
+                stage(s, y_old, h)
+            f_old, start = K[0, rows], y_old[rows]
+            delta_y = y[rows] - start
+            # rows sliced after the whole product: BLAS may sum a slice in another order
+            F = [delta_y, h * f_old - delta_y, 2 * delta_y - h * (f[rows] + f_old),
+                 *(h * np.dot(_D, K)[:, rows])]
             x = ((t_eval[done:stop] - t_old) / (t - t_old))[:, None]
-            Y = np.zeros((x.size, F.shape[1]), dtype=complex)
+            Y = np.zeros((x.size, delta_y.size), dtype=complex)
             for i, row in enumerate(reversed(F)):
                 Y += row
                 Y *= x if i % 2 == 0 else 1 - x
-            Y += y_old[rows]
+            Y += start
             out[:, done:stop] = Y.T
             done = stop
     return out

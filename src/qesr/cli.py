@@ -251,7 +251,7 @@ def _sensitivity(cfg: RunConfig, out_dir: Path) -> dict:
             peak = peak_photon_number(scenario)
             row += [peak.analytic_estimate, peak.exact_max, peak.t_peak]
         rows.append(row)
-    _write_text(out_dir / "sensitivity.csv", _csv_text(",".join(columns), rows))
+    _write_text(out_dir / "sensitivity.csv", _csv_text(",".join(columns), *zip(*rows)))
     summary = {"rows": len(rows), **dict(zip(columns, rows[0]))}
     if detail:
         summary.update({"n_spins": n_spins, "kappa_hz": kappa / TWO_PI})

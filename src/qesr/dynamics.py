@@ -1016,15 +1016,16 @@ def _propagate_state(
     The steps do not depend on `rows`, so each row is the same bits either
     way.  The arrow structure of M keeps each right-hand side O(N).
     """
-    g = dist.g_collective * np.sqrt(dist.weights)
-    det = dist.omega_nodes - cavity.omega_c
-    diag_spins = -1j * det - 0.5 * cavity.gamma0
+    g = (dist.g_collective * np.sqrt(dist.weights)).astype(complex)  # as y's products cast it
+    diag_spins = -1j * (dist.omega_nodes - cavity.omega_c) - 0.5 * cavity.gamma0
     diag_cav = -0.5 * cavity.kappa
+    work = np.empty_like(g)
 
-    def rhs(y):
+    def rhs(y):  # a new array each call: dop853 keeps it as f, across rejected steps too
         dy = np.empty_like(y)
         dy[0] = diag_cav * y[0] + np.dot(g, y[1:])
-        dy[1:] = diag_spins * y[1:] - g * y[0]
+        spins = np.multiply(diag_spins, y[1:], out=dy[1:])
+        spins -= np.multiply(g, y[0], out=work)
         return dy
 
     return dop853(rhs, x0, times, rtol, atol, rows)

@@ -12,7 +12,7 @@ converts from Hz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,18 +35,18 @@ _COVERAGE_FWHM = 5.0
 _GAUSS_SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 
-def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
-    """CSV text of numeric rows; each value is written as repr(float(v)),
-    which round-trips exactly."""
-    lines = [header + "\n"]
-    lines.extend(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
-    return "".join(lines)
+def _csv_text(header: str, *columns: Iterable) -> str:
+    """CSV text of numeric columns (arrays, sequences or iterators) side by
+    side; each value is written as repr(float(v)), which round-trips exactly."""
+    cells = [map(repr, (np.fromiter(c, float) if isinstance(c, Iterator)
+                        else np.asarray(c, dtype=float)).tolist()) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def _write_csv(path, header: str, *columns) -> None:
-    """Write the columns side by side as `_csv_text` rows."""
+    """Write the columns side by side as `_csv_text`."""
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_text(header, zip(*columns)))
+        fh.write(_csv_text(header, *columns))
 
 
 def _freeze(obj, **dtypes) -> None:

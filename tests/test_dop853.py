@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
+from qesr import _dop853
 from qesr._dop853 import dop853
 from qesr.dynamics import _initial_vector, _propagate_state
 from qesr.errors import NumericalGuardError
@@ -67,6 +68,44 @@ def test_cavity_row_alone_is_the_same_bits(request, scen, initial, periods, n_ti
     row0 = _propagate_state(s.dist, s.cavity, x0, times, s.cfg.ode_rtol, 1e-12, rows=slice(0, 1))
     assert row0.shape == (1, n_times)
     assert np.array_equal(row0, full[:1])
+
+
+def test_rejected_steps_match_scipy_bit_for_bit():
+    """A system whose step controller rejects steps: the retries reuse the
+    stage buffer, and the results and the number of rhs calls are SciPy's."""
+    rhs = arrow_rhs(np.array([100.0, -100.0]), np.array([1.0, 1.0]), 0.0, 0.0)
+    y0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    times = np.linspace(0.0, 5.0, 41)
+    rtol, atol = 1e-6, 1e-12
+    solver = DOP853(lambda t, y: rhs(y), 0.0, y0, times[-1], rtol=rtol, atol=atol)
+    rejected = 0
+    while solver.status == "running":
+        before = solver.nfev
+        solver.step()
+        rejected += (solver.nfev - before) // 12 - 1  # 12 rhs calls per attempt
+    assert rejected >= 1
+    calls = []
+
+    def counted(y):
+        calls.append(None)
+        return rhs(y)
+
+    ours = dop853(counted, y0, times, rtol, atol)
+    sol = solve_ivp(
+        lambda t, y: rhs(y), (0.0, times[-1]), y0,
+        method="DOP853", t_eval=times, rtol=rtol, atol=atol,
+    )
+    assert np.array_equal(ours, sol.y)
+    assert len(calls) == sol.nfev
+
+
+def test_tableau_is_read_only():
+    """Every run shares the tableau, so a stray out= must not change it."""
+    for name in ("_A", "_B", "_E3", "_E5", "_D"):
+        coefficients = getattr(_dop853, name)
+        assert not coefficients.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(coefficients, 2.0, out=coefficients)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

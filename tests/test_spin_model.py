@@ -13,6 +13,7 @@ from qesr.spin_model import (
     GridSpec,
     SpinDistribution,
     SpinLine,
+    _csv_text,
     build_distribution,
     density_at,
 )
@@ -355,3 +356,29 @@ def test_export_csv_schema(tmp_path):
     om, w = rows[1].split(",")
     assert float(om) == pytest.approx(float(dist.omega_nodes[0]))
     assert float(w) == pytest.approx(float(dist.weights[0]))
+
+
+def test_csv_text_writes_repr_of_float_for_every_value():
+    """The column formatter writes, row by row, what repr(float(v)) gives for
+    each value: signed zero, NaN, infinities, the subnormal and largest
+    doubles, ints, float32, iterators and a table of 5,001 rows."""
+    rng = np.random.default_rng(24)
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308])
+    beta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    single = rng.standard_normal(6).astype(np.float32)
+    table = rng.standard_normal((5001, 2))
+    cases = [
+        ("v", lambda: [special]),
+        ("n,f32,abs2", lambda: [
+            np.arange(10, 16),
+            single,
+            (abs(x) ** 2 for x in beta),  # TransferResult.to_csv's per-element abs2
+        ]),
+        ("x,y", lambda: [table[:, 0], table[:, 1]]),
+        ("tuple", lambda: [(10, 2.5, -3)]),  # a column of cli._sensitivity's rows
+        ("empty", lambda: [[]]),
+    ]
+    for header, columns in cases:
+        rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns()))
+        assert _csv_text(header, *columns()) == header + "\n" + rows, header
+    assert _csv_text("n", np.arange(10, 12)) == "n\n10.0\n11.0\n"
