@@ -12,11 +12,13 @@ effect.
 Exit codes: 0 success; 2 configuration error; 3 numerical-guard violation
 (saturation, overdamped swap, window too small, pole collision, a grid or
 ODE node cap, a non-finite contour step, a pulse with no overlap with the
-spectral grid, an ODE step-size underflow); 4 I/O error.
+spectral grid, an ODE step-size underflow, a sensitivity value that
+overflows a double); 4 I/O error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -250,6 +252,12 @@ def _sensitivity(cfg: RunConfig, out_dir: Path) -> dict:
             )
             peak = peak_photon_number(scenario)
             row += [peak.analytic_estimate, peak.exact_max, peak.t_peak]
+        for name, value in zip(columns, row):
+            if not math.isfinite(value):
+                raise NumericalGuardError(
+                    f"sensitivity row g_hz={row[0]!r}, delta_hz={row[1]!r}, "
+                    f"n_threshold={nth!r}: {name} = {value!r} is not a finite double"
+                )
         rows.append(row)
     _write_text(out_dir / "sensitivity.csv", _csv_text(",".join(columns), *zip(*rows)))
     summary = {"rows": len(rows), **dict(zip(columns, rows[0]))}
@@ -285,9 +293,14 @@ def run(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` reuses: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     shown = warnings.formatwarning  # one stderr line per warning, like the errors below
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:

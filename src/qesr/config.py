@@ -3,8 +3,9 @@
 Config files are JSON (conventionally with a .cfg extension).  Frequencies
 are given in Hz (cycles) and converted to angular rad/s when domain objects
 are built: omega_rad = 2*pi*value_hz, which must be finite (`_hz`; the sweep's
-pump edges too).  Durations are seconds.  Unknown keys are rejected with the
-offending path so physics parameters cannot be silently misspelled.
+pump edges and the cavity's omega_c / q too).  Durations are seconds.
+Unknown keys are rejected with the offending path so physics parameters
+cannot be silently misspelled.
 
 `resolve(raw)` returns the effective configuration: every default filled in,
 keys in a fixed canonical order.  Serializing the effective config, parsing
@@ -259,6 +260,11 @@ def _root_rule(cfg: dict, path: str) -> None:
         lo, hi = _pump_edges(center, sweep["span_hz"])
         if not math.isfinite(hi - lo):
             _fail("sweep", f"pump edges center_hz +/- span_hz/2 overflow in rad/s ({ens['name']})")
+        # cavity_for divides omega_c by q
+        omega_c = _rad(cfg["cavity"]["omega_c_hz"] or ens["center_hz"])
+        q = cfg["cavity"]["q"]
+        if q is not None and not math.isfinite(omega_c / q):
+            _fail("cavity.q", f"omega_c / q overflows in rad/s ({ens['name']})")
 
 
 # -- the schema: every key, its default and its check, in message order ------
@@ -404,16 +410,12 @@ class RunConfig:
         omega_c = _rad(spec["omega_c_hz"])
         if omega_c is None:
             omega_c = ensemble.center
-        gamma0 = _rad(spec["gamma0_hz"])
-        if spec["q"] is not None:
-            return CavityModel.from_quality(omega_c, spec["q"], gamma0=gamma0)
-        return CavityModel(omega_c, _rad(spec["kappa_hz"]), gamma0=gamma0)
+        kappa = _rad(spec["kappa_hz"]) if spec["q"] is None else omega_c / spec["q"]
+        return CavityModel(omega_c, kappa, gamma0=_rad(spec["gamma0_hz"]))
 
     def pulse(self) -> PulseEnvelope:
         spec = self.effective["pulse"]
-        if spec["shape"] == "rectangular":
-            return PulseEnvelope(shape="rectangular", duration=spec["duration_s"])
-        return PulseEnvelope(shape=spec["shape"], fwhm=_rad(spec["fwhm_hz"]))
+        return PulseEnvelope(spec["shape"], fwhm=_rad(spec["fwhm_hz"]), duration=spec["duration_s"])
 
     def chain(self) -> QubitChain:
         return QubitChain(**self.effective["qubit"])

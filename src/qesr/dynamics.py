@@ -81,12 +81,6 @@ class CavityModel:
         if self.gamma0 < 0 or not np.isfinite(self.gamma0):
             raise ValueError("CavityModel.gamma0 must be >= 0 and finite")
 
-    @classmethod
-    def from_quality(cls, omega_c: float, q: float, gamma0: float = 0.0) -> "CavityModel":
-        if not q > 0:
-            raise ValueError("quality factor must be positive")
-        return cls(omega_c=omega_c, kappa=omega_c / q, gamma0=gamma0)
-
 
 @dataclass(frozen=True)
 class PulseEnvelope:
@@ -103,12 +97,16 @@ class PulseEnvelope:
 
     `bandwidth_scale`, derived, is the characteristic spectral half-width
     (fwhm/4, fwhm/sqrt(8 ln 2) or 2/T); it sets pole offsets and margins.
+    `norm_l1` and `norm_l2_sq`, derived, are the integrals of alpha and of
+    alpha^2 over x.
     """
 
     shape: str
     fwhm: Optional[float] = None
     duration: Optional[float] = None
     bandwidth_scale: float = field(init=False, repr=False, compare=False)
+    norm_l1: float = field(init=False, repr=False, compare=False)
+    norm_l2_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shape not in PULSE_SHAPES:
@@ -118,14 +116,22 @@ class PulseEnvelope:
                 raise ValueError("rectangular pulse requires a finite duration > 0")
             # amplitude half max of sinc at x*T/2 = 1.89549
             object.__setattr__(self, "fwhm", 4.0 * 1.8954942670339809 / self.duration)
-            scale = 2.0 / self.duration
+            s = 2.0 / self.duration
+            l1 = l2_sq = 2.0 * math.pi / self.duration
         else:
             if self.fwhm is None or not 0 < self.fwhm < math.inf:
                 raise ValueError(f"{self.shape} pulse requires a finite fwhm > 0")
             if self.duration is not None:
                 raise ValueError("duration applies to the rectangular shape only")
-            scale = self.fwhm / (4.0 if self.shape == "lorentzian" else _SQRT_8LN2)
-        object.__setattr__(self, "bandwidth_scale", scale)
+            if self.shape == "lorentzian":
+                s = self.fwhm / 4.0
+                l1, l2_sq = math.pi * s, math.pi * s / 2.0
+            else:
+                s = self.fwhm / _SQRT_8LN2
+                l1, l2_sq = s * math.sqrt(2.0 * math.pi), s * math.sqrt(math.pi)
+        object.__setattr__(self, "bandwidth_scale", s)
+        object.__setattr__(self, "norm_l1", l1)
+        object.__setattr__(self, "norm_l2_sq", l2_sq)
 
     def amplitude(self, x):
         """alpha(x); real, peak value 1 at x = 0."""
@@ -136,24 +142,6 @@ class PulseEnvelope:
         if self.shape == "gaussian":
             return np.exp(-0.5 * (x / s) ** 2)
         return np.sinc(x * self.duration / (2.0 * np.pi))
-
-    @property
-    def norm_l1(self) -> float:
-        """integral of alpha dx."""
-        if self.shape == "lorentzian":
-            return math.pi * self.bandwidth_scale
-        if self.shape == "gaussian":
-            return self.bandwidth_scale * math.sqrt(2.0 * math.pi)
-        return 2.0 * math.pi / self.duration
-
-    @property
-    def norm_l2_sq(self) -> float:
-        """integral of alpha^2 dx."""
-        if self.shape == "lorentzian":
-            return math.pi * self.bandwidth_scale / 2.0
-        if self.shape == "gaussian":
-            return self.bandwidth_scale * math.sqrt(math.pi)
-        return 2.0 * math.pi / self.duration
 
     def cauchy(self, u):
         """integral of alpha(x) / (u - x) dx for Im(u) > 0 (closed forms).

@@ -21,6 +21,7 @@ number N_min = (2 Delta / g) sqrt(n_threshold).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +84,24 @@ def _closed_form(scenario: WeakCouplingScenario):
     that 2 Delta - kappa = 2x exactly, and s = min(Delta, kappa/2) they are
     g N e^{-s t} (-expm1(-|x| t)) / (2|x|) and log1p(2x/kappa)/x: no
     difference of close numbers at any x, and no overflow at any t.  Only
-    x = 0 takes the limits g (N/2) t e^{-kappa t/2} and t* = 2/kappa."""
+    x = 0 takes the limits g (N/2) t e^{-kappa t/2} and t* = 2/kappa.
+
+    For kappa > 4 Delta, 2x/kappa nears -1 and log1p loses the digits of
+    2 Delta/kappa, so t* takes log(2 Delta/kappa)/x there, or the sum of
+    logs where 2 Delta/kappa is subnormal or 2x/kappa overflows."""
     g, n, k, d = scenario.coupling, scenario.n_spins, scenario.kappa, scenario.dephasing_rate
     x = d - 0.5 * k
     s = min(d, 0.5 * k)
     if x == 0.0:
         return (lambda t: g * (n / 2.0) * t * np.exp(-s * t)), 2.0 / k
     ax = abs(x)
-    t_peak = math.log1p(2.0 * x / k) / x
+    r, ratio = 2.0 * x / k, 2.0 * d / k
+    if -0.5 <= r < math.inf:
+        t_peak = math.log1p(r) / x
+    elif r < -0.5 and ratio >= sys.float_info.min:
+        t_peak = math.log(ratio) / x
+    else:
+        t_peak = (math.log(2.0) + math.log(d) - math.log(k)) / x
     return (lambda t: g * n * np.exp(-s * t) * -np.expm1(-ax * t) / (2.0 * ax)), t_peak
 
 
@@ -126,8 +137,8 @@ def peak_photon_number(scenario: WeakCouplingScenario) -> PeakPhotons:
     scenario.check_validity()
     amplitude, t_peak = _closed_form(scenario)
     amp = float(amplitude(t_peak))
-    estimate = (scenario.coupling * scenario.n_spins / (2.0 * scenario.dephasing_rate)) ** 2
-    return PeakPhotons(analytic_estimate=estimate, exact_max=amp * amp, t_peak=t_peak)
+    estimate = scenario.coupling * scenario.n_spins / (2.0 * scenario.dephasing_rate)
+    return PeakPhotons(analytic_estimate=estimate * estimate, exact_max=amp * amp, t_peak=t_peak)
 
 
 def min_detectable_spins(

@@ -24,7 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qesr
-from qesr.cli import main
+from qesr.cli import build_parser, main, run
 
 from conftest import bundled_config_path
 
@@ -667,6 +667,118 @@ def test_satellite_replica_overflowing_in_rad_exit_2(tmp_path, capsys):
         "config error: ensembles[0].satellites[0]: line center_hz + offset_hz "
         "overflows in rad/s (demo)"
     ) in capsys.readouterr().err
+
+
+def test_cavity_q_overflowing_in_rad_exit_2(tmp_path, capsys):
+    """kappa = omega_c / q must be finite, with omega_c the cavity's own or else
+    the ensemble's centre: a config error naming the ensemble, for every
+    command and --print-effective-config alike."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["cavity"] = {"q": 1e-300}
+    cfg = write_cfg(tmp_path, raw)
+    for argv in (["swap", "--out", str(tmp_path / "o")], ["density", "--print-effective-config"]):
+        assert main([*argv, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == 2 * "config error: cavity.q: omega_c / q overflows in rad/s (demo)\n"
+    assert not (tmp_path / "o").exists()
+    raw["cavity"]["omega_c_hz"] = 1e-10  # kappa = 2 pi 1e290 rad/s
+    assert main(["density", "--print-effective-config", "--config", write_cfg(tmp_path, raw)]) == 0
+
+
+def _sensitivity_run(tmp_path, sensitivity):
+    raw = json.loads(json.dumps(SMALL))
+    raw["sensitivity"] = sensitivity
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["sensitivity", "--config", write_cfg(tmp_path, raw), "--out", str(out)])
+    return rc, out
+
+
+@pytest.mark.parametrize(
+    "sensitivity, cause",
+    [
+        ({"kappa_hz": 1e6, "n_spins": 1e300},
+         "g_hz=10.0, delta_hz=2799999.9999999995, n_threshold=0.05: nbar_analytic = inf"),
+        ({"coupling_hz": [1e-300], "delta_hz": [1e300]},
+         "g_hz=9.999999999999999e-301, delta_hz=1e+300, n_threshold=0.05: n_min = inf"),
+    ],
+)
+def test_sensitivity_overflowing_a_double_exit_3(tmp_path, capsys, sensitivity, cause):
+    """A table value beyond the largest double names its row and column and
+    writes no table, where it raised OverflowError or wrote inf (not JSON)."""
+    rc, out = _sensitivity_run(tmp_path, sensitivity)
+    assert rc == 3
+    assert f"numerical guard: sensitivity row {cause} is not a finite double" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "sensitivity.csv").exists()
+
+
+def test_sensitivity_with_kappa_far_above_delta_exit_0(tmp_path):
+    """kappa = 3.6e16 Delta put 2x/kappa at -1 in rounding, and log1p failed."""
+    from decimal import Decimal, localcontext
+
+    rc, out = _sensitivity_run(tmp_path, {"kappa_hz": 1e23, "n_spins": 1e12})
+    assert rc == 0
+    t_peak = json.loads((out / "sensitivity_summary.json").read_text())["t_peak_s"]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k, d = Decimal(2.0 * math.pi * 1e23), Decimal(2.0 * math.pi * 2.8e6)
+        want = float((2 * d / k).ln() / (d - k / 2))
+    assert abs(t_peak - want) <= 1e-14 * want
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# the schema's ranges: any positive double, and 2*pi*x finite for a frequency
+_HZ_VALUES = _log_uniform(-323.0, 307.4)
+_VALUES = _log_uniform(-323.0, 308.0)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    coupling=st.lists(_HZ_VALUES, min_size=1, max_size=2),
+    delta=st.lists(_HZ_VALUES, min_size=1, max_size=2),
+    n_threshold=st.lists(_VALUES, min_size=1, max_size=2),
+    kappa=_HZ_VALUES,
+    n_spins=_VALUES,
+)
+def test_sensitivity_writes_finite_values_or_exits_3(coupling, delta, n_threshold, kappa, n_spins):
+    """Over the schema's whole range, a sensitivity run writes only finite
+    values, in its table and its summary, or exits 3 naming the row."""
+    sensitivity = {"coupling_hz": coupling, "delta_hz": delta, "n_threshold": n_threshold,
+                   "kappa_hz": kappa, "n_spins": n_spins}
+    with tempfile.TemporaryDirectory() as tmp:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rc, out = _sensitivity_run(Path(tmp), sensitivity)
+        assert rc in (0, 3), sink.getvalue()
+        if rc == 3:
+            assert "numerical guard: sensitivity row g_hz=" in sink.getvalue()
+            return
+        rows = (out / "sensitivity.csv").read_text().splitlines()[1:]
+        summary = json.loads((out / "sensitivity_summary.json").read_text())
+    values = [float(v) for row in rows for v in row.split(",")]
+    assert all(math.isfinite(v) for v in values + list(summary.values()))
+
+
+@pytest.mark.filterwarnings("ignore:pulse bandwidth")
+def test_main_reuses_one_parser_without_carrying_values(tmp_path, small_cfg):
+    """main parses with one parser per process; an option given in one call
+    reaches no later call, whose files equal those of a new parser's run."""
+    assert build_parser() is not build_parser()
+    argv = ["transfer", "--config", small_cfg, "--n-times", "21", "--out"]
+    assert main([*argv, str(tmp_path / "pumped"), "--omega-p-hz", "2.9105e9"]) == 0
+    assert main([*argv, str(tmp_path / "reused")]) == 0
+    assert run(build_parser().parse_args([*argv, str(tmp_path / "fresh")])) == 0
+
+    def files(name):
+        return {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+    assert files("reused") == files("fresh") != files("pumped")
 
 
 def _zero_or(lo, hi):

@@ -429,6 +429,15 @@ def test_pulse_constant_sqrt_scaling(shape):
     )
 
 
+def _pulse_norms(shape, scale, duration):
+    """(norm_l1, norm_l2_sq): the closed forms of the integrals of alpha and alpha^2."""
+    if shape == "lorentzian":
+        return math.pi * scale, math.pi * scale / 2.0
+    if shape == "gaussian":
+        return scale * math.sqrt(2.0 * math.pi), scale * math.sqrt(math.pi)
+    return 2.0 * math.pi / duration, 2.0 * math.pi / duration
+
+
 @pytest.mark.parametrize(
     "shape, kwargs, closed_form",
     [
@@ -438,15 +447,20 @@ def test_pulse_constant_sqrt_scaling(shape):
     ],
 )
 def test_pulse_bandwidth_scale_is_stored_once(shape, kwargs, closed_form):
-    """The stored scale equals its closed form bit for bit, is recomputed by
-    dataclasses.replace, and takes no part in equality, hashing or repr."""
+    """The stored scale and both norms equal their closed forms bit for bit,
+    are recomputed by dataclasses.replace, and take no part in equality,
+    hashing or repr."""
     env = PulseEnvelope(shape=shape, **kwargs)
     assert env.bandwidth_scale == closed_form
+    assert (env.norm_l1, env.norm_l2_sq) == _pulse_norms(shape, closed_form, env.duration)
     twin = PulseEnvelope(shape=shape, **kwargs)
     assert env == twin and hash(env) == hash(twin)
-    assert "bandwidth_scale" not in repr(env)
+    for name in ("bandwidth_scale", "norm_l1", "norm_l2_sq"):
+        assert name not in repr(env)
     doubled = dataclasses.replace(env, **{k: 2.0 * v for k, v in kwargs.items()})
-    assert doubled.bandwidth_scale == closed_form * (0.5 if shape == "rectangular" else 2.0)
+    scale = closed_form * (0.5 if shape == "rectangular" else 2.0)
+    assert doubled.bandwidth_scale == scale
+    assert (doubled.norm_l1, doubled.norm_l2_sq) == _pulse_norms(shape, scale, doubled.duration)
 
 
 def test_transfer_result_freezes_and_writes_its_table(tmp_path):

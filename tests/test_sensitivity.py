@@ -106,24 +106,47 @@ def test_removable_branch_is_continuous():
     assert float(np.max(np.abs(just_inside - on_branch))) < 1e-5 * scale
 
 
+def _reference_amplitude(scen, t):
+    """i <a>(t) in the precision of the current decimal context."""
+    from decimal import Decimal
+
+    g, n, k, d, t = map(Decimal, (scen.coupling, scen.n_spins, scen.kappa,
+                                  scen.dephasing_rate, t))
+    if 2 * d == k:
+        return g * n / 2 * t * (-k * t / 2).exp()
+    return g * n * ((-k * t / 2).exp() - (-d * t).exp()) / (2 * d - k)
+
+
+def _reference_peak(scen):
+    """t* in the precision of the current decimal context."""
+    from decimal import Decimal
+
+    k, d = Decimal(scen.kappa), Decimal(scen.dephasing_rate)
+    return 2 / k if 2 * d == k else (2 * d / k).ln() / (d - k / 2)
+
+
+def _assert_closed_form_accurate(scen, times):
+    """Trajectory, peak time and peak photon number within 1e-14, relative,
+    of a 50-digit reference."""
+    from decimal import localcontext
+
+    got = mean_field_trajectory(scen, times)
+    peak = peak_photon_number(scen)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = np.array([float(_reference_amplitude(scen, t)) for t in times])
+        t_peak = float(_reference_peak(scen))
+        n_max = float(_reference_amplitude(scen, peak.t_peak) ** 2)
+    assert float(np.max(np.abs(got - (-1j) * want))) <= 1e-14 * float(np.max(want))
+    assert abs(peak.t_peak - t_peak) <= 1e-14 * t_peak
+    assert abs(peak.exact_max - n_max) <= 1e-14 * n_max
+
+
 def test_closed_form_is_accurate_through_the_removable_point():
     """Against a 50-digit reference, the trajectory (t <= 10/Delta) and the
     peak time hold 1e-14 relative at every offset of kappa from 2 Delta, from
     0.5 down to 1e-17 and 0, on both sides: no cancellation next to the
     limit, no tolerance band around it.  Each public call still warns once."""
-    from decimal import Decimal, localcontext
-
-    def reference(scen, t):
-        g, n, k, d, t = map(Decimal, (scen.coupling, scen.n_spins, scen.kappa,
-                                      scen.dephasing_rate, t))
-        if 2 * d == k:
-            return g * n / 2 * t * (-k * t / 2).exp()
-        return g * n * ((-k * t / 2).exp() - (-d * t).exp()) / (2 * d - k)
-
-    def reference_peak(scen):
-        k, d = Decimal(scen.kappa), Decimal(scen.dephasing_rate)
-        return 2 / k if 2 * d == k else (2 * d / k).ln() / (d - k / 2)
-
     delta = TWO_PI * 1e6
     times = np.linspace(0.0, 10.0 / delta, 41)
     offsets = [0.5, 1e-2, 1e-4, 1e-6, 1e-7, 1e-9, 1e-12, 1e-15, 1e-16, 1e-17]
@@ -131,17 +154,32 @@ def test_closed_form_is_accurate_through_the_removable_point():
         scen = quiet_scenario(dephasing_rate=delta, kappa=kappa)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = mean_field_trajectory(scen, times)
-            peak = peak_photon_number(scen)
+            _assert_closed_form_accurate(scen, times)
         assert len(caught) == 2
-        with localcontext() as ctx:
-            ctx.prec = 50
-            want = np.array([float(reference(scen, t)) for t in times])
-            t_peak = float(reference_peak(scen))
-            n_max = float(reference(scen, peak.t_peak) ** 2)
-        assert float(np.max(np.abs(got - (-1j) * want))) <= 1e-14 * float(np.max(want))
-        assert abs(peak.t_peak - t_peak) <= 1e-14 * t_peak
-        assert abs(peak.exact_max - n_max) <= 1e-14 * n_max
+
+
+@pytest.mark.parametrize(
+    "delta, kappa",
+    [
+        (TWO_PI * 2.8e6, TWO_PI * 2.8e6 * ratio)
+        for ratio in (1e-8, 1e2, 1e8, 1e16, 1e23 / 2.8e6, 1e20)
+    ]
+    + [
+        (TWO_PI * 1e300, TWO_PI * 1e-300),  # 2x/kappa overflows
+        (TWO_PI * 1e-300, TWO_PI * 1e300),  # 2 Delta/kappa underflows
+    ],
+    ids=lambda v: f"{v:.3g}",
+)
+def test_closed_form_is_accurate_far_from_the_removable_point(delta, kappa):
+    """The same 50-digit reference and 1e-14 bound for kappa far below and far
+    above Delta, where 2x/kappa nears -1 or overflows: the peak time neither
+    fails nor loses digits (at kappa = 1.8e16 Delta log1p(2x/kappa) had no
+    digits left)."""
+    scen = quiet_scenario(dephasing_rate=delta, kappa=kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        t_peak = peak_photon_number(scen).t_peak
+        _assert_closed_form_accurate(scen, t_peak * np.linspace(0.0, 3.0, 31))
 
 
 def test_peak_estimate_reaches_one_photon():
