@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
-from .dynamics import MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES
+from .dynamics import MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES, _MAX_LATTICE_POINTS
 from .dynamics import CavityModel, InversionSettings, PulseEnvelope
 from .errors import ConfigError
 from .protocol import QubitChain
@@ -73,12 +73,14 @@ def _number(value: Any, path: str, positive=False, nonnegative=False, below=None
     return v
 
 
-def _integer(minimum: int) -> Callable:
+def _integer(minimum: int, maximum: Optional[int] = None) -> Callable:
     def check(value: Any, path: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             _fail(path, f"must be an integer, got {type(value).__name__}")
         if value < minimum:
             _fail(path, f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            _fail(path, f"must be <= {maximum}, got {value}")
         return int(value)
 
     return check
@@ -281,7 +283,8 @@ _SATELLITE = {
     "weight": (_REQUIRED, _num(positive=True, below=1)),
 }
 _GRID = {
-    "n_nodes": (GridSpec.n_nodes, _integer(2)),
+    # every FFT contour grid's kernel lattice spans at least n_nodes points
+    "n_nodes": (GridSpec.n_nodes, _integer(2, _MAX_LATTICE_POINTS)),
     "span_fwhm": (GridSpec.span_fwhm, _POSITIVE),
     "window_hz": (None, _hz(_window)),
 }

@@ -192,10 +192,18 @@ class TransferResult:
         return np.abs(self.beta) ** 2
 
     def to_csv(self, path) -> None:
-        # per-element abs(b) ** 2: np.abs(beta) ** 2 differs in the last bit on some rows
         b = self.beta
-        abs2 = (abs(x) ** 2 for x in b)
-        _write_csv(path, "t_s,re_beta,im_beta,abs2_beta", self.times, b.real, b.imag, abs2)
+        _write_csv(path, "t_s,re_beta,im_beta,abs2_beta", self.times, b.real, b.imag, self.abs2)
+
+
+def _float_arg(value, name: str, max_ndim: int) -> np.ndarray:
+    """value as a float array; an array of more than max_ndim dimensions (0:
+    a scalar, 1: a scalar or a 1-d array) raises a ValueError naming it."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim > max_ndim:
+        kind = "a scalar" if max_ndim == 0 else "a scalar or a 1-d array"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +415,13 @@ class InversionSettings:
     """Numerical controls for the Bromwich-contour inversion.
 
     Auto rules (used when a field is None): the contour offset is
-    eta = 0.25 / t_max; the step is d_omega = eta / 8, which bounds the
-    quadrature aliasing by e^{-eta (2 pi/d_omega - t_max)}, capped further at
-    min(kappa, narrowest line FWHM)/20 so every spectral feature is resolved;
-    the window starts from the line/cavity/outermost-pump structure plus
-    margins scaled by g_K, the line widths, kappa and the pulse bandwidth,
-    then grows by a factor 1.6 up to 6 times until, at both outermost pumps,
+    eta = 0.25 / t_max; the step is d_omega = eta / 8 on every system: every
+    pole lies at least eta below the contour, so the trapezoid sum converges
+    exponentially, with aliasing bounded by e^{-eta (2 pi/d_omega - t_max)},
+    e^{-(16 pi - 0.25)} ~ 1e-22 at the automatic offset; the window starts
+    from the line/cavity/outermost-pump structure plus margins scaled by
+    g_K, the line widths, kappa and the pulse bandwidth, then grows by a
+    factor 1.6 up to 6 times until, at both outermost pumps,
     the lowest first, the integrand less its far field, |T - T_far| with
     T_far the pump's far field (`_pump_far`), is at both window edges at most
     edge_ratio * max|t1| * |c2| / (eta + pulse bandwidth), with c2 the pump's
@@ -464,27 +473,13 @@ def _auto_window(
     return min(pts) - margin, max(pts) + margin
 
 
-def _grid_controls(
-    settings: InversionSettings,
-    t_max: float,
-    dist: SpinDistribution,
-    cavity: CavityModel,
-):
+def _grid_controls(settings: InversionSettings, t_max: float):
     eta = settings.contour_offset
     if eta is None:
         eta = _ETA_T / t_max
     d_omega = settings.d_omega
     if d_omega is None:
         d_omega = eta / _SAMPLES_PER_ETA
-        cap = min(ln.fwhm for ln in dist.lines) / 20.0
-        if cavity.kappa > 0.0:
-            cap = min(cap, cavity.kappa / 20.0)
-        # On the shifted line Im(zeta) = eta every spectral feature is smoothed
-        # to width >= eta, so eta/_SAMPLES_PER_ETA already resolves the
-        # integrand; the linewidth cap only tightens the step where that is
-        # affordable.  Floor it at eta/64 so near-singular lines cannot demand
-        # astronomically fine grids.
-        d_omega = min(d_omega, max(cap, eta / 64.0))
     if not (math.isfinite(eta) and math.isfinite(d_omega)):
         # 1/t_max overflows for a subnormal t_max; no grid can be snapped then
         raise NumericalGuardError(
@@ -758,7 +753,7 @@ def _contour_grid(
     settings = settings or InversionSettings()
     if times.size == 0 or np.any(~np.isfinite(times) | (times < 0)) or not times.max() > 0:
         raise ValueError("times must be non-empty, finite, non-negative and reach beyond t = 0")
-    eta, d_omega = _grid_controls(settings, float(times.max()), dist, cavity)
+    eta, d_omega = _grid_controls(settings, float(times.max()))
     lo, hi = settings.window or _auto_window(dist, cavity, pulse_scale, anchors)
     t1_far = _two_mode_far(dist, cavity)
     for attempt in range(_MAX_GROWTH + 1):
@@ -869,8 +864,8 @@ def invert_to_time(
     Raises WindowTooSmallError if no window passes the edge rule of
     `InversionSettings`.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    omega_p = float(omega_p)
+    times = np.atleast_1d(_float_arg(times, "times", 1))
+    omega_p = float(_float_arg(omega_p, "omega_p", 0))
     pumps = np.array([omega_p])
     grid, t1, eta, t1_far = _pump_grid(dist, cavity, env, pumps, times, mode, settings)
     T, c2 = _pump_transfer(dist, cavity, env, omega_p, grid.zeta, mode, t1, grid.convolve)
@@ -926,8 +921,8 @@ def transfer_sweep(
     A Lorentzian narrow-pulse numerator has the pole p2 too and folds into
     y as y - x; other shapes contract their Cauchy transform with x.
     """
-    omega_ps = np.atleast_1d(np.asarray(omega_ps, dtype=float))
-    tau = float(tau)
+    omega_ps = np.atleast_1d(_float_arg(omega_ps, "omega_ps", 1))
+    tau = float(_float_arg(tau, "tau", 0))
     grid, t1, eta, t1_far = _pump_grid(dist, cavity, env, omega_ps, np.array([tau]), mode, settings)
     n = grid.omega.size
     c = (n - 1) // 2
@@ -1046,7 +1041,7 @@ def time_domain_propagate(
             f"n_nodes = {dist.n_nodes} exceeds the memory budget ({_MAX_ODE_NODES}); "
             "reduce the grid"
         )
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.atleast_1d(_float_arg(times, "times", 1))
     bad = ~np.isfinite(times) | (times < 0)
     if times.size == 0 or bad.any() or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-empty, finite, non-negative and non-decreasing")

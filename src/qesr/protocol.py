@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dynamics import MODE_NARROW, ODE_RTOL, CavityModel, InversionSettings, PulseEnvelope
-from .dynamics import _cavity_amplitude, time_domain_propagate, transfer_sweep
+from .dynamics import _cavity_amplitude, _float_arg, time_domain_propagate, transfer_sweep
 from .errors import NoOscillationError, NumericalGuardError, SaturationError, _warn
 from .spin_model import SpinDistribution, _freeze, _write_csv
 
@@ -198,7 +198,7 @@ def _calibrate_trace(
 
 
 def _storage_taus(dist: SpinDistribution, taus) -> np.ndarray:
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    taus = np.atleast_1d(_float_arg(taus, "taus", 1))
     if taus.size < 3:
         raise ValueError("need at least 3 storage times")
     if np.any(np.diff(taus) < 0):
@@ -317,7 +317,7 @@ def esr_spectrum(
     guarded against saturation and clipped to [0, 1].  n_pump = 0 returns
     the baseline everywhere.
     """
-    omega_ps = np.asarray(omega_ps, dtype=float)
+    omega_ps = _float_arg(omega_ps, "omega_ps", 1)
     if not 0 <= n_pump < math.inf:  # a NaN fails too
         raise ValueError("n_pump must be non-negative and finite")
     if n_pump == 0.0:
@@ -397,12 +397,13 @@ def excitation_budget(
     """
     if not 0 < n_pump < math.inf:  # a NaN fails too
         raise ValueError("n_pump must be positive and finite")
+    omega_p = float(_float_arg(omega_p, "omega_p", 0))
     beta = transfer_sweep(dist, cavity, env, omega_p, tau_s, mode=mode, settings=settings)
     frac = float(abs(beta[0]) ** 2)
     if frac <= 0.0:
         raise ValueError("retrieved fraction is zero at this pump frequency")
     return BudgetReport(
-        omega_p=float(omega_p),
+        omega_p=omega_p,
         tau_s=float(tau_s),
         n_bp_mode=float(n_pump),
         n_transferred=float(n_pump) * frac,

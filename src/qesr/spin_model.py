@@ -12,7 +12,7 @@ converts from Hz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +36,9 @@ _GAUSS_SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 
 def _csv_text(header: str, *columns: Iterable) -> str:
-    """CSV text of numeric columns (arrays, sequences or iterators) side by
-    side; each value is written as repr(float(v)), which round-trips exactly."""
-    cells = [map(repr, (np.fromiter(c, float) if isinstance(c, Iterator)
-                        else np.asarray(c, dtype=float)).tolist()) for c in columns]
+    """CSV text of numeric columns (arrays or sequences) side by side; each
+    value is written as repr(float(v)), which round-trips exactly."""
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 

@@ -655,6 +655,24 @@ def test_unbuildable_grid_exit_2(tmp_path, capsys, path, value, cause):
     assert not (out / "density_demo.csv").exists()
 
 
+def test_node_count_above_the_lattice_cap_exit_2(tmp_path, capsys):
+    """Every FFT contour grid's kernel lattice spans at least n_nodes points,
+    so a node count above the lattice cap is a config error naming the key,
+    not a traceback from allocating the nodes."""
+    from qesr.dynamics import _MAX_LATTICE_POINTS
+
+    raw = json.loads(json.dumps(SMALL))
+    raw["ensembles"][0]["grid"]["n_nodes"] = 10**15
+    out = tmp_path / "out"
+    rc = main(["density", "--config", write_cfg(tmp_path, raw), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: ensembles[0].grid.n_nodes: must be <= {_MAX_LATTICE_POINTS}, "
+        "got 1000000000000000\n"
+    )
+    assert not out.exists()
+
+
 def test_satellite_replica_overflowing_in_rad_exit_2(tmp_path, capsys):
     """Line centre and satellite offset each convert to finite rad/s, their sum does not."""
     raw = json.loads(json.dumps(SMALL))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -177,8 +178,7 @@ def _lattice_case(request, case):
         dist, cavity, env = request.getfixturevalue("degenerate_factory")()
         if case == "degenerate_gamma0":
             cavity = CavityModel(cavity.omega_c, cavity.kappa, gamma0=1e-3 * dist.g_collective)
-        eta, d_omega = _grid_controls(InversionSettings(), math.pi / (2.0 * dist.g_collective),
-                                      dist, cavity)
+        eta, d_omega = _grid_controls(InversionSettings(), math.pi / (2.0 * dist.g_collective))
         window = _auto_window(dist, cavity, env.bandwidth_scale, [cavity.omega_c])
         alpha, _, _ = _pump_weights(dist, env, np.array([cavity.omega_c]))
         return dist, cavity.gamma0, eta, d_omega, window, alpha[0] * dist.couplings_sq
@@ -186,7 +186,7 @@ def _lattice_case(request, case):
     dist, cavity = scen.dist, scen.cavity
     if case == "I_gamma0":
         cavity = CavityModel(cavity.omega_c, cavity.kappa, gamma0=TWO_PI * 2e5)
-    eta, d_omega = _grid_controls(scen.settings, 90e-9, dist, cavity)
+    eta, d_omega = _grid_controls(scen.settings, 90e-9)
     window = _auto_window(dist, cavity, scen.env.bandwidth_scale, [scen.ens.center])
     if case == "III_fine_step":  # a user-fixed step below the node spacing
         h = (dist.omega_nodes[-1] - dist.omega_nodes[0]) / (dist.n_nodes - 1)
@@ -472,8 +472,9 @@ def test_transfer_result_freezes_and_writes_its_table(tmp_path):
     res.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t_s,re_beta,im_beta,abs2_beta"
-    assert lines[1:] == [",".join(repr(float(v)) for v in (t, b.real, b.imag, abs(b) ** 2))
-                         for t, b in zip(res.times, beta)]
+    # the abs2_beta column is the abs2 property, bit for bit
+    assert lines[1:] == [",".join(repr(float(v)) for v in row)
+                         for row in zip(res.times, beta.real, beta.imag, res.abs2)]
     with pytest.raises(ValueError, match="^times and beta must have matching shapes$"):
         TransferResult(omega_p=W0, times=[0.0, 1e-8], beta=beta, method="contour")
 
@@ -1396,7 +1397,8 @@ def test_each_pump_is_evaluated_once_per_final_grid(scen_I, monkeypatch, mode, e
     monkeypatch.setattr(dynamics, "_ContourGrid", spy_grid)
     monkeypatch.setattr(dynamics, "_blocks", spy_blocks)
     settings = scen_I.settings if edge_ratio is None else InversionSettings(edge_ratio=edge_ratio)
-    offsets = np.array([0.0, -2.0, 2.0, -1.0, 1.0, 0.5, -0.5, 1.5, -1.5, 0.25, -0.25])
+    # 41 pumps, so that the final contraction spans more than one block
+    offsets = np.concatenate(([0.0, -2.0, 2.0], np.linspace(-1.9, 1.9, 38)))
     wps = scen_I.ens.center + TWO_PI * 1e6 * offsets
     times = np.linspace(0.0, 1.5 * np.pi / scen_I.dist.g_collective, 20001)
     with warnings.catch_warnings():
@@ -1447,7 +1449,7 @@ def test_lattice_cap_applies_to_fft_grids_only(degenerate_factory, scen_I, monke
     c = cavity.omega_c
     times = np.linspace(0.0, math.pi / dist.g_collective, 41)
     settings = InversionSettings(window=(c - 3e8, c + 3e8))
-    eta, d_omega = _grid_controls(settings, float(times[-1]), dist, cavity)
+    eta, d_omega = _grid_controls(settings, float(times[-1]))
     grid = _ContourGrid(dist, cavity.gamma0, eta, d_omega, c - 3e8, c + 3e8)
     length = grid.q * (dist.n_nodes - 1) + grid.m * (grid.omega.size - 1) + 1
     assert grid.direct and length > dynamics._MAX_LATTICE_POINTS
@@ -1474,6 +1476,70 @@ def test_contour_refuses_infinite_times(scen_I):
         transfer_sweep(dist, cavity, env, scen_I.omegas[:3], math.inf)
     with pytest.raises(ValueError, match=match):
         excitation_budget(dist, cavity, env, 1.0, wp, tau_s=math.inf)
+
+
+SHAPED_CALLS = [  # (call on a scenario, the argument named, what it must be)
+    (lambda s: invert_to_time(s.dist, s.cavity, s.env, s.omegas[:2], [0.0, 1e-7]),
+     "omega_p", "a scalar, got shape (2,)"),
+    (lambda s: invert_to_time(s.dist, s.cavity, s.env, s.omegas[0], [[0.0, 1e-7]]),
+     "times", "a scalar or a 1-d array, got shape (1, 2)"),
+    (lambda s: transfer_sweep(s.dist, s.cavity, s.env, s.omegas[:4].reshape(2, 2), 9e-8),
+     "omega_ps", "a scalar or a 1-d array, got shape (2, 2)"),
+    (lambda s: transfer_sweep(s.dist, s.cavity, s.env, s.omegas[:3], [9e-8]),
+     "tau", "a scalar, got shape (1,)"),
+    (lambda s: esr_spectrum(s.dist, s.cavity, s.env, s.chain, s.omegas[:4].reshape(2, 2), 9e-8),
+     "omega_ps", "a scalar or a 1-d array, got shape (2, 2)"),
+    (lambda s: time_domain_propagate(s.dist, s.cavity, "cavity", [[0.0, 1e-9]]),
+     "times", "a scalar or a 1-d array, got shape (1, 2)"),
+    (lambda s: simulate_swap(s.dist, s.cavity, s.chain, np.zeros((3, 3))),
+     "taus", "a scalar or a 1-d array, got shape (3, 3)"),
+    (lambda s: find_swap_time(s.dist, s.cavity, np.zeros((3, 3))),
+     "taus", "a scalar or a 1-d array, got shape (3, 3)"),
+    (lambda s: excitation_budget(s.dist, s.cavity, s.env, 1.0, [s.omegas[0]], 9e-8),
+     "omega_p", "a scalar, got shape (1,)"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, want", SHAPED_CALLS,
+    ids=["invert_omega_p", "invert_times", "sweep_omega_ps", "sweep_tau", "esr_omega_ps",
+         "ode_times", "simulate_swap_taus", "find_swap_taus", "budget_omega_p"],
+)
+def test_wrong_shaped_arrays_name_their_argument(scen_I, monkeypatch, call, name, want):
+    """An array of the wrong shape is refused by name before any grid is built
+    or any state propagated, not by a broadcast or conversion error later."""
+    import qesr.dynamics as dynamics
+
+    def never(*args, **kwargs):
+        raise AssertionError("work began before the shape check")
+
+    monkeypatch.setattr(dynamics, "_ContourGrid", never)
+    monkeypatch.setattr(dynamics, "_propagate_state", never)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {want}')}$"):
+        call(scen_I)
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_automatic_step_is_an_eighth_of_the_offset(request, monkeypatch, name):
+    """The automatic grid takes eta = 0.25 / t_max and d_omega = eta / 8 on
+    every system, whatever its kappa and line widths: on both bundled
+    configs the sweep at the calibrated swap time builds every grid with
+    exactly these."""
+    import qesr.dynamics as dynamics
+
+    scen = request.getfixturevalue(f"scen_{name}")
+    tau = request.getfixturevalue(f"swap_cal_{name}").tau_swap
+    controls, contour_grid = [], dynamics._ContourGrid
+
+    def spy_grid(dist, gamma0, eta, d_omega, lo, hi):
+        controls.append((eta, d_omega))
+        return contour_grid(dist, gamma0, eta, d_omega, lo, hi)
+
+    monkeypatch.setattr(dynamics, "_ContourGrid", spy_grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the bundled pulse is wide for narrow mode
+        transfer_sweep(scen.dist, scen.cavity, scen.env, scen.omegas, tau, settings=scen.settings)
+    assert controls and set(controls) == {(0.25 / tau, 0.25 / (8.0 * tau))}
 
 
 def test_size_guard_prints_counts_beyond_the_float_range():
