@@ -15,8 +15,9 @@ routes to the transfer amplitude beta(t) are provided:
   kernel W and the cavity response t1, inverted to the time domain by a
   Bromwich integral evaluated on the line Im(omega) = eta > 0 (exact for any
   eta > 0 since all system poles lie in the closed lower half plane);
-* a brute-force route: direct ODE propagation of dX/dt = -i M X by the
-  8th-order Dormand-Prince method (`qesr._dop853`).
+* a time-domain route: ODE propagation of dX/dt = -i M X, mapped onto the
+  Krylov chain of the spin measure, by the 8th-order Dormand-Prince method
+  (`qesr._dop853`).
 
 Phase convention: with the matrix above, the degenerate lossless ensemble
 gives beta(t) = +exp(-i w t) sin(g_K t), i.e. beta * exp(+i w t) is real
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._dop853 import dop853
 from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError, _warn
@@ -952,9 +954,18 @@ def transfer_sweep(
 
 
 # ---------------------------------------------------------------------------
-# time-domain oracle
+# time-domain route
 
-_MAX_ODE_NODES = 200_000  # state-size cap of time_domain_propagate
+# Caps of time_domain_propagate: the nodes, as every chain state costs
+# n_nodes + 1 basis entries, and the basis entries (256 MiB), which the
+# depth, about half-span * t_max, can otherwise grow to (n_nodes + 1)^2.
+_MAX_ODE_NODES = 200_000
+_MAX_BASIS_ENTRIES = 2**25
+# A Krylov column is dropped when orthogonalization leaves less than this share
+# of its norm: a Lorentzian pulse start deflates exactly to one column a step.
+_DEFLATION = 1e-10
+# The depth-L and depth-1.5L chains must agree within this share of rtol * max|beta|.
+_DEPTH_AGREEMENT = 0.1
 
 
 def _initial_vector(
@@ -983,35 +994,109 @@ def _initial_vector(
     raise ValueError("initial must be 'cavity' or 'pulse'")
 
 
-def _propagate_state(
-    dist: SpinDistribution,
-    cavity: CavityModel,
-    x0: np.ndarray,
-    times: np.ndarray,
-    rtol: float,
-    atol: float,
-    rows: slice = slice(None),
-):
-    """Propagate dX/dt = -i M X in the frame rotating at omega_c.
+class _KrylovChain:
+    """Orthonormal block-Krylov basis of the real arrow matrix H = [[0, g^T],
+    [g, D]] (D = diag(w_j - w_c)), grown a column at a time, and the band of
+    T = V^T H V from the recursion's coefficients.
 
-    Returns the state rows `rows` (all by default) at each time, shape
-    (n_rows, n_times); the lab-frame amplitudes are Y * exp(-i omega_c t).
-    The steps do not depend on `rows`, so each row is the same bits either
-    way.  The arrow structure of M keeps each right-hand side O(N).
+    Expanding column j forms H q_j, subtracts its projections on the
+    recursion's band (the `block` columns before j and every column after),
+    orthogonalizes the rest once more against every kept column (full
+    reorthogonalization) and keeps it as a new column unless it is below
+    _DEFLATION of the norm of H q_j.  The band's coefficients on columns j..
+    and the new column's norm are T's column j on and below the diagonal.
     """
-    g = (dist.g_collective * np.sqrt(dist.weights)).astype(complex)  # as y's products cast it
-    diag_spins = -1j * (dist.omega_nodes - cavity.omega_c) - 0.5 * cavity.gamma0
-    diag_cav = -0.5 * cavity.kappa
-    work = np.empty_like(g)
 
-    def rhs(y):  # a new array each call: dop853 keeps it as f, across rejected steps too
-        dy = np.empty_like(y)
-        dy[0] = diag_cav * y[0] + np.dot(g, y[1:])
-        spins = np.multiply(diag_spins, y[1:], out=dy[1:])
-        spins -= np.multiply(g, y[0], out=work)
-        return dy
+    def __init__(self, g: np.ndarray, det: np.ndarray, starts: np.ndarray):
+        self.g, self.det = g, det
+        self.basis = starts  # its first `size` rows are the kept columns
+        self.size = len(starts)
+        self.block = len(starts)
+        self.lower = []  # T[j:, j] of each expanded column j
 
-    return dop853(rhs, x0, times, rtol, atol, rows)
+    def expand(self, depth: int) -> bool:
+        """Expand the first `depth` columns; True when every kept column is
+        expanded, so that they span an invariant space and the chain is exact."""
+        while len(self.lower) < min(depth, self.size):
+            j = len(self.lower)
+            q = self.basis[j]
+            w = np.empty_like(q)
+            w[0] = self.g @ q[1:]
+            np.multiply(self.det, q[1:], out=w[1:])
+            w[1:] += self.g * q[0]
+            before = np.linalg.norm(w)
+            band = self.basis[max(0, j - self.block) : self.size]  # the recursion's columns
+            h = band @ w
+            w -= h @ band
+            kept = self.basis[: self.size]
+            w -= (kept @ w) @ kept
+            after = np.linalg.norm(w)
+            if after > _DEFLATION * before:  # False for NaN: a NaN chain stops here
+                if self.size == len(self.basis):  # a column at most per expansion
+                    rows = min(depth + self.block, q.size)
+                    if rows * q.size > _MAX_BASIS_ENTRIES:
+                        raise NumericalGuardError(
+                            f"the time span needs a Krylov basis of {rows} x {q.size} entries, "
+                            f"above the memory budget ({_MAX_BASIS_ENTRIES}); shorten the time "
+                            "span or reduce the grid"
+                        )
+                    grown = np.empty((rows, q.size))
+                    grown[: self.size] = kept
+                    self.basis = grown
+                self.basis[self.size] = w / after
+                self.size += 1
+                h = np.append(h, after)
+            self.lower.append(h[min(j, self.block) :])
+        return len(self.lower) == self.size
+
+    def generator(self, depth: int, cavity: CavityModel) -> np.ndarray:
+        """The depth-`depth` chain's generator -i T - gamma0/2 - (kappa - gamma0)/2 e_0 e_0^T
+        (column 0 is the cavity) by band: row i holds its entries i - block .. i + block."""
+        b = self.block
+        band = np.zeros((depth, 2 * b + 1), dtype=complex)
+        for j, column in enumerate(self.lower[:depth]):
+            column = -1j * column[: depth - j]
+            k = np.arange(column.size)
+            band[j + k, b - k] = band[j, b + k] = column  # T is symmetric
+        band[:, b] -= 0.5 * cavity.gamma0
+        band[0, b] -= 0.5 * (cavity.kappa - cavity.gamma0)
+        return band
+
+
+def _chain_amplitude(chain: _KrylovChain, cavity: CavityModel, start: np.ndarray,
+                     times: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+    """The cavity amplitude in the frame rotating at w_c, from the chain state
+    `start` on the start block.
+
+    The depth starts at max(16, ceil(half-span * t_max) + 8), where Krylov
+    approximations of exp(-i H t) converge superlinearly (Hochbruck & Lubich,
+    SIAM J. Numer. Anal. 34 (1997) 1911).  One DOP853 run integrates the
+    depth-L and depth-ceil(1.5 L) chains side by side, and the deeper one is
+    taken once the two agree within _DEPTH_AGREEMENT * rtol of max|beta|;
+    otherwise L grows to ceil(1.5 L).  A chain that exhausts its Krylov space
+    (at most n_nodes + 1 columns) is exact and integrated alone.
+    """
+    det, b = chain.det, chain.block
+    depth = max(16, math.ceil(0.5 * (det.max() - det.min()) * times[-1]) + 8)
+    while True:
+        deep = math.ceil(1.5 * depth)
+        exact = chain.expand(deep)
+        depths = (chain.size,) if exact else (depth, deep)
+        band = np.vstack([chain.generator(d, cavity) for d in depths])
+        y0 = np.concatenate([np.r_[start, np.zeros(d - start.size)] for d in depths])
+        padded = np.zeros(y0.size + 2 * b, dtype=complex)
+        windows = sliding_window_view(padded, 2 * b + 1)  # row i: entries i - b .. i + b
+
+        def rhs(y):  # a new array each call: dop853 keeps it as f, across rejected steps too
+            padded[b:-b] = y
+            return np.einsum("ij,ij->i", band, windows)
+
+        cavities = slice(0, y0.size - depths[-1] + 1, depths[0])  # 0, and depths[0] for a pair
+        rows = dop853(rhs, y0, times, rtol, atol, rows=cavities)
+        gap = np.max(np.abs(rows[-1] - rows[0]))
+        if exact or gap <= _DEPTH_AGREEMENT * rtol * np.max(np.abs(rows[-1])):
+            return rows[-1]
+        depth = deep
 
 
 def time_domain_propagate(
@@ -1024,18 +1109,27 @@ def time_domain_propagate(
     rtol: float = ODE_RTOL,
     atol: float = 1e-12,
 ) -> TransferResult:
-    """Brute-force transfer amplitude by direct ODE propagation.
+    """Transfer amplitude by ODE propagation on the spin measure's Krylov chain.
 
     initial = "cavity" starts from X = (1, 0, ..., 0); initial = "pulse"
     starts from the pulse-excited spin packet X_j(0) proportional to
     alpha(w_j - w_p) g_j, normalized; with zero coupling beta = 0.  Works for
     lossless systems too (kappa = gamma0 = 0), as the contour route does.
-    times may repeat; times that are all 0 return the start.  Only the cavity
-    row is interpolated, so memory is O(n_nodes + n_times).  Raises
-    NumericalGuardError above _MAX_ODE_NODES (the state size, the cost of
-    every step), for a pulse with no overlap with the grid, and when the
-    integrator fails.
+    times may repeat; times that are all 0 return the start.
+
+    The arrow system is not integrated state by state: an orthonormal Krylov
+    basis of H = [[0, g^T], [g, D]] from the cavity (and the packet) maps it
+    onto a chain, a few dozen sites deep for a few Rabi periods, which DOP853
+    integrates at the given rtol/atol.  The depth grows until a chain 1.5
+    times deeper agrees (see `_chain_amplitude`), and is exact once the
+    basis spans H's Krylov space.  The chain is built from the nodes and
+    weights alone: no grid, no contour.  The basis takes n_nodes + 1 entries
+    per chain state.  Raises NumericalGuardError above _MAX_ODE_NODES or
+    _MAX_BASIS_ENTRIES, for a pulse with no overlap with the grid, and when
+    the integrator fails.
     """
+    if omega_p is not None:
+        omega_p = float(_float_arg(omega_p, "omega_p", 0))
     if dist.n_nodes > _MAX_ODE_NODES:
         raise NumericalGuardError(
             f"n_nodes = {dist.n_nodes} exceeds the memory budget ({_MAX_ODE_NODES}); "
@@ -1046,11 +1140,21 @@ def time_domain_propagate(
     if times.size == 0 or bad.any() or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-empty, finite, non-negative and non-decreasing")
     x0 = _initial_vector(dist, initial, env, omega_p)
-    y = _propagate_state(dist, cavity, x0, times, rtol, atol, rows=slice(0, 1))
+    y = np.zeros(times.size, dtype=complex)
+    if x0.any():
+        cavity_start = np.eye(1, x0.size)
+        if initial == "cavity":
+            starts, start = cavity_start, np.ones(1)
+        else:
+            # H's real couplings act on (X_0, i X_1, ..., i X_n): the packet starts as i q_1
+            starts, start = np.vstack((cavity_start, x0.real)), np.array([0.0, 1j])
+        g = dist.g_collective * np.sqrt(dist.weights)
+        chain = _KrylovChain(g, dist.omega_nodes - cavity.omega_c, starts)
+        y = _chain_amplitude(chain, cavity, start, times, rtol, atol)
     # + 0.0 turns the -0.0 parts of a zero amplitude into 0.0, as on the contour route
-    beta = y[0] * np.exp(-1j * cavity.omega_c * times) + 0.0
+    beta = y * np.exp(-1j * cavity.omega_c * times) + 0.0
     return TransferResult(
-        omega_p=float(omega_p) if omega_p is not None else float("nan"),
+        omega_p=omega_p if omega_p is not None else float("nan"),
         times=times,
         beta=beta,
         method="time-domain",

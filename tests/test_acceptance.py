@@ -26,7 +26,7 @@ from qesr.dynamics import (
     pulse_constant_A,
     time_domain_propagate,
 )
-from qesr.dynamics import _initial_vector, _propagate_state
+from qesr.dynamics import _initial_vector
 from qesr.protocol import (
     QubitChain,
     esr_spectrum,
@@ -42,6 +42,8 @@ from qesr.sensitivity import (
     peak_photon_number,
 )
 from qesr.spin_model import GridSpec, SpinLine, build_distribution
+
+from ode_oracle import _propagate_state
 
 TWO_PI = 2.0 * np.pi
 W0 = TWO_PI * 2.91e9

@@ -454,6 +454,17 @@ def test_ode_node_cap_exit_3(tmp_path, capsys):
     assert "memory budget" in capsys.readouterr().err
 
 
+def test_ode_basis_cap_exit_3(tmp_path, capsys):
+    """A time span whose Krylov chain would need more basis entries than the
+    budget (10,002 nodes to 0.1 ms: ~6,000 columns) exits 3 before it is built."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["ensembles"][0]["grid"]["n_nodes"] = 10001
+    cfg = write_cfg(tmp_path, raw)
+    argv = ["transfer", "--config", cfg, "--out", str(tmp_path), "--method", "time-domain"]
+    assert main(argv + ["--t-max-s", "1e-4"]) == 3
+    assert "Krylov basis" in capsys.readouterr().err
+
+
 def test_swap_saturation_states_the_photon_number_and_guard(tmp_path, capsys):
     """A swap has neither a sweep nor n_pump; its guard names neither."""
     raw = json.loads(json.dumps(SMALL))

@@ -12,12 +12,15 @@ from scipy.integrate import DOP853, solve_ivp
 
 from qesr import _dop853
 from qesr._dop853 import dop853
-from qesr.dynamics import _initial_vector, _propagate_state
+from qesr.dynamics import _initial_vector
 from qesr.errors import NumericalGuardError
+
+from ode_oracle import _propagate_state
 
 
 def arrow_rhs(det, g, kappa, gamma0):
-    """dX/dt = -i M X in the cavity frame, written as dynamics writes it."""
+    """dX/dt = -i M X in the cavity frame, written as the full-state oracle
+    (`ode_oracle._propagate_state`) writes it."""
     diag_spins = -1j * det - 0.5 * gamma0
     diag_cav = -0.5 * kappa
 
@@ -42,7 +45,8 @@ def scipy_dop853(rhs, y0, times, rtol, atol):
 @pytest.mark.parametrize("initial,periods,n_times", [("cavity", 1.2, 481), ("pulse", 1.5, 601)])
 @pytest.mark.parametrize("scen", ["scen_I", "scen_III"])
 def test_bundled_systems_match_scipy_bit_for_bit(request, scen, initial, periods, n_times):
-    """The swap (cavity start) and time-domain transfer (pulse start) runs of the CLI."""
+    """The full-state swap (cavity start) and time-domain transfer (pulse
+    start) runs on the CLI's time grids."""
     s = request.getfixturevalue(scen)
     x0 = _initial_vector(s.dist, initial, s.env, s.ens.center)
     times = np.linspace(0.0, periods * np.pi / s.dist.g_collective, n_times)
@@ -60,7 +64,9 @@ def test_bundled_systems_match_scipy_bit_for_bit(request, scen, initial, periods
 @pytest.mark.parametrize("initial,periods,n_times", [("cavity", 1.2, 481), ("pulse", 1.5, 601)])
 @pytest.mark.parametrize("scen", ["scen_I", "scen_III"])
 def test_cavity_row_alone_is_the_same_bits(request, scen, initial, periods, n_times):
-    """Interpolating only row 0, as time_domain_propagate does, leaves it unchanged."""
+    """Interpolating only row 0, as the full-state references do, leaves it
+    unchanged (time_domain_propagate keeps only its chains' cavity rows, a
+    stepped slice, which `test_selected_rows_are_the_same_bits` covers)."""
     s = request.getfixturevalue(scen)
     x0 = _initial_vector(s.dist, initial, s.env, s.ens.center)
     times = np.linspace(0.0, periods * np.pi / s.dist.g_collective, n_times)
@@ -146,7 +152,8 @@ def test_selected_rows_are_the_same_bits(system, data):
     full = dop853(rhs, y0, times, rtol, atol)
     lo = data.draw(st.integers(0, y0.size - 1))
     hi = data.draw(st.integers(lo + 1, y0.size))
-    for rows in (slice(0, 1), slice(lo, hi)):
+    step = data.draw(st.integers(1, y0.size))  # a stepped slice, as the Krylov chains keep
+    for rows in (slice(0, 1), slice(lo, hi), slice(lo, hi, step)):
         assert np.array_equal(dop853(rhs, y0, times, rtol, atol, rows=rows), full[rows])
 
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import find_peaks
 
+from qesr._dop853 import dop853
+from qesr.cli import main as cli_main
 from qesr.config import parse_config
 from qesr.dynamics import (
     MODE_EXACT,
@@ -39,9 +41,9 @@ from qesr.dynamics import (
     _FarField,
     _grid_controls,
     _initial_vector,
+    _KrylovChain,
     _node_sums,
     _phase_tables,
-    _propagate_state,
     _pump_far,
     _pump_weights,
     _size_guard,
@@ -61,6 +63,9 @@ from qesr.spin_model import (
     SpinLine,
     build_distribution,
 )
+
+from conftest import bundled_config_path
+from ode_oracle import _propagate_state
 
 TWO_PI = 2.0 * np.pi
 W0 = TWO_PI * 2.91e9
@@ -1160,6 +1165,170 @@ def test_single_spin_vacuum_rabi():
     assert float(np.max(np.abs(pop - np.cos(g * times) ** 2))) < 1e-6
 
 
+# ---------------------------------------------------------------------------
+# the time-domain route's Krylov chain against the full arrow state
+# ---------------------------------------------------------------------------
+
+
+def full_state_beta(dist, cavity, initial, times, env=None, omega_p=None):
+    """beta(t) by DOP853 at rtol 1e-13 on the whole (n_nodes + 1)-entry state."""
+    x0 = _initial_vector(dist, initial, env, omega_p)
+    y = _propagate_state(dist, cavity, x0, times, 1e-13, 1e-16, rows=slice(0, 1))[0]
+    return y * np.exp(-1j * cavity.omega_c * times)
+
+
+def share_of_max(beta, ref) -> float:
+    return float(np.max(np.abs(beta - ref)) / np.max(np.abs(ref)))
+
+
+def spy_dop853(monkeypatch) -> list:
+    """The state size of each DOP853 run of the time-domain route, as they run."""
+    import qesr.dynamics as dynamics
+
+    sizes = []
+
+    def spy(fun, y0, *args, **kwargs):
+        sizes.append(np.size(y0))
+        return dop853(fun, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "dop853", spy)
+    return sizes
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n_nodes=st.integers(2, 300),
+    span_ratio=st.floats(0.01, 10.0),
+    periods=st.floats(0.1, 3.0),
+    lossy=st.booleans(),
+    detuning_ratio=st.floats(-1.0, 1.0),
+    shape=st.sampled_from(sorted(SHAPES)),
+    pulse_ratio=st.floats(0.01, 1.0),
+    initial=st.sampled_from(["cavity", "pulse"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_matches_the_full_state(
+    n_nodes, span_ratio, periods, lossy, detuning_ratio, shape, pulse_ratio, initial, seed
+):
+    """On random systems (random nodes and weights over up to 10 g_K, lossless
+    or lossy, every pulse shape, either start, up to 3 periods), the chain's
+    beta at rtol 1e-10 lies within 1e-9 of max|beta| of the full state's.  (At
+    the default rtol 1e-9, DOP853's own error on such a trace reaches 3e-9.)"""
+    g = TWO_PI * 2.9e6
+    rng = np.random.default_rng(seed)
+    nodes = W0 + np.sort(rng.uniform(-0.5, 0.5, n_nodes)) * span_ratio * g
+    weights = rng.uniform(0.1, 1.0, n_nodes)
+    dist = SpinDistribution(
+        lines=(SpinLine(center=W0, fwhm=span_ratio * g, weight=1.0),), g_collective=g,
+        omega_nodes=nodes, weights=weights / weights.sum(),
+    )
+    kappa, gamma0 = (0.2 * g, 0.02 * g) if lossy else (0.0, 0.0)
+    cavity = CavityModel(omega_c=W0 + detuning_ratio * g, kappa=kappa, gamma0=gamma0)
+    env = SHAPES[shape](pulse_ratio * g)
+    omega_p = nodes[rng.integers(n_nodes)] if initial == "pulse" else None
+    times = np.linspace(0.0, periods * math.pi / g, 61)
+    chain = time_domain_propagate(
+        dist, cavity, initial, times, env=env, omega_p=omega_p, rtol=1e-10
+    )
+    ref = full_state_beta(dist, cavity, initial, times, env, omega_p)
+    assert share_of_max(chain.beta, ref) <= 1e-9
+
+
+def uniform_dist(n_nodes: int, span: float) -> SpinDistribution:
+    """n_nodes equally weighted nodes over `span` around W0."""
+    return SpinDistribution(
+        lines=(SpinLine(center=W0, fwhm=span, weight=1.0),), g_collective=TWO_PI * 2.9e6,
+        omega_nodes=W0 + np.linspace(-0.5, 0.5, n_nodes) * span,
+        weights=np.full(n_nodes, 1.0 / n_nodes),
+    )
+
+
+@pytest.mark.parametrize("initial, n_nodes, span_hz, t_max, sizes", [
+    # half-span * t_max = 251: the first depth is past n_nodes + 1
+    ("cavity", 121, 50e6, 1.6e-6, [122]),
+    # half-span * t_max = 15.7 (2.5 periods): depths 24 and 36 disagree (a
+    # two-column block takes half the steps per state), and the next depth
+    # exhausts the basis
+    ("pulse", 53, 11.6e6, 1.25 / 2.9e6, [24 + 36, 54]),
+])
+def test_chain_runs_to_full_depth_where_it_must(
+    monkeypatch, initial, n_nodes, span_hz, t_max, sizes
+):
+    """Where no shorter chain meets the tolerance, the rule stops at the
+    exhausted Krylov space, n_nodes + 1 states: the whole system in another
+    basis, which meets the full state to 1e-12 at rtol 1e-13."""
+    dist = uniform_dist(n_nodes, TWO_PI * span_hz)
+    g = dist.g_collective
+    cavity = CavityModel(omega_c=W0, kappa=0.2 * g, gamma0=0.02 * g)
+    env = PulseEnvelope("gaussian", fwhm=0.16 * g)
+    omega_p = dist.omega_nodes[n_nodes // 2] if initial == "pulse" else None
+    times = np.linspace(0.0, t_max, 401)
+    ran = spy_dop853(monkeypatch)
+    chain = time_domain_propagate(
+        dist, cavity, initial, times, env=env, omega_p=omega_p, rtol=1e-13, atol=1e-16
+    )
+    assert ran == sizes
+    ref = full_state_beta(dist, cavity, initial, times, env, omega_p)
+    assert share_of_max(chain.beta, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, pending", [("lorentzian", 1), ("gaussian", 2)])
+def test_lorentzian_pulse_block_deflates_to_one_column(scen_I, monkeypatch, shape, pending):
+    """For a Lorentzian pulse, ((D + w_c - w_p)^2 + s^2) alpha g = s^2 g: the
+    pulse block loses its second direction after two steps, the dropped
+    column leaves one pending column per expansion (a Gaussian keeps two), and
+    the chain still meets the full state on the CLI's time-domain transfer."""
+    import qesr.dynamics as dynamics
+
+    chains = []
+
+    def spy(*args):
+        chains.append(_KrylovChain(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(dynamics, "_KrylovChain", spy)
+    s = scen_I
+    env = SHAPES[shape](s.env.fwhm)
+    times = np.linspace(0.0, 1.5 * np.pi / s.dist.g_collective, 601)
+    res = time_domain_propagate(s.dist, s.cavity, "pulse", times, env=env, omega_p=s.ens.center)
+    (chain,) = chains
+    assert chain.block == 2 and chain.size - len(chain.lower) == pending
+    ref = full_state_beta(s.dist, s.cavity, "pulse", times, env, s.ens.center)
+    assert share_of_max(res.beta, ref) <= 1e-10
+
+
+def test_chain_route_uses_no_contour_building_block(scen_I, monkeypatch):
+    """The time-domain route stays independent of the contour route: from
+    either start it builds no contour grid or far field and sums no Cauchy
+    kernel."""
+    import qesr.dynamics as dynamics
+
+    def never(*args, **kwargs):
+        raise AssertionError("the time-domain route used a contour building block")
+
+    for name in ("_contour_grid", "_ContourGrid", "_FarField", "_pole_sums", "_node_sums",
+                 "_pump_weights"):
+        monkeypatch.setattr(dynamics, name, never)
+    s = scen_I
+    times = np.linspace(0.0, 1.5 * np.pi / s.dist.g_collective, 101)
+    time_domain_propagate(s.dist, s.cavity, "cavity", times)
+    time_domain_propagate(s.dist, s.cavity, "pulse", times, env=s.env, omega_p=s.ens.center)
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_bundled_time_domain_runs_integrate_fewer_than_100_states(
+    tmp_path, monkeypatch, name
+):
+    """The bundled `swap` and time-domain `transfer` each integrate one pair of
+    chains (42-53 states deep), not the 5,002-entry arrow state."""
+    sizes = spy_dop853(monkeypatch)
+    path = bundled_config_path(f"paper_plus_{name}.cfg")
+    assert cli_main(["swap", "--config", path, "--out", str(tmp_path)]) == 0
+    argv = ["transfer", "--config", path, "--method", "time-domain", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    assert len(sizes) == 2 and max(sizes) < 100
+
+
 def test_overlap_scaling_linear_in_bandwidth():
     fwhm = TWO_PI * 1.6e6
     dist = single_line_dist(fwhm=fwhm)
@@ -1497,13 +1666,17 @@ SHAPED_CALLS = [  # (call on a scenario, the argument named, what it must be)
      "taus", "a scalar or a 1-d array, got shape (3, 3)"),
     (lambda s: excitation_budget(s.dist, s.cavity, s.env, 1.0, [s.omegas[0]], 9e-8),
      "omega_p", "a scalar, got shape (1,)"),
+    (lambda s: time_domain_propagate(s.dist, s.cavity, "pulse", [0.0, 1e-9], env=s.env,
+                                     omega_p=s.omegas[:2]),
+     "omega_p", "a scalar, got shape (2,)"),
 ]
 
 
 @pytest.mark.parametrize(
     "call, name, want", SHAPED_CALLS,
     ids=["invert_omega_p", "invert_times", "sweep_omega_ps", "sweep_tau", "esr_omega_ps",
-         "ode_times", "simulate_swap_taus", "find_swap_taus", "budget_omega_p"],
+         "ode_times", "simulate_swap_taus", "find_swap_taus", "budget_omega_p",
+         "ode_omega_p"],
 )
 def test_wrong_shaped_arrays_name_their_argument(scen_I, monkeypatch, call, name, want):
     """An array of the wrong shape is refused by name before any grid is built
@@ -1514,7 +1687,7 @@ def test_wrong_shaped_arrays_name_their_argument(scen_I, monkeypatch, call, name
         raise AssertionError("work began before the shape check")
 
     monkeypatch.setattr(dynamics, "_ContourGrid", never)
-    monkeypatch.setattr(dynamics, "_propagate_state", never)
+    monkeypatch.setattr(dynamics, "_KrylovChain", never)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {want}')}$"):
         call(scen_I)
 
@@ -1558,6 +1731,19 @@ def test_time_domain_input_validation(scen_I, monkeypatch):
     budget = r"^n_nodes = 5001 exceeds the memory budget \(100\); reduce the grid$"
     with pytest.raises(NumericalGuardError, match=budget):
         time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", [0.0, 1e-9])
+
+
+def test_time_domain_basis_cap(scen_I, monkeypatch):
+    """The Krylov basis is checked against its budget before it is allocated:
+    the swap trace's first depth pair (28 and 42 states) needs 43 columns."""
+    times = np.linspace(0.0, 1.2 * np.pi / scen_I.dist.g_collective, 481)
+    monkeypatch.setattr("qesr.dynamics._MAX_BASIS_ENTRIES", 43 * 5002 - 1)
+    budget = (r"^the time span needs a Krylov basis of 43 x 5002 entries, above the memory "
+              r"budget \(215085\); shorten the time span or reduce the grid$")
+    with pytest.raises(NumericalGuardError, match=budget):
+        time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", times)
+    monkeypatch.setattr("qesr.dynamics._MAX_BASIS_ENTRIES", 43 * 5002)
+    time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", times)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -1660,10 +1846,22 @@ def test_ode_working_set_is_bounded(scen_I):
 
 
 # Traced peak of the ODE swap trace (`simulate_swap`, 481 storage times) on
-# either bundled config while DOP853 still allocated every stage argument.
-# The two memory tests below were written against it; their bounds stay at
-# it now that the ODE trace takes 2.3 MiB.
+# either bundled config while DOP853 still allocated every stage argument
+# and integrated the full arrow state.  The memory tests below were written
+# against it; their bounds stay at it now that the trace, on the Krylov
+# chain, takes 1.9 / 2.0 MiB.
 ODE_SWAP_PEAK_MIB = 3.48
+
+
+@pytest.mark.parametrize("name", ["I", "III"])
+def test_ode_swap_trace_memory_stays_within_its_old_peak(request, name):
+    """The Krylov basis grows only to the depth the rule reaches (43 / 46 rows
+    of 5,002 entries, 1.6 / 1.8 MiB) and no second n_nodes x depth product is
+    formed: the `swap` trace stays within `ODE_SWAP_PEAK_MIB`."""
+    s = request.getfixturevalue(f"scen_{name}")
+    taus = np.linspace(0.0, 1.2 * np.pi / s.dist.g_collective, 481)
+    peak = traced_peak_mib(lambda: simulate_swap(s.dist, s.cavity, QubitChain(), taus))
+    assert peak <= ODE_SWAP_PEAK_MIB
 
 
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
@@ -1671,7 +1869,7 @@ def test_sweep_memory_stays_below_the_swap_calibration(scen_III, mode):
     """A 401-pump sweep holds a block of pumps at a time: its traced peak
     stays at or below `ODE_SWAP_PEAK_MIB`, the `swap` command's trace on the
     default storage grid before the ODE working set shrank (the exact sweep,
-    at 2.6 MiB, is above the leaner ODE trace's 2.3 MiB)."""
+    at 2.6 MiB, is above the chain-based ODE trace's 1.9 / 2.0 MiB)."""
     s = scen_III
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
