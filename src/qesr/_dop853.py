@@ -98,6 +98,9 @@ _D = _dense(
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # the bounds on one step-size change
 _EXPONENT = -1 / 8  # the error estimate is of order 7
 _MIN_RTOL = 100 * float(np.finfo(float).eps)
+# Steps one run may take, accepted and rejected alike (Hairer's NMAX): a
+# bundled trace takes about 40, a 10 us pulse trace about 1,500.
+_MAX_STEPS = 100_000
 
 
 def _rms(x: np.ndarray):
@@ -138,7 +141,8 @@ def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, ato
     give repeated columns.  rows only limits the dense output: the steps
     are the same, so the rows kept are the same bits.  Raises
     NumericalGuardError when the step size falls below the float spacing of
-    t or is NaN, as it becomes once fun returns non-finite values.
+    t or is NaN, as it becomes once fun returns non-finite values, and when
+    the run needs more than _MAX_STEPS steps.
     """
     y = np.asarray(y0, dtype=complex)
     out = np.empty((y[rows].size, t_eval.size), dtype=complex)
@@ -160,7 +164,7 @@ def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, ato
 
     f = fun(y)
     h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
-    t, done = 0.0, 0  # done: the number of t_eval entries filled
+    t, done, steps = 0.0, 0, 0  # done: the number of t_eval entries filled
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -172,6 +176,13 @@ def dop853(fun: Callable[[np.ndarray], np.ndarray], y0, t_eval, rtol: float, ato
                     f"time-domain propagation failed: step size underflow ({h_abs:.3e} s "
                     f"at t = {t:.6e} s, below the float spacing there)"
                 )
+            if steps == _MAX_STEPS:
+                raise NumericalGuardError(
+                    f"time-domain propagation failed: step budget of {_MAX_STEPS} spent at "
+                    f"t = {t:.6e} s of {t_bound:.6e} s (step size {h_abs:.3e} s); the system "
+                    "is too stiff or the time span too long"
+                )
+            steps += 1
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)

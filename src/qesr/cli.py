@@ -9,11 +9,13 @@ Outputs are deterministic: an identical config gives byte-identical files.
 --threads (and numerics.threads) is accepted for compatibility and has no
 effect.
 
-Exit codes: 0 success; 2 configuration error; 3 numerical-guard violation
-(saturation, overdamped swap, window too small, pole collision, a grid or
-ODE node cap, a non-finite contour step, a pulse with no overlap with the
-spectral grid, an ODE step-size underflow, a sensitivity value that
-overflows a double); 4 I/O error.
+Exit codes: 0 success; 2 configuration error (a g_collective whose square
+overflows and a count of times, taus or pumps above the inversion-grid cap
+included); 3 numerical-guard violation (saturation, overdamped swap, window
+too small, pole collision, a grid or ODE node cap, a non-finite contour
+step, a pulse with no overlap with the spectral grid, an ODE step-size
+underflow, an ODE depth estimate that overflows, an ODE step budget spent,
+a sensitivity value that overflows a double); 4 I/O error.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .config import _POSITIVE, TWO_PI, RunConfig, _integer, canonical_json, parse_config
-from .dynamics import MODES, invert_to_time, time_domain_propagate
+from .dynamics import MODES, _MAX_GRID_POINTS, invert_to_time, time_domain_propagate
 from .errors import ConfigError, NumericalGuardError
 from .protocol import _SWAP_PERIODS, _SWAP_POINTS, esr_spectrum, find_swap_time
 from .protocol import simulate_swap, spectrum_peaks
@@ -109,13 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Numeric options, checked by the config schema's own field checks.
+# Numeric options, checked by the config schema's own field checks; a count
+# of times is capped as the points of a contour grid are.
 _OPTIONS = {
     "tau_max_s": _POSITIVE,
-    "n_taus": _integer(3),
+    "n_taus": _integer(3, _MAX_GRID_POINTS),
     "omega_p_hz": _POSITIVE,
     "t_max_s": _POSITIVE,
-    "n_times": _integer(2),
+    "n_times": _integer(2, _MAX_GRID_POINTS),
 }
 
 

@@ -32,7 +32,8 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
-from .dynamics import MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES, _MAX_LATTICE_POINTS
+from .dynamics import MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES
+from .dynamics import _MAX_GRID_POINTS, _MAX_LATTICE_POINTS
 from .dynamics import CavityModel, InversionSettings, PulseEnvelope
 from .errors import ConfigError
 from .protocol import QubitChain
@@ -317,7 +318,7 @@ _QUBIT = {
 }
 _SWEEP = {
     "span_hz": (1.4e7, _HZ),
-    "n_points": (401, _integer(3)),
+    "n_points": (401, _integer(3, _MAX_GRID_POINTS)),  # pumps, capped as grid points are
     "n_pump": (15.0, _NONNEGATIVE),
     "center_hz": (None, _HZ),
     "tau_s_s": (None, _POSITIVE),

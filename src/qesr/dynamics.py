@@ -46,9 +46,7 @@ __all__ = [
     "MODE_NARROW",
     "MODE_EXACT",
     "memory_kernel_W",
-    "cavity_amplitude_t1",
     "pulse_constant_A",
-    "transfer_spectrum_t",
     "invert_to_time",
     "transfer_sweep",
     "time_domain_propagate",
@@ -247,17 +245,23 @@ def _pole_sums(omega: np.ndarray, b, omega_ps: np.ndarray, y: np.ndarray) -> np.
     return (dr + b * ri) + 1j * (di - b * rr)
 
 
-def _node_sums(dist: SpinDistribution, gamma0: float, zeta: np.ndarray, weights: np.ndarray):
-    """sum_j weights_j / (zeta - w_j + i gamma0/2) at every zeta, dense: the
-    pole sums of `_pole_sums` with nodes and points swapped (omega_k = -w_j,
-    w_p = -Re zeta, b_p = Im zeta + gamma0/2).  Raises PoleCollisionError on
-    an exact hit of a pole w_j - i gamma0/2, b_p = 0 at a node (the caller
-    must offset or complex-shift instead).
+def memory_kernel_W(dist: SpinDistribution, cavity: CavityModel, omega):
+    """Spin memory kernel W(omega) = sum_j g_j^2 / (omega - w_j + i gamma0/2).
+
+    omega may be real or complex, scalar or array.  With gamma0 = 0 and a
+    dense grid, evaluating at omega + i*eta (node spacing << eta << line
+    width) approximates the continuum kernel; for a single Lorentzian line of
+    FWHM w that limit is g_K^2 / (omega - w_s + i w/2).  The one dense node
+    sum at arbitrary omega: the pole sums of `_pole_sums` with nodes and
+    points swapped (omega_k = -w_j, w_p = -Re omega, b_p = Im omega +
+    gamma0/2).  An omega on a pole w_j - i gamma0/2 (a real node when
+    gamma0 = 0) raises PoleCollisionError.
     """
-    zeta = np.asarray(zeta, dtype=complex)
+    scalar = np.isscalar(omega)
+    zeta = np.asarray(omega, dtype=complex)
     flat = zeta.ravel()
     nodes = dist.omega_nodes
-    b = flat.imag + 0.5 * gamma0
+    b = flat.imag + 0.5 * cavity.gamma0
     on_poles = b == 0.0
     # np.isin only on a hit: on arrays of nodes its first call imports numpy.ma
     if on_poles.any() and np.any(np.isin(flat[on_poles].real, nodes)):
@@ -265,38 +269,13 @@ def _node_sums(dist: SpinDistribution, gamma0: float, zeta: np.ndarray, weights:
             "evaluation frequency coincides with a pole w_j - i gamma_0/2 of the spin "
             "kernel; evaluate at a complex-shifted or offset frequency"
         )
-    out = _pole_sums(-nodes, b, -flat.real, weights)
-    return out.reshape(zeta.shape)
-
-
-def memory_kernel_W(dist: SpinDistribution, cavity: CavityModel, omega):
-    """Spin memory kernel W(omega) = sum_j g_j^2 / (omega - w_j + i gamma0/2).
-
-    omega may be real or complex, scalar or array.  With gamma0 = 0 and a
-    dense grid, evaluating at omega + i*eta (node spacing << eta << line
-    width) approximates the continuum kernel; for a single Lorentzian line of
-    FWHM w that limit is g_K^2 / (omega - w_s + i w/2).  An omega on a pole
-    w_j - i gamma0/2 (a real node when gamma0 = 0) raises PoleCollisionError.
-    """
-    scalar = np.isscalar(omega)
-    W = _node_sums(dist, cavity.gamma0, omega, dist.couplings_sq)
+    W = _pole_sums(-nodes, b, -flat.real, dist.couplings_sq).reshape(zeta.shape)
     return complex(W) if scalar else W
 
 
 def _t1(cavity: CavityModel, zeta: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Cavity response t1(-i zeta) = i / (zeta - w_c + i kappa/2 - W(zeta))."""
     return 1j / (zeta - cavity.omega_c + 0.5j * cavity.kappa - W)
-
-
-def cavity_amplitude_t1(dist: SpinDistribution, cavity: CavityModel, omega):
-    """Cavity response t1(-i omega) = i / (omega - w_c + i kappa/2 - W(omega)).
-
-    Lossless systems included: as for `memory_kernel_W`, an omega on a pole
-    w_j - i gamma0/2 of W raises PoleCollisionError.
-    """
-    scalar = np.isscalar(omega)
-    zeta = np.asarray(omega, dtype=complex)
-    t1 = _t1(cavity, zeta, _node_sums(dist, cavity.gamma0, zeta, dist.couplings_sq))
-    return complex(t1) if scalar else t1
 
 
 def _narrow_c2(dist: SpinDistribution, env: PulseEnvelope, omega_p):
@@ -363,8 +342,8 @@ def _pump_transfer(
 
     T tends to c2 / zeta^2 far from the spectrum.  t1 is the cavity response
     on zeta; numerator(weights) is the node sum of the weights on zeta
-    (`_ContourGrid.convolve` on a contour, the dense `_node_sums` elsewhere),
-    called once in exact mode and never in narrow mode.
+    (`_ContourGrid.convolve` on a contour, dense pole sums at the window's
+    end points), called once in exact mode and never in narrow mode.
     """
     if mode == MODE_NARROW:
         c2 = _narrow_c2(dist, env, omega_p)
@@ -372,33 +351,6 @@ def _pump_transfer(
         return -1j * t1 * c2 * shape / env.norm_l1, c2
     (alpha,), (d,), (c2,) = _pump_weights(dist, env, np.array([omega_p]))
     return 1j * t1 * numerator(alpha * dist.couplings_sq) / d, float(c2)
-
-
-def transfer_spectrum_t(
-    dist: SpinDistribution,
-    cavity: CavityModel,
-    env: PulseEnvelope,
-    omega_p: float,
-    omega,
-    mode: str = MODE_NARROW,
-):
-    """Transfer spectrum t_wp(-i omega) = i t1(omega) N(omega) / D.
-
-    In exact-convolution mode N and D are the node sums
-    N = sum_k alpha(w_k - w_p) g_k^2 / (omega - w_k + i gamma0/2) and
-    D = sqrt(sum_j alpha^2 g_j^2).  In narrow-pulse mode the ratio
-    factorizes into g_K * A * sqrt(rho(w_p)) times the envelope's normalized
-    Cauchy transform of (omega - w_p), which tends to 1/(omega - w_p) far
-    from the pump.  omega may be complex (upper half plane for inversion).
-    """
-    _check_narrow(dist, env, mode)
-    scalar = np.isscalar(omega)
-    zeta = np.asarray(omega, dtype=complex)
-    out, _ = _pump_transfer(
-        dist, cavity, env, omega_p, zeta, mode, cavity_amplitude_t1(dist, cavity, zeta),
-        lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
-    )
-    return complex(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +741,8 @@ def _pump_grid(
     """`_contour_grid` for a pump start.  Its remainders are each outermost
     pump's T - T_far (`_pump_far`) at the window's two end points, the lowest
     pump first, against max|t1| |c2| / (eta + pulse bandwidth): T in closed
-    form in narrow-pulse mode, by the dense node sums at those two points in
-    exact-convolution mode."""
+    form in narrow-pulse mode, by dense node sums at those two points
+    (`_pole_sums` with nodes and points swapped) in exact-convolution mode."""
     if omega_ps.size == 0 or np.any(np.isnan(omega_ps)):
         raise ValueError("omega_ps must be non-empty and free of NaN")
     _check_narrow(dist, env, mode)
@@ -798,10 +750,11 @@ def _pump_grid(
 
     def remainders(zeta, t1, eta, t1_far):
         t1_max = float(np.max(np.abs(t1)))
+        b = eta + 0.5 * cavity.gamma0  # > 0, so no end point sits on a pole
         for wp in dict.fromkeys(outer):
             T, c2 = _pump_transfer(
                 dist, cavity, env, wp, zeta, mode, t1[[0, -1]],
-                lambda weights: _node_sums(dist, cavity.gamma0, zeta, weights),
+                lambda weights: _pole_sums(-dist.omega_nodes, b, -zeta.real, weights),
             )
             far = _pump_far(t1_far, cavity, env, wp, c2)
             yield T - far(zeta), t1_max * abs(c2) / (eta + env.bandwidth_scale)
@@ -1077,7 +1030,13 @@ def _chain_amplitude(chain: _KrylovChain, cavity: CavityModel, start: np.ndarray
     (at most n_nodes + 1 columns) is exact and integrated alone.
     """
     det, b = chain.det, chain.block
-    depth = max(16, math.ceil(0.5 * (det.max() - det.min()) * times[-1]) + 8)
+    half_span, t_max = 0.5 * float(det.max() - det.min()), float(times[-1])
+    if not math.isfinite(half_span * t_max):  # Python floats: inf, with no warning
+        raise NumericalGuardError(
+            f"the Krylov chain's depth estimate half-span x t_max = {half_span:.3e} rad/s x "
+            f"{t_max:.3e} s overflows; shorten the time span"
+        )
+    depth = max(16, math.ceil(half_span * t_max) + 8)
     while True:
         deep = math.ceil(1.5 * depth)
         exact = chain.expand(deep)

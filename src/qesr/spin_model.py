@@ -11,6 +11,7 @@ converts from Hz.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -142,8 +143,11 @@ class SpinDistribution:
         total = wts.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1 within 1e-9 (got {total!r})")
-        if not (self.g_collective >= 0.0 and np.isfinite(self.g_collective)):
+        g = self.g_collective
+        if not (g >= 0.0 and np.isfinite(g)):
             raise ValueError("g_collective must be finite and >= 0")
+        if not math.isfinite(float(g) * float(g)):  # couplings_sq and the far fields square it
+            raise ValueError(f"g_collective = {float(g)!r} rad/s: its square overflows a double")
         if self.shape not in LINE_SHAPES:
             raise ValueError(f"shape must be one of {LINE_SHAPES}")
         if self.n_spins_physical is not None and not self.n_spins_physical > 0:

@@ -496,6 +496,9 @@ BAD_OPTIONS = [  # (argv, the option it must name)
     (["transfer", "--omega-p-hz", "inf"], "--omega-p-hz"),
     (["transfer", "--omega-p-hz", "nan"], "--omega-p-hz"),
     (["transfer", "--omega-p-hz=-1e9"], "--omega-p-hz"),
+    # counts above the contour grid's point cap (4e6), allocated by no command
+    (["transfer", "--n-times", "4000001"], "--n-times"),
+    (["swap", "--n-taus", "4000001"], "--n-taus"),
 ]
 
 
@@ -516,6 +519,62 @@ def test_overflowing_option_hits_grid_guard(tmp_path, small_cfg, capsys, argv):
     rc = main(["transfer", "--config", small_cfg, "--out", str(tmp_path), *argv])
     assert rc == 3
     assert "inversion grid would need inf points" in capsys.readouterr().err
+
+
+def test_ode_depth_estimate_overflow_exit_3(tmp_path, small_cfg, capsys):
+    """half-span x t_max overflows at t_max = 1e308: the Krylov chain's depth
+    estimate is a guard naming both, not an OverflowError from ceil."""
+    rc = main([
+        "transfer", "--config", small_cfg, "--out", str(tmp_path),
+        "--method", "time-domain", "--t-max-s", "1e308",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "depth estimate half-span x t_max = " in err and "rad/s x 1.000e+308 s overflows" in err
+
+
+ENDLESS_SWAPS = {  # the value that makes the swap's DOP853 run endless
+    "g_collective_hz": (("ensembles", 0, "g_collective_hz"), 1e-300),  # 1.2 periods: 6e299 s
+    "gamma0_hz": (("cavity", "gamma0_hz"), 1e300),  # steps of ~1e-300 s
+}
+
+
+@pytest.mark.parametrize("path,value", ENDLESS_SWAPS.values(), ids=ENDLESS_SWAPS.keys())
+def test_endless_ode_run_exit_3(tmp_path, capsys, monkeypatch, path, value):
+    """A swap trace that would take DOP853 practically forever stops at its
+    step budget, lowered here from 100,000 to stay fast, with exit 3 naming
+    t and the step size."""
+    from qesr import _dop853
+
+    monkeypatch.setattr(_dop853, "_MAX_STEPS", 2000)
+    raw = json.loads(json.dumps(SMALL))
+    obj = raw
+    for step in path[:-1]:
+        obj = obj.setdefault(step, {}) if isinstance(step, str) else obj[step]
+    obj[path[-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the stiff run overflows on its way down
+        rc = main(["swap", "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert "step budget of 2000 spent at t = " in err and "(step size " in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["density"], ["swap"], ["transfer", "--method", "time-domain"], ["spectrum"]]
+)
+def test_collective_coupling_whose_square_overflows_exit_2(tmp_path, capsys, argv):
+    """g_K^2 overflows a double from about 2.1e153 Hz; every command refuses
+    it as a config error naming g_collective, before any route squares it."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["ensembles"][0]["g_collective_hz"] = 1e154
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: ensembles[0] (demo): g_collective = 6.283185307179586e+154 rad/s: "
+        "its square overflows a double\n"
+    )
+    assert not any(out.glob("*"))  # the directory is made before the ensembles are built
 
 
 def test_grid_guard_prints_a_short_count(tmp_path, small_cfg, capsys):
@@ -680,6 +739,21 @@ def test_node_count_above_the_lattice_cap_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: ensembles[0].grid.n_nodes: must be <= {_MAX_LATTICE_POINTS}, "
         "got 1000000000000000\n"
+    )
+    assert not out.exists()
+
+
+def test_pump_count_above_the_grid_cap_exit_2(tmp_path, capsys):
+    """sweep.n_points is capped as the points of a contour grid are: a config
+    error naming the key, not a traceback from allocating the pumps."""
+    from qesr.dynamics import _MAX_GRID_POINTS
+
+    raw = json.loads(json.dumps(SMALL))
+    raw["sweep"]["n_points"] = _MAX_GRID_POINTS + 1
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sweep.n_points: must be <= {_MAX_GRID_POINTS}, got {_MAX_GRID_POINTS + 1}\n"
     )
     assert not out.exists()
 

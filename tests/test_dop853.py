@@ -76,19 +76,27 @@ def test_cavity_row_alone_is_the_same_bits(request, scen, initial, periods, n_ti
     assert np.array_equal(row0, full[:1])
 
 
-def test_rejected_steps_match_scipy_bit_for_bit():
-    """A system whose step controller rejects steps: the retries reuse the
-    stage buffer, and the results and the number of rhs calls are SciPy's."""
+def rejecting_system():
+    """(rhs, y0, times, rtol, atol) of a run whose step controller rejects
+    steps, and SciPy's numbers of step attempts and of rejected ones."""
     rhs = arrow_rhs(np.array([100.0, -100.0]), np.array([1.0, 1.0]), 0.0, 0.0)
     y0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     times = np.linspace(0.0, 5.0, 41)
     rtol, atol = 1e-6, 1e-12
     solver = DOP853(lambda t, y: rhs(y), 0.0, y0, times[-1], rtol=rtol, atol=atol)
-    rejected = 0
+    attempts = rejected = 0
     while solver.status == "running":
         before = solver.nfev
         solver.step()
-        rejected += (solver.nfev - before) // 12 - 1  # 12 rhs calls per attempt
+        attempts += (solver.nfev - before) // 12  # 12 rhs calls per attempt
+        rejected += (solver.nfev - before) // 12 - 1
+    return (rhs, y0, times, rtol, atol), attempts, rejected
+
+
+def test_rejected_steps_match_scipy_bit_for_bit():
+    """A system whose step controller rejects steps: the retries reuse the
+    stage buffer, and the results and the number of rhs calls are SciPy's."""
+    (rhs, y0, times, rtol, atol), _, rejected = rejecting_system()
     assert rejected >= 1
     calls = []
 
@@ -200,3 +208,19 @@ def test_nan_initial_step_is_a_guard():
     rhs = arrow_rhs(np.array([0.3]), np.array([1.0]), 0.1, 0.0)
     with pytest.raises(NumericalGuardError, match="step size underflow"):
         dop853(rhs, np.zeros(2, dtype=complex), np.array([0.0, 1.0]), 1e-9, 0.0)
+
+
+def test_step_budget_counts_rejected_steps_too(monkeypatch):
+    """A budget of exactly SciPy's step attempts, rejected ones included,
+    lets the run finish; one fewer is a guard naming t and the step size."""
+    args, attempts, rejected = rejecting_system()
+    assert rejected >= 1
+    monkeypatch.setattr(_dop853, "_MAX_STEPS", attempts)
+    assert np.array_equal(dop853(*args), scipy_dop853(*args))
+    monkeypatch.setattr(_dop853, "_MAX_STEPS", attempts - 1)
+    pattern = (
+        rf"step budget of {attempts - 1} spent at t = \S+ s of 5\.000000e\+00 s "
+        r"\(step size \S+ s\)"
+    )
+    with pytest.raises(NumericalGuardError, match=pattern):
+        dop853(*args)

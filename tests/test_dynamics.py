@@ -27,12 +27,10 @@ from qesr.dynamics import (
     InversionSettings,
     PulseEnvelope,
     TransferResult,
-    cavity_amplitude_t1,
     invert_to_time,
     memory_kernel_W,
     pulse_constant_A,
     time_domain_propagate,
-    transfer_spectrum_t,
     transfer_sweep,
 )
 from qesr.dynamics import (
@@ -42,11 +40,13 @@ from qesr.dynamics import (
     _grid_controls,
     _initial_vector,
     _KrylovChain,
-    _node_sums,
     _phase_tables,
+    _pole_sums,
     _pump_far,
+    _pump_transfer,
     _pump_weights,
     _size_guard,
+    _t1,
     _time_sum,
     _two_mode_far,
 )
@@ -147,10 +147,11 @@ def test_kernel_pole_collision():
 
 @pytest.mark.parametrize("gamma0", [0.0, TWO_PI * 2e5])
 def test_dense_node_sums_match_complex_division(scen_III, gamma0):
-    """The dense node sums (`_pole_sums` with nodes and points swapped) agree
-    with a complex-division reference to 1e-14 of their peak, for zeta above
-    the real axis, below it and, with gamma0 > 0, on it; at gamma0 = 0,
-    W(zeta*) = W(zeta)* exactly."""
+    """The dense node sums (`_pole_sums` with nodes and points swapped: omega_k
+    = -w_j, w_p = -Re zeta, b_p = Im zeta + gamma0/2) agree with a
+    complex-division reference to 1e-14 of their peak, for zeta above the
+    real axis, below it and, with gamma0 > 0, on it; `memory_kernel_W` is
+    that sum of g_j^2, and at gamma0 = 0, W(zeta*) = W(zeta)* exactly."""
     dist = scen_III.dist
     nodes = dist.omega_nodes
     alpha, _, _ = _pump_weights(dist, scen_III.env, np.array([nodes[nodes.size // 3]]))
@@ -159,15 +160,17 @@ def test_dense_node_sums_match_complex_division(scen_III, gamma0):
     omega = np.linspace(nodes[0] - margin, nodes[-1] + margin, 301) + 0.37  # off the nodes
     for offset in [TWO_PI * 1e5, -TWO_PI * 1e5] + ([0.0] if gamma0 > 0 else []):
         zeta = omega + 1j * offset
+        b = zeta.imag + 0.5 * gamma0
         for weights in (dist.couplings_sq, alpha[0] * dist.couplings_sq):
             want = np.concatenate([
                 (1.0 / (zeta[a : a + 50, None] - nodes + 0.5j * gamma0)) @ weights
                 for a in range(0, zeta.size, 50)
             ])
-            got = _node_sums(dist, gamma0, zeta, weights)
+            got = _pole_sums(-nodes, b, -zeta.real, weights)
             assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
+        W = memory_kernel_W(dist, cavity, zeta)
+        assert np.array_equal(W, _pole_sums(-nodes, b, -zeta.real, dist.couplings_sq))
         if gamma0 == 0.0:
-            W = memory_kernel_W(dist, cavity, zeta)
             assert np.array_equal(memory_kernel_W(dist, cavity, zeta.conj()), W.conj())
 
 
@@ -226,7 +229,11 @@ def test_lattice_kernel_matches_references(request, case):
         offsets = grid.positions[rows[a : a + 200], None] - grid.q * j[None, :]
         inv = 1.0 / (grid.delta * offsets + 1j * grid.b)
         ref[:, a : a + 200] = [inv @ dist.couplings_sq, inv @ extra]
-    dense = [_node_sums(dist, gamma0, grid.zeta[rows], x) for x in (dist.couplings_sq, extra)]
+    zeta = grid.zeta[rows]
+    dense = [
+        _pole_sums(-dist.omega_nodes, zeta.imag + 0.5 * gamma0, -zeta.real, x)
+        for x in (dist.couplings_sq, extra)
+    ]
     for got, exact, direct in zip((W, N), ref, dense):
         scale = float(np.max(np.abs(got)))
         assert float(np.max(np.abs(got[rows] - exact))) <= 1e-12 * scale
@@ -293,20 +300,26 @@ def test_contour_needs_uniform_nodes(scen_I):
 @pytest.mark.parametrize("mode", [MODE_NARROW, MODE_EXACT])
 def test_contour_route_skips_the_dense_kernel(scen_I, monkeypatch, mode):
     """On a contour, W, N and the sweep's transposed product come from the FFT
-    kernel: the dense node sums only see the exact-mode edge test, at the
+    kernel: `memory_kernel_W` is never called, and the only dense node sums
+    (`_pole_sums` over the nodes) are the exact-mode edge tests, at the
     window's two end points, once for each outermost pump of a sweep and once
     for a trace's one pump.  The swap calibration reads its cavity start's
     window ends off the grid's t1 and adds none."""
     import qesr.dynamics as dynamics
 
+    def never(*args, **kwargs):
+        raise AssertionError("the contour route called the dense memory_kernel_W")
+
     seen = []
 
-    def spy(dist, gamma0, zeta, extra=None):
-        seen.append(np.size(zeta))
-        return dense(dist, gamma0, zeta, extra)
+    def spy(omega, b, points, y):
+        if np.array_equal(omega, -scen_I.dist.omega_nodes):
+            seen.append(np.size(points))
+        return pole_sums(omega, b, points, y)
 
-    dense = dynamics._node_sums
-    monkeypatch.setattr(dynamics, "_node_sums", spy)
+    pole_sums = dynamics._pole_sums
+    monkeypatch.setattr(dynamics, "memory_kernel_W", never)
+    monkeypatch.setattr(dynamics, "_pole_sums", spy)
     wps = scen_I.ens.center + TWO_PI * np.array([-2e6, 0.0, 2e6])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -333,7 +346,8 @@ def test_t1_bare_cavity():
     )
     cavity = CavityModel(omega_c=W0, kappa=kappa)
     # probe marginally off the node grid; with no coupling W vanishes anyway
-    t1 = cavity_amplitude_t1(dist, cavity, W0 + 0.1)
+    omega = W0 + 0.1
+    t1 = _t1(cavity, omega, memory_kernel_W(dist, cavity, omega))
     assert abs(t1) == pytest.approx(2.0 / kappa, rel=1e-12)
     assert t1.real > 0.0 and abs(t1.imag) < 1e-6 * abs(t1)
 
@@ -345,7 +359,7 @@ def test_t1_polariton_splitting_single_line():
     dist = single_line_dist(fwhm=g_k / 10.0, g=g_k, n_nodes=8001, span_fwhm=12.0)
     cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
     omega = W0 + np.linspace(-3.0 * g_k, 3.0 * g_k, 6001) + 1j * TWO_PI * 2e4
-    mag = np.abs(cavity_amplitude_t1(dist, cavity, omega))
+    mag = np.abs(_t1(cavity, omega, memory_kernel_W(dist, cavity, omega)))
     idx, _ = find_peaks(mag, prominence=0.05 * float(mag.max()))
     assert idx.size == 2
     split = float(omega[idx[1]].real - omega[idx[0]].real)
@@ -358,7 +372,7 @@ def test_t1_polariton_structure_triplet(scen_I):
     # line spread adds to the collective coupling in the normal-mode split
     g_k = scen_I.dist.g_collective
     omega = W0 + np.linspace(-3.0 * g_k, 3.0 * g_k, 6001) + 1j * TWO_PI * 5e4
-    mag = np.abs(cavity_amplitude_t1(scen_I.dist, scen_I.cavity, omega))
+    mag = np.abs(_t1(scen_I.cavity, omega, memory_kernel_W(scen_I.dist, scen_I.cavity, omega)))
     idx, _ = find_peaks(mag, prominence=0.05 * float(mag.max()))
     assert idx.size == 4
     tallest = np.sort(idx[np.argsort(mag[idx])[-2:]])
@@ -371,20 +385,21 @@ def test_t1_overdamped_limit():
     kappa = TWO_PI * 40e6
     dist = single_line_dist(fwhm=TWO_PI * 1.6e6, g=TWO_PI * 0.5e6, n_nodes=2001)
     cavity = CavityModel(omega_c=W0, kappa=kappa)
-    assert abs(cavity_amplitude_t1(dist, cavity, W0 + 1j * TWO_PI * 1e5)) == pytest.approx(
-        2.0 / kappa, rel=0.05
-    )
+    omega = W0 + 1j * TWO_PI * 1e5
+    t1 = _t1(cavity, omega, memory_kernel_W(dist, cavity, omega))
+    assert abs(t1) == pytest.approx(2.0 / kappa, rel=0.05)
 
 
 def test_t1_of_a_lossless_system_collides_only_on_a_node():
     dist = single_line_dist(n_nodes=101)
     lossless = CavityModel(omega_c=W0, kappa=0.0, gamma0=0.0)
     nodes = dist.omega_nodes
+    node = float(nodes[57])
     with pytest.raises(PoleCollisionError):
-        cavity_amplitude_t1(dist, lossless, float(nodes[57]))
+        _t1(lossless, node, memory_kernel_W(dist, lossless, node))
     # between two nodes, or off the real axis, t1 is finite
     for omega in (0.5 * float(nodes[57] + nodes[58]), float(nodes[57]) + 1j * TWO_PI * 1e3):
-        assert np.isfinite(cavity_amplitude_t1(dist, lossless, omega))
+        assert np.isfinite(_t1(lossless, omega, memory_kernel_W(dist, lossless, omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,22 +577,10 @@ def test_pulse_cauchy_rectangular_small_argument_series():
 # ---------------------------------------------------------------------------
 
 
-def test_transfer_spectrum_narrow_mode_warning():
-    dist = single_line_dist(fwhm=TWO_PI * 1.6e6, n_nodes=501)
-    cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
-    env = PulseEnvelope(shape="lorentzian", fwhm=TWO_PI * 1.6e6 / 3.0)
-    zeta = np.array([W0 + 1j * cavity.kappa])
-    with pytest.warns(UserWarning, match="narrow-pulse"):
-        transfer_spectrum_t(dist, cavity, env, W0, zeta, mode=MODE_NARROW)
-
-
 def test_narrow_mode_warning_names_the_callers_file(scen_I):
     """The warning points at the line that called the public function."""
     wps = scen_I.omegas[::200]
     calls = [
-        lambda: transfer_spectrum_t(
-            scen_I.dist, scen_I.cavity, scen_I.env, wps[1], W0 + 1e6j, mode=MODE_NARROW
-        ),
         lambda: transfer_sweep(
             scen_I.dist, scen_I.cavity, scen_I.env, wps, 9e-8, mode=MODE_NARROW
         ),
@@ -669,11 +672,11 @@ def test_transfer_spectrum_far_off_resonance_suppressed():
     cavity = CavityModel(omega_c=W0, kappa=W0 / 1e4)
     env = PulseEnvelope(shape="lorentzian", fwhm=TWO_PI * 1.5e5)
     zeta = W0 + np.linspace(-20 * fwhm, 20 * fwhm, 2001) + 1j * cavity.kappa
-    on = np.max(np.abs(transfer_spectrum_t(dist, cavity, env, W0, zeta)))
-    far = np.max(
-        np.abs(transfer_spectrum_t(dist, cavity, env, W0 + 1000.0 * fwhm, zeta))
-    )
-    assert far < 1e-3 * on
+    t1 = _t1(cavity, zeta, memory_kernel_W(dist, cavity, zeta))
+    # narrow-pulse mode takes no node sum, so it gets no numerator
+    on, _ = _pump_transfer(dist, cavity, env, W0, zeta, MODE_NARROW, t1, None)
+    far, _ = _pump_transfer(dist, cavity, env, W0 + 1000.0 * fwhm, zeta, MODE_NARROW, t1, None)
+    assert np.max(np.abs(far)) < 1e-3 * np.max(np.abs(on))
 
 
 def test_transfer_spectrum_sqrt_density_prefactor():
@@ -687,8 +690,9 @@ def test_transfer_spectrum_sqrt_density_prefactor():
     # far from the pump the pulse-shape factor tends to 1/(zeta - omega_p),
     # leaving the pure prefactor ratio sqrt(rho_hi / rho_lo) = 2
     zeta = np.array([W0 + 100.0 * fwhm + 1j * fwhm])
-    t_hi = transfer_spectrum_t(dist, cavity, env, wp_hi, zeta)[0]
-    t_lo = transfer_spectrum_t(dist, cavity, env, wp_lo, zeta)[0]
+    t1 = _t1(cavity, zeta, memory_kernel_W(dist, cavity, zeta))
+    t_hi = _pump_transfer(dist, cavity, env, wp_hi, zeta, MODE_NARROW, t1, None)[0][0]
+    t_lo = _pump_transfer(dist, cavity, env, wp_lo, zeta, MODE_NARROW, t1, None)[0][0]
     ratio = (t_hi * (zeta[0] - wp_hi)) / (t_lo * (zeta[0] - wp_lo))
     assert abs(ratio) == pytest.approx(2.0, rel=1e-3)
 
@@ -1306,7 +1310,7 @@ def test_chain_route_uses_no_contour_building_block(scen_I, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the time-domain route used a contour building block")
 
-    for name in ("_contour_grid", "_ContourGrid", "_FarField", "_pole_sums", "_node_sums",
+    for name in ("_contour_grid", "_ContourGrid", "_FarField", "_pole_sums", "memory_kernel_W",
                  "_pump_weights"):
         monkeypatch.setattr(dynamics, name, never)
     s = scen_I

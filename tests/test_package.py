@@ -26,7 +26,7 @@ def test_exports_are_the_submodule_exports():
         for attr in module.__all__:
             assert getattr(qesr, attr) is getattr(module, attr)
     assert sorted(qesr.__all__) == sorted(expected)
-    assert len(set(qesr.__all__)) == len(qesr.__all__) == 47
+    assert len(set(qesr.__all__)) == len(qesr.__all__) == 45
 
 
 PLUS_I = bundled_config_path("paper_plus_I.cfg")

@@ -320,6 +320,19 @@ def test_non_finite_distribution_rejected(nodes, weights):
         )
 
 
+def test_collective_coupling_whose_square_overflows_rejected():
+    """couplings_sq squares g_K: a g_K whose square overflows is refused, the
+    largest one whose square is finite is not."""
+    kwargs = dict(
+        lines=(SpinLine(center=1.5, fwhm=1.0, weight=1.0),),
+        omega_nodes=np.array([1.0, 2.0]), weights=np.array([0.5, 0.5]),
+    )
+    with pytest.raises(ValueError, match=r"g_collective = 1\.35e\+154 rad/s: its square overflows"):
+        SpinDistribution(g_collective=1.35e154, **kwargs)
+    g = math.sqrt(np.finfo(float).max)
+    assert np.all(np.isfinite(SpinDistribution(g_collective=g, **kwargs).couplings_sq))
+
+
 def test_too_few_nodes_rejected():
     with pytest.raises(ValueError):
         build_distribution(
