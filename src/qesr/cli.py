@@ -10,12 +10,14 @@ Outputs are deterministic: an identical config gives byte-identical files.
 effect.
 
 Exit codes: 0 success; 2 configuration error (a g_collective whose square
-overflows and a count of times, taus or pumps above the inversion-grid cap
-included); 3 numerical-guard violation (saturation, overdamped swap, window
-too small, pole collision, a grid or ODE node cap, a non-finite contour
-step, a pulse with no overlap with the spectral grid, an ODE step-size
-underflow, an ODE depth estimate that overflows, an ODE step budget spent,
-a sensitivity value that overflows a double); 4 I/O error.
+or period 2 pi/g_collective overflows and a count of times, taus or pumps
+above the inversion-grid cap included); 3 numerical-guard violation
+(saturation, overdamped swap, window too small, pole collision, a grid or
+ODE node cap, a non-finite contour step, a contour growth factor
+e^(eta t_max) that overflows, a pulse with no overlap with the spectral
+grid, an ODE step-size underflow, an ODE work estimate above its budget or
+not finite, an ODE step budget spent, a sensitivity value that overflows a
+double); 4 I/O error.
 """
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ routes to the transfer amplitude beta(t) are provided:
   Bromwich integral evaluated on the line Im(omega) = eta > 0 (exact for any
   eta > 0 since all system poles lie in the closed lower half plane);
 * a time-domain route: ODE propagation of dX/dt = -i M X, mapped onto the
-  Krylov chain of the spin measure, by the 8th-order Dormand-Prince method
+  Lanczos chain of the spin measure, by the 8th-order Dormand-Prince method
   (`qesr._dop853`).
 
 Phase convention: with the matrix above, the degenerate lossless ensemble
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._dop853 import dop853
 from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError, _warn
@@ -439,6 +438,12 @@ def _grid_controls(settings: InversionSettings, t_max: float):
         raise NumericalGuardError(
             f"inversion grid needs a finite contour offset and step (eta = {eta:.3e}, "
             f"d_omega = {d_omega:.3e} rad/s at t_max = {t_max:.3e} s)"
+        )
+    if not eta * t_max <= math.log(np.finfo(float).max):
+        # the Bromwich sum scales by e^{eta t}, which would be inf: beta NaN
+        raise NumericalGuardError(
+            f"inversion growth factor e^(eta t_max) overflows a double (eta = {eta:.3e} rad/s, "
+            f"t_max = {t_max:.3e} s); pass a smaller contour offset"
         )
     return eta, d_omega
 
@@ -909,14 +914,12 @@ def transfer_sweep(
 # ---------------------------------------------------------------------------
 # time-domain route
 
-# Caps of time_domain_propagate: the nodes, as every chain state costs
-# n_nodes + 1 basis entries, and the basis entries (256 MiB), which the
-# depth, about half-span * t_max, can otherwise grow to (n_nodes + 1)^2.
+# Caps of time_domain_propagate: the nodes, as every chain site costs a few
+# passes over n_nodes + 1 entries and the work cap allows a few thousand sites,
+# and the DOP853 work of one run, in states x steps, as `_chain_amplitude`
+# estimates it before the recursion starts.
 _MAX_ODE_NODES = 200_000
-_MAX_BASIS_ENTRIES = 2**25
-# A Krylov column is dropped when orthogonalization leaves less than this share
-# of its norm: a Lorentzian pulse start deflates exactly to one column a step.
-_DEFLATION = 1e-10
+_MAX_ODE_WORK = 2**25
 # The depth-L and depth-1.5L chains must agree within this share of rtol * max|beta|.
 _DEPTH_AGREEMENT = 0.1
 
@@ -937,124 +940,106 @@ def _initial_vector(
             raise ValueError("pulse-excited start requires env and omega_p")
         if dist.g_collective == 0.0:
             return x0  # the cavity never sees the packet: beta = 0
-        alpha = env.amplitude(dist.omega_nodes - omega_p)
-        g = dist.g_collective * np.sqrt(dist.weights)
-        norm_sq = float(np.sum((alpha * g) ** 2))
+        # alpha_j g_j normalized; g_K cancels, and a tiny one would underflow
+        packet = env.amplitude(dist.omega_nodes - omega_p) * np.sqrt(dist.weights)
+        norm_sq = float(np.sum(packet**2))
         if not norm_sq > 0.0:
             raise _no_overlap(dist, omega_p)
-        x0[1:] = alpha * g / math.sqrt(norm_sq)
+        x0[1:] = packet / math.sqrt(norm_sq)
         return x0
     raise ValueError("initial must be 'cavity' or 'pulse'")
 
 
-class _KrylovChain:
-    """Orthonormal block-Krylov basis of the real arrow matrix H = [[0, g^T],
-    [g, D]] (D = diag(w_j - w_c)), grown a column at a time, and the band of
-    T = V^T H V from the recursion's coefficients.
+def _lanczos(g: np.ndarray, det: np.ndarray, packet: Optional[np.ndarray], depth: int):
+    """The Lanczos recursion on the real arrow matrix H = [[0, g^T], [g, D]]
+    (D = diag(det)) from e_0, `depth` sites deep: the diagonal a_k, the
+    couplings b_k (site k to k + 1) and the projections p_k = q_k^T packet
+    (None without a packet).
 
-    Expanding column j forms H q_j, subtracts its projections on the
-    recursion's band (the `block` columns before j and every column after),
-    orthogonalizes the rest once more against every kept column (full
-    reorthogonalization) and keeps it as a new column unless it is below
-    _DEFLATION of the norm of H q_j.  The band's coefficients on columns j..
-    and the new column's norm are T's column j on and below the diagonal.
+    The plain three-term recursion: two columns kept, no reorthogonalization.
+    The chain's bilinear forms stay accurate all the same (Greenbaum, Linear
+    Algebra Appl. 113 (1989) 7).  It stops early at a coupling that is not
+    > 0 (0 for g = 0, NaN for a NaN system): the sites so far span an
+    invariant space, so the shorter chain is exact.
     """
-
-    def __init__(self, g: np.ndarray, det: np.ndarray, starts: np.ndarray):
-        self.g, self.det = g, det
-        self.basis = starts  # its first `size` rows are the kept columns
-        self.size = len(starts)
-        self.block = len(starts)
-        self.lower = []  # T[j:, j] of each expanded column j
-
-    def expand(self, depth: int) -> bool:
-        """Expand the first `depth` columns; True when every kept column is
-        expanded, so that they span an invariant space and the chain is exact."""
-        while len(self.lower) < min(depth, self.size):
-            j = len(self.lower)
-            q = self.basis[j]
-            w = np.empty_like(q)
-            w[0] = self.g @ q[1:]
-            np.multiply(self.det, q[1:], out=w[1:])
-            w[1:] += self.g * q[0]
-            before = np.linalg.norm(w)
-            band = self.basis[max(0, j - self.block) : self.size]  # the recursion's columns
-            h = band @ w
-            w -= h @ band
-            kept = self.basis[: self.size]
-            w -= (kept @ w) @ kept
-            after = np.linalg.norm(w)
-            if after > _DEFLATION * before:  # False for NaN: a NaN chain stops here
-                if self.size == len(self.basis):  # a column at most per expansion
-                    rows = min(depth + self.block, q.size)
-                    if rows * q.size > _MAX_BASIS_ENTRIES:
-                        raise NumericalGuardError(
-                            f"the time span needs a Krylov basis of {rows} x {q.size} entries, "
-                            f"above the memory budget ({_MAX_BASIS_ENTRIES}); shorten the time "
-                            "span or reduce the grid"
-                        )
-                    grown = np.empty((rows, q.size))
-                    grown[: self.size] = kept
-                    self.basis = grown
-                self.basis[self.size] = w / after
-                self.size += 1
-                h = np.append(h, after)
-            self.lower.append(h[min(j, self.block) :])
-        return len(self.lower) == self.size
-
-    def generator(self, depth: int, cavity: CavityModel) -> np.ndarray:
-        """The depth-`depth` chain's generator -i T - gamma0/2 - (kappa - gamma0)/2 e_0 e_0^T
-        (column 0 is the cavity) by band: row i holds its entries i - block .. i + block."""
-        b = self.block
-        band = np.zeros((depth, 2 * b + 1), dtype=complex)
-        for j, column in enumerate(self.lower[:depth]):
-            column = -1j * column[: depth - j]
-            k = np.arange(column.size)
-            band[j + k, b - k] = band[j, b + k] = column  # T is symmetric
-        band[:, b] -= 0.5 * cavity.gamma0
-        band[0, b] -= 0.5 * (cavity.kappa - cavity.gamma0)
-        return band
+    a, b, p = np.zeros(depth), np.zeros(depth), np.zeros(depth)
+    q = np.zeros(det.size + 1)
+    q[0] = 1.0
+    prev = np.zeros_like(q)
+    w = np.empty_like(q)
+    for k in range(depth):
+        w[0] = g @ q[1:]
+        np.multiply(det, q[1:], out=w[1:])
+        w[1:] += g * q[0]
+        if k:
+            w -= b[k - 1] * prev
+        a[k] = q @ w
+        w -= a[k] * q
+        if packet is not None:
+            p[k] = q @ packet
+        b[k] = np.linalg.norm(w)
+        if not b[k] > 0.0:
+            depth = k + 1
+            break
+        prev, q, w = q, w / b[k], prev
+    return a[:depth], b[: depth - 1], p[:depth]
 
 
-def _chain_amplitude(chain: _KrylovChain, cavity: CavityModel, start: np.ndarray,
-                     times: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    """The cavity amplitude in the frame rotating at w_c, from the chain state
-    `start` on the start block.
+def _chain_amplitude(g: np.ndarray, det: np.ndarray, packet: Optional[np.ndarray],
+                     cavity: CavityModel, times: np.ndarray, rtol: float, atol: float):
+    """The cavity amplitude in the frame rotating at w_c, from the cavity
+    (packet None) or from the packet, on the chain of `_lanczos`.
 
-    The depth starts at max(16, ceil(half-span * t_max) + 8), where Krylov
-    approximations of exp(-i H t) converge superlinearly (Hochbruck & Lubich,
-    SIAM J. Numer. Anal. 34 (1997) 1911).  One DOP853 run integrates the
-    depth-L and depth-ceil(1.5 L) chains side by side, and the deeper one is
-    taken once the two agree within _DEPTH_AGREEMENT * rtol of max|beta|;
-    otherwise L grows to ceil(1.5 L).  A chain that exhausts its Krylov space
-    (at most n_nodes + 1 columns) is exact and integrated alone.
+    The chain's generator G = -i T - gamma0/2 - (kappa - gamma0)/2 e_0 e_0^T
+    is tridiagonal and complex symmetric, so a packet start, i p on the
+    chain, reads e_0^T e^{G t} (i p) = i sum_k p_k c_k(t), c(t) = e^{G t} e_0:
+    row 0 for either start.  The depth starts at L = ceil(1.2 half-span
+    t_max) + 16, past the reach of both starts on the bundled spans and up
+    to 10 us; there Krylov approximations of exp(-i H t) converge
+    superlinearly (Hochbruck & Lubich, SIAM J. Numer. Anal. 34 (1997) 1911).
+    One DOP853 run integrates the depth-L and depth-ceil(1.5 L) chains side
+    by side, and the deeper one is taken once the two agree within
+    _DEPTH_AGREEMENT * rtol of max|beta|, or are one chain that the
+    recursion cut short; otherwise L grows to ceil(1.5 L).
+
+    Before each recursion the run's work is estimated as t_max x the
+    largest rate, max(max|det|, kappa/2, gamma0/2), x the pair's
+    states; a NumericalGuardError refuses it above _MAX_ODE_WORK.
     """
-    det, b = chain.det, chain.block
     half_span, t_max = 0.5 * float(det.max() - det.min()), float(times[-1])
-    if not math.isfinite(half_span * t_max):  # Python floats: inf, with no warning
-        raise NumericalGuardError(
-            f"the Krylov chain's depth estimate half-span x t_max = {half_span:.3e} rad/s x "
-            f"{t_max:.3e} s overflows; shorten the time span"
-        )
-    depth = max(16, math.ceil(half_span * t_max) + 8)
+    rates = {"max|w_j - w_c|": float(np.max(np.abs(det))), "kappa/2": 0.5 * cavity.kappa,
+             "gamma0/2": 0.5 * cavity.gamma0}
+    rate = max(rates.values())
+    # rate >= half-span, so a reach past the cap fails the work check below
+    depth = math.ceil(1.2 * min(half_span * t_max, _MAX_ODE_WORK)) + 16
     while True:
         deep = math.ceil(1.5 * depth)
-        exact = chain.expand(deep)
-        depths = (chain.size,) if exact else (depth, deep)
-        band = np.vstack([chain.generator(d, cavity) for d in depths])
-        y0 = np.concatenate([np.r_[start, np.zeros(d - start.size)] for d in depths])
-        padded = np.zeros(y0.size + 2 * b, dtype=complex)
-        windows = sliding_window_view(padded, 2 * b + 1)  # row i: entries i - b .. i + b
+        work = t_max * rate * (depth + deep)  # Python floats: inf, with no warning
+        if not work <= _MAX_ODE_WORK:
+            factors = ", ".join(f"{k} = {v:.3e}" for k, v in rates.items())
+            raise NumericalGuardError(
+                f"the time-domain run would take about {work:.3e} state-steps, above the "
+                f"budget ({_MAX_ODE_WORK}): t_max = {t_max:.3e} s x the largest rate ({factors} "
+                f"rad/s) x {depth + deep} chain states; shorten the time span"
+            )
+        a, b, p = _lanczos(g, det, packet, deep)
+        depths = (min(depth, a.size), a.size)
+        diag = np.concatenate([-1j * a[:d] - 0.5 * cavity.gamma0 for d in depths])
+        diag[[0, depths[0]]] -= 0.5 * (cavity.kappa - cavity.gamma0)
+        # the pair's couplings, with a zero between the two chains
+        off = np.concatenate([np.append(-1j * b[: d - 1], 0.0) for d in depths])[:-1]
+        start = np.concatenate([np.eye(1, d)[0] if packet is None else 1j * p[:d] for d in depths])
 
         def rhs(y):  # a new array each call: dop853 keeps it as f, across rejected steps too
-            padded[b:-b] = y
-            return np.einsum("ij,ij->i", band, windows)
+            dy = diag * y
+            dy[:-1] += off * y[1:]
+            dy[1:] += off * y[:-1]
+            return dy
 
-        cavities = slice(0, y0.size - depths[-1] + 1, depths[0])  # 0, and depths[0] for a pair
-        rows = dop853(rhs, y0, times, rtol, atol, rows=cavities)
-        gap = np.max(np.abs(rows[-1] - rows[0]))
-        if exact or gap <= _DEPTH_AGREEMENT * rtol * np.max(np.abs(rows[-1])):
-            return rows[-1]
+        rows = dop853(rhs, start, times, rtol, atol, rows=slice(0, depths[0] + 1, depths[0]))
+        gap = np.max(np.abs(rows[1] - rows[0]))
+        if depths[0] == depths[1] or gap <= _DEPTH_AGREEMENT * rtol * np.max(np.abs(rows[1])):
+            return rows[1]
         depth = deep
 
 
@@ -1068,7 +1053,7 @@ def time_domain_propagate(
     rtol: float = ODE_RTOL,
     atol: float = 1e-12,
 ) -> TransferResult:
-    """Transfer amplitude by ODE propagation on the spin measure's Krylov chain.
+    """Transfer amplitude by ODE propagation on the spin measure's Lanczos chain.
 
     initial = "cavity" starts from X = (1, 0, ..., 0); initial = "pulse"
     starts from the pulse-excited spin packet X_j(0) proportional to
@@ -1076,16 +1061,16 @@ def time_domain_propagate(
     lossless systems too (kappa = gamma0 = 0), as the contour route does.
     times may repeat; times that are all 0 return the start.
 
-    The arrow system is not integrated state by state: an orthonormal Krylov
-    basis of H = [[0, g^T], [g, D]] from the cavity (and the packet) maps it
-    onto a chain, a few dozen sites deep for a few Rabi periods, which DOP853
-    integrates at the given rtol/atol.  The depth grows until a chain 1.5
-    times deeper agrees (see `_chain_amplitude`), and is exact once the
-    basis spans H's Krylov space.  The chain is built from the nodes and
-    weights alone: no grid, no contour.  The basis takes n_nodes + 1 entries
-    per chain state.  Raises NumericalGuardError above _MAX_ODE_NODES or
-    _MAX_BASIS_ENTRIES, for a pulse with no overlap with the grid, and when
-    the integrator fails.
+    The arrow system is not integrated state by state: the Lanczos recursion
+    on H = [[0, g^T], [g, D]] from the cavity (`_lanczos`) maps it onto one
+    chain, a few dozen sites deep for a few Rabi periods, which DOP853
+    integrates at the given rtol/atol; a pulse start enters the same chain
+    through the packet's projections.  The depth grows until a chain 1.5
+    times deeper agrees (see `_chain_amplitude`).  The chain is built from
+    the nodes and weights alone: no grid, no contour.  Raises
+    NumericalGuardError above _MAX_ODE_NODES, for a run whose estimated
+    work exceeds _MAX_ODE_WORK, for a pulse with no overlap with the grid,
+    and when the integrator fails.
     """
     if omega_p is not None:
         omega_p = float(_float_arg(omega_p, "omega_p", 0))
@@ -1101,15 +1086,10 @@ def time_domain_propagate(
     x0 = _initial_vector(dist, initial, env, omega_p)
     y = np.zeros(times.size, dtype=complex)
     if x0.any():
-        cavity_start = np.eye(1, x0.size)
-        if initial == "cavity":
-            starts, start = cavity_start, np.ones(1)
-        else:
-            # H's real couplings act on (X_0, i X_1, ..., i X_n): the packet starts as i q_1
-            starts, start = np.vstack((cavity_start, x0.real)), np.array([0.0, 1j])
         g = dist.g_collective * np.sqrt(dist.weights)
-        chain = _KrylovChain(g, dist.omega_nodes - cavity.omega_c, starts)
-        y = _chain_amplitude(chain, cavity, start, times, rtol, atol)
+        # H's real couplings act on (X_0, i X_1, ..., i X_n): the packet starts as i x0
+        packet = x0.real if initial == "pulse" else None
+        y = _chain_amplitude(g, dist.omega_nodes - cavity.omega_c, packet, cavity, times, rtol, atol)
     # + 0.0 turns the -0.0 parts of a zero amplitude into 0.0, as on the contour route
     beta = y * np.exp(-1j * cavity.omega_c * times) + 0.0
     return TransferResult(

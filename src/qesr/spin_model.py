@@ -148,6 +148,8 @@ class SpinDistribution:
             raise ValueError("g_collective must be finite and >= 0")
         if not math.isfinite(float(g) * float(g)):  # couplings_sq and the far fields square it
             raise ValueError(f"g_collective = {float(g)!r} rad/s: its square overflows a double")
+        if g > 0.0 and not math.isfinite(2.0 * math.pi / float(g)):  # the time spans scale with it
+            raise ValueError(f"g_collective = {float(g)!r} rad/s: 2 pi/g_collective overflows a double")
         if self.shape not in LINE_SHAPES:
             raise ValueError(f"shape must be one of {LINE_SHAPES}")
         if self.n_spins_physical is not None and not self.n_spins_physical > 0:

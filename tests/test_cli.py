@@ -454,15 +454,24 @@ def test_ode_node_cap_exit_3(tmp_path, capsys):
     assert "memory budget" in capsys.readouterr().err
 
 
-def test_ode_basis_cap_exit_3(tmp_path, capsys):
-    """A time span whose Krylov chain would need more basis entries than the
-    budget (10,002 nodes to 0.1 ms: ~6,000 columns) exits 3 before it is built."""
+def test_ode_basis_cap_exit_3(tmp_path, capsys, monkeypatch):
+    """The cost guard that replaced the basis cap: a 0.1 ms span on 10,001
+    nodes (24,168 chain states, 1.9e8 state-steps) exits 3 before the
+    recursion starts, naming the factors of its work estimate."""
+    from qesr import dynamics
+
+    def never(*args, **kwargs):
+        raise AssertionError("the recursion started")
+
+    monkeypatch.setattr(dynamics, "_lanczos", never)
     raw = json.loads(json.dumps(SMALL))
     raw["ensembles"][0]["grid"]["n_nodes"] = 10001
     cfg = write_cfg(tmp_path, raw)
     argv = ["transfer", "--config", cfg, "--out", str(tmp_path), "--method", "time-domain"]
     assert main(argv + ["--t-max-s", "1e-4"]) == 3
-    assert "Krylov basis" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "above the budget (33554432): t_max = 1.000e-04 s x the largest rate" in err
+    assert "chain states; shorten the time span" in err
 
 
 def test_swap_saturation_states_the_photon_number_and_guard(tmp_path, capsys):
@@ -522,42 +531,50 @@ def test_overflowing_option_hits_grid_guard(tmp_path, small_cfg, capsys, argv):
 
 
 def test_ode_depth_estimate_overflow_exit_3(tmp_path, small_cfg, capsys):
-    """half-span x t_max overflows at t_max = 1e308: the Krylov chain's depth
-    estimate is a guard naming both, not an OverflowError from ceil."""
+    """half-span x t_max overflows at t_max = 1e308: the cost guard refuses
+    the infinite work estimate, naming t_max, not an OverflowError from ceil."""
     rc = main([
         "transfer", "--config", small_cfg, "--out", str(tmp_path),
         "--method", "time-domain", "--t-max-s", "1e308",
     ])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "depth estimate half-span x t_max = " in err and "rad/s x 1.000e+308 s overflows" in err
+    assert "would take about inf state-steps" in err and "t_max = 1.000e+308 s x " in err
 
 
-ENDLESS_SWAPS = {  # the value that makes the swap's DOP853 run endless
-    "g_collective_hz": (("ensembles", 0, "g_collective_hz"), 1e-300),  # 1.2 periods: 6e299 s
-    "gamma0_hz": (("cavity", "gamma0_hz"), 1e300),  # steps of ~1e-300 s
+ENDLESS_SWAPS = {  # the value that would make the ODE run endless, and its cost factor
+    "g_collective_hz": (("ensembles", 0, "g_collective_hz"), 1e-300, "e+299 s x the largest rate"),
+    "gamma0_hz": (("cavity", "gamma0_hz"), 1e300, "gamma0/2 = 3.142e+300"),
+    "q": (("cavity", "q"), 1e-30, "kappa/2 = 9.142e+39"),
+    "span_fwhm": (("ensembles", 0, "grid", "span_fwhm"), 1e30, "max|w_j - w_c| = 1.005e+37"),
+    "fwhm_hz": (("ensembles", 0, "lines", 0, "fwhm_hz"), 1e12, "max|w_j - w_c| = 5.027e+13"),
 }
 
 
-@pytest.mark.parametrize("path,value", ENDLESS_SWAPS.values(), ids=ENDLESS_SWAPS.keys())
-def test_endless_ode_run_exit_3(tmp_path, capsys, monkeypatch, path, value):
-    """A swap trace that would take DOP853 practically forever stops at its
-    step budget, lowered here from 100,000 to stay fast, with exit 3 naming
-    t and the step size."""
-    from qesr import _dop853
+@pytest.mark.parametrize("path,value,factor", ENDLESS_SWAPS.values(), ids=ENDLESS_SWAPS.keys())
+def test_endless_ode_run_exit_3(tmp_path, capsys, monkeypatch, path, value, factor):
+    """A `swap` or time-domain `transfer` that would take DOP853 practically
+    forever (steps of ~1e-300 s, 1e299 s spans, chains millions of sites
+    deep) is refused by the cost guard before any DOP853 call, with exit 3
+    naming the factors of its work estimate."""
+    from qesr import dynamics
 
-    monkeypatch.setattr(_dop853, "_MAX_STEPS", 2000)
+    def never(*args, **kwargs):
+        raise AssertionError("dop853 ran")
+
+    monkeypatch.setattr(dynamics, "dop853", never)
     raw = json.loads(json.dumps(SMALL))
     obj = raw
     for step in path[:-1]:
         obj = obj.setdefault(step, {}) if isinstance(step, str) else obj[step]
     obj[path[-1]] = value
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the stiff run overflows on its way down
-        rc = main(["swap", "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "o")])
-    assert rc == 3
-    err = capsys.readouterr().err.splitlines()[-1]
-    assert "step budget of 2000 spent at t = " in err and "(step size " in err
+    cfg = write_cfg(tmp_path, raw)
+    for argv in (["swap"], ["transfer", "--method", "time-domain"]):
+        rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "state-steps, above the budget (33554432): t_max = " in err
+        assert factor in err and "chain states; shorten the time span" in err
 
 
 @pytest.mark.parametrize(
@@ -575,6 +592,60 @@ def test_collective_coupling_whose_square_overflows_exit_2(tmp_path, capsys, arg
         "its square overflows a double\n"
     )
     assert not any(out.glob("*"))  # the directory is made before the ensembles are built
+
+
+@pytest.mark.parametrize("argv", [
+    ["swap"], ["spectrum"], ["transfer", "--method", "contour"],
+    ["transfer", "--method", "time-domain"],
+])
+def test_collective_coupling_whose_period_overflows_exit_2(tmp_path, capsys, argv):
+    """At 5e-324 Hz, 2 pi/g_K overflows, and with it the commands' time spans
+    (cli._time_span, find_swap_time's storage grid): a config error naming
+    g_collective, not a ValueError about the time grid."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["ensembles"][0]["g_collective_hz"] = 5e-324
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: ensembles[0] (demo): g_collective = 3e-323 rad/s: "
+        "2 pi/g_collective overflows a double\n"
+    )
+    assert not any(out.glob("*"))
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore:pulse bandwidth")
+def test_contour_offset_whose_growth_overflows_exit_3(tmp_path, capsys):
+    """At a 1e12 Hz contour offset e^(eta t_max) overflows: every contour
+    command exits 3 naming eta and t_max, and the ODE commands write finite
+    CSVs and summaries that parse as strict JSON."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["numerics"] = {"contour_offset_hz": 1e12}
+    cfg = write_cfg(tmp_path, raw)
+    runs = {
+        "spectrum": 3, "spectrum --mode exact-convolution": 3, "transfer --method contour": 3,
+        "transfer --method contour --mode exact-convolution": 3,
+        "transfer --method time-domain": 0, "swap": 0, "density": 0,
+    }
+    for i, (argv, want) in enumerate(runs.items()):
+        out = tmp_path / str(i)
+        assert main([*argv.split(), "--config", cfg, "--out", str(out)]) == want, argv
+        err = capsys.readouterr().err
+        if want == 3:
+            assert "e^(eta t_max) overflows a double (eta = 6.283e+12 rad/s, t_max = " in err
+            assert not any(out.glob("*")), argv
+            continue
+        _strict_json((out / f"{argv.split()[0]}_summary.json").read_text())
+        (csv,) = out.glob("*.csv")
+        values = np.loadtxt(csv, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(values)), argv
 
 
 def test_grid_guard_prints_a_short_count(tmp_path, small_cfg, capsys):

@@ -39,7 +39,6 @@ from qesr.dynamics import (
     _FarField,
     _grid_controls,
     _initial_vector,
-    _KrylovChain,
     _phase_tables,
     _pole_sums,
     _pump_far,
@@ -1248,19 +1247,19 @@ def uniform_dist(n_nodes: int, span: float) -> SpinDistribution:
 
 
 @pytest.mark.parametrize("initial, n_nodes, span_hz, t_max, sizes", [
-    # half-span * t_max = 251: the first depth is past n_nodes + 1
-    ("cavity", 121, 50e6, 1.6e-6, [122]),
-    # half-span * t_max = 15.7 (2.5 periods): depths 24 and 36 disagree (a
-    # two-column block takes half the steps per state), and the next depth
-    # exhausts the basis
-    ("pulse", 53, 11.6e6, 1.25 / 2.9e6, [24 + 36, 54]),
+    # half-span * t_max = 251: the depth pair (318 and 477) runs far past
+    # n_nodes + 1, where the recursion goes on in the rounding errors
+    ("cavity", 121, 50e6, 1.6e-6, [318 + 477]),
+    # half-span * t_max = 15.7 (2.5 periods): depths 35 and 53 disagree, and
+    # the next pair (53 and 80) runs past n_nodes + 1
+    ("pulse", 53, 11.6e6, 1.25 / 2.9e6, [35 + 53, 53 + 80]),
 ])
 def test_chain_runs_to_full_depth_where_it_must(
     monkeypatch, initial, n_nodes, span_hz, t_max, sizes
 ):
-    """Where no shorter chain meets the tolerance, the rule stops at the
-    exhausted Krylov space, n_nodes + 1 states: the whole system in another
-    basis, which meets the full state to 1e-12 at rtol 1e-13."""
+    """Where the depth rule reaches past n_nodes + 1, the plain recursion
+    runs on with no exhausted-space branch, and its chain meets the full
+    state to 1e-12 at rtol 1e-13."""
     dist = uniform_dist(n_nodes, TWO_PI * span_hz)
     g = dist.g_collective
     cavity = CavityModel(omega_c=W0, kappa=0.2 * g, gamma0=0.02 * g)
@@ -1276,27 +1275,15 @@ def test_chain_runs_to_full_depth_where_it_must(
     assert share_of_max(chain.beta, ref) <= 1e-12
 
 
-@pytest.mark.parametrize("shape, pending", [("lorentzian", 1), ("gaussian", 2)])
-def test_lorentzian_pulse_block_deflates_to_one_column(scen_I, monkeypatch, shape, pending):
-    """For a Lorentzian pulse, ((D + w_c - w_p)^2 + s^2) alpha g = s^2 g: the
-    pulse block loses its second direction after two steps, the dropped
-    column leaves one pending column per expansion (a Gaussian keeps two), and
-    the chain still meets the full state on the CLI's time-domain transfer."""
-    import qesr.dynamics as dynamics
-
-    chains = []
-
-    def spy(*args):
-        chains.append(_KrylovChain(*args))
-        return chains[-1]
-
-    monkeypatch.setattr(dynamics, "_KrylovChain", spy)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_pulse_start_matches_the_full_state_for_each_shape(scen_I, shape):
+    """A pulse start is read through its projections on the cavity's chain,
+    for every pulse shape alike: on the CLI's time-domain transfer it meets
+    the full state within 1e-10 of max|beta|."""
     s = scen_I
     env = SHAPES[shape](s.env.fwhm)
     times = np.linspace(0.0, 1.5 * np.pi / s.dist.g_collective, 601)
     res = time_domain_propagate(s.dist, s.cavity, "pulse", times, env=env, omega_p=s.ens.center)
-    (chain,) = chains
-    assert chain.block == 2 and chain.size - len(chain.lower) == pending
     ref = full_state_beta(s.dist, s.cavity, "pulse", times, env, s.ens.center)
     assert share_of_max(res.beta, ref) <= 1e-10
 
@@ -1320,17 +1307,18 @@ def test_chain_route_uses_no_contour_building_block(scen_I, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["I", "III"])
-def test_bundled_time_domain_runs_integrate_fewer_than_100_states(
-    tmp_path, monkeypatch, name
-):
-    """The bundled `swap` and time-domain `transfer` each integrate one pair of
-    chains (42-53 states deep), not the 5,002-entry arrow state."""
+def test_bundled_time_domain_runs_integrate_one_chain_pair(tmp_path, monkeypatch, name):
+    """The bundled `swap` and time-domain `transfer` each integrate one pair
+    of chains, at most 120 states (40 + 60 / 46 + 69 on I, 42 + 63 / 48 + 72
+    on III), not the 5,002-entry arrow state.  The pulse start needs the
+    deeper pair: its first agreeing depth is 42 / 44, against 20 / 21 for
+    the cavity start."""
     sizes = spy_dop853(monkeypatch)
     path = bundled_config_path(f"paper_plus_{name}.cfg")
     assert cli_main(["swap", "--config", path, "--out", str(tmp_path)]) == 0
     argv = ["transfer", "--config", path, "--method", "time-domain", "--out", str(tmp_path)]
     assert cli_main(argv) == 0
-    assert len(sizes) == 2 and max(sizes) < 100
+    assert len(sizes) == 2 and max(sizes) <= 120
 
 
 def test_overlap_scaling_linear_in_bandwidth():
@@ -1691,7 +1679,7 @@ def test_wrong_shaped_arrays_name_their_argument(scen_I, monkeypatch, call, name
         raise AssertionError("work began before the shape check")
 
     monkeypatch.setattr(dynamics, "_ContourGrid", never)
-    monkeypatch.setattr(dynamics, "_KrylovChain", never)
+    monkeypatch.setattr(dynamics, "_lanczos", never)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {want}')}$"):
         call(scen_I)
 
@@ -1738,16 +1726,29 @@ def test_time_domain_input_validation(scen_I, monkeypatch):
 
 
 def test_time_domain_basis_cap(scen_I, monkeypatch):
-    """The Krylov basis is checked against its budget before it is allocated:
-    the swap trace's first depth pair (28 and 42 states) needs 43 columns."""
-    times = np.linspace(0.0, 1.2 * np.pi / scen_I.dist.g_collective, 481)
-    monkeypatch.setattr("qesr.dynamics._MAX_BASIS_ENTRIES", 43 * 5002 - 1)
-    budget = (r"^the time span needs a Krylov basis of 43 x 5002 entries, above the memory "
-              r"budget \(215085\); shorten the time span or reduce the grid$")
-    with pytest.raises(NumericalGuardError, match=budget):
-        time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", times)
-    monkeypatch.setattr("qesr.dynamics._MAX_BASIS_ENTRIES", 43 * 5002)
-    time_domain_propagate(scen_I.dist, scen_I.cavity, "cavity", times)
+    """The cost guard that replaced the basis cap: the swap trace's work
+    estimate, t_max x max|w_j - w_c| x the 40 + 60 states of its depth
+    pair, is checked against the budget before the recursion, and above it
+    no DOP853 run starts."""
+    import qesr.dynamics as dynamics
+
+    s = scen_I
+    times = np.linspace(0.0, 1.2 * np.pi / s.dist.g_collective, 481)
+    rate = float(np.max(np.abs(s.dist.omega_nodes - s.cavity.omega_c)))
+    work = times[-1] * rate * 100
+    assert rate > 0.5 * s.cavity.kappa and not work.is_integer()
+    ran = spy_dop853(monkeypatch)
+    monkeypatch.setattr(dynamics, "_MAX_ODE_WORK", math.floor(work))
+    budget = (f"the time-domain run would take about {work:.3e} state-steps, above the budget "
+              f"({math.floor(work)}): t_max = {times[-1]:.3e} s x the largest rate "
+              f"(max|w_j - w_c| = {rate:.3e}, kappa/2 = {0.5 * s.cavity.kappa:.3e}, "
+              "gamma0/2 = 0.000e+00 rad/s) x 100 chain states; shorten the time span")
+    with pytest.raises(NumericalGuardError, match=f"^{re.escape(budget)}$"):
+        time_domain_propagate(s.dist, s.cavity, "cavity", times)
+    assert ran == []
+    monkeypatch.setattr(dynamics, "_MAX_ODE_WORK", math.ceil(work))
+    time_domain_propagate(s.dist, s.cavity, "cavity", times)
+    assert ran == [100]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -1805,13 +1806,14 @@ def traced_peak_mib(call) -> float:
 
 
 def test_time_domain_trace_memory_is_bounded(scen_I):
-    """Only the cavity row is interpolated, so 2,001 times stay far below the
-    160 MB that the full state takes."""
+    """Only the cavity row is interpolated and the recursion keeps two
+    columns, so 2,001 times stay within 1 MiB (0.34 MiB measured), far
+    below the 160 MB that the full state takes."""
     times = np.linspace(0.0, 1.5 * np.pi / scen_I.dist.g_collective, 2001)
     peak = traced_peak_mib(lambda: time_domain_propagate(
         scen_I.dist, scen_I.cavity, "pulse", times, env=scen_I.env, omega_p=scen_I.ens.center,
     ))
-    assert peak < 16.0
+    assert peak < 1.0
 
 
 def test_dense_kernel_memory_is_bounded(scen_III):
@@ -1852,16 +1854,15 @@ def test_ode_working_set_is_bounded(scen_I):
 # Traced peak of the ODE swap trace (`simulate_swap`, 481 storage times) on
 # either bundled config while DOP853 still allocated every stage argument
 # and integrated the full arrow state.  The memory tests below were written
-# against it; their bounds stay at it now that the trace, on the Krylov
-# chain, takes 1.9 / 2.0 MiB.
+# against it; their bounds stay at it now that the trace, on the Lanczos
+# chain, takes 0.32 MiB on either.
 ODE_SWAP_PEAK_MIB = 3.48
 
 
 @pytest.mark.parametrize("name", ["I", "III"])
 def test_ode_swap_trace_memory_stays_within_its_old_peak(request, name):
-    """The Krylov basis grows only to the depth the rule reaches (43 / 46 rows
-    of 5,002 entries, 1.6 / 1.8 MiB) and no second n_nodes x depth product is
-    formed: the `swap` trace stays within `ODE_SWAP_PEAK_MIB`."""
+    """The recursion keeps two columns of 5,002 entries and no n_nodes x
+    depth basis: the `swap` trace stays within `ODE_SWAP_PEAK_MIB`."""
     s = request.getfixturevalue(f"scen_{name}")
     taus = np.linspace(0.0, 1.2 * np.pi / s.dist.g_collective, 481)
     peak = traced_peak_mib(lambda: simulate_swap(s.dist, s.cavity, QubitChain(), taus))
@@ -1873,7 +1874,7 @@ def test_sweep_memory_stays_below_the_swap_calibration(scen_III, mode):
     """A 401-pump sweep holds a block of pumps at a time: its traced peak
     stays at or below `ODE_SWAP_PEAK_MIB`, the `swap` command's trace on the
     default storage grid before the ODE working set shrank (the exact sweep,
-    at 2.6 MiB, is above the chain-based ODE trace's 1.9 / 2.0 MiB)."""
+    at 2.6 MiB, is above the chain-based ODE trace's 0.32 MiB)."""
     s = scen_III
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -1887,14 +1888,11 @@ def test_sweep_memory_stays_below_the_swap_calibration(scen_III, mode):
 @pytest.mark.parametrize("name", ["I", "III"])
 def test_contour_calibration_memory_stays_below_the_ode_calibration(request, name):
     """The contour swap calibration drops its grid and FFT row before the
-    time sum: its traced peak stays at or below that of the ODE calibration
-    on the same storage grid, and within 2/3 of `ODE_SWAP_PEAK_MIB` (1.5 /
-    2.0 MiB against 3.48 MiB)."""
+    time sum: its traced peak stays within 2/3 of `ODE_SWAP_PEAK_MIB`, the
+    old ODE calibration's (1.34 MiB against 3.48 MiB).  The chain-based ODE
+    calibration, at 0.32 MiB, now takes less than the contour's."""
     s = request.getfixturevalue(f"scen_{name}")
-    taus = np.linspace(0.0, 1.2 * np.pi / s.dist.g_collective, 481)
-    ode = traced_peak_mib(lambda: simulate_swap(s.dist, s.cavity, QubitChain(), taus))
     contour = traced_peak_mib(lambda: find_swap_time(s.dist, s.cavity))
-    assert contour <= ode
     assert contour <= 2.0 / 3.0 * ODE_SWAP_PEAK_MIB
 
 

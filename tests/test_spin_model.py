@@ -333,6 +333,21 @@ def test_collective_coupling_whose_square_overflows_rejected():
     assert np.all(np.isfinite(SpinDistribution(g_collective=g, **kwargs).couplings_sq))
 
 
+def test_collective_coupling_whose_period_overflows_rejected():
+    """The time spans scale with 2 pi/g_K (1.2 and 1.5 half periods): a g_K
+    whose period overflows is refused, a zero g_K and the smallest g_K
+    whose period is finite are not."""
+    kwargs = dict(
+        lines=(SpinLine(center=1.5, fwhm=1.0, weight=1.0),),
+        omega_nodes=np.array([1.0, 2.0]), weights=np.array([0.5, 0.5]),
+    )
+    with pytest.raises(ValueError, match=r"g_collective = 5e-324 rad/s: 2 pi/g_collective overflows"):
+        SpinDistribution(g_collective=5e-324, **kwargs)
+    g = 2.0 * math.pi / np.finfo(float).max
+    assert math.isfinite(2.0 * math.pi / SpinDistribution(g_collective=g, **kwargs).g_collective)
+    SpinDistribution(g_collective=0.0, **kwargs)
+
+
 def test_too_few_nodes_rejected():
     with pytest.raises(ValueError):
         build_distribution(
