@@ -6,15 +6,16 @@ JSON summary into --out, and prints the summary to stdout.  spectrum, swap,
 transfer and density run once per ensemble (or for --ensemble only) and write
 `<command>_<name>.csv` each; sensitivity writes one `sensitivity.csv`.
 Outputs are deterministic: an identical config gives byte-identical files.
---threads (and numerics.threads) is accepted for compatibility and has no
-effect.
+--threads (and numerics.threads), an integer >= 1, is accepted for
+compatibility and has no effect.
 
 Exit codes: 0 success; 2 configuration error (a g_collective whose square
-or period 2 pi/g_collective overflows and a count of times, taus or pumps
-above the inversion-grid cap included); 3 numerical-guard violation
+or period 2 pi/g_collective overflows, a lorentzian pulse.fwhm_hz whose
+scale (fwhm/4)^2 overflows, a --threads below 1 and a count of times, taus
+or pumps above the inversion-grid cap included); 3 numerical-guard violation
 (saturation, overdamped swap, window too small, pole collision, a grid or
-ODE node cap, a non-finite contour step, a contour growth factor
-e^(eta t_max) that overflows, a pulse with no overlap with the spectral
+ODE node cap, a non-finite contour step, a contour offset with
+eta t_max above 4, a pulse with no overlap with the spectral
 grid, an ODE step-size underflow, an ODE work estimate above its budget or
 not finite, an ODE step budget spent, a sensitivity value that overflows a
 double); 4 I/O error.
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument(
-            "--threads", type=int, default=None, help="accepted; has no effect"
+            "--threads", type=int, default=None, help="integer >= 1; accepted, has no effect"
         )
         p.add_argument(
             "--mode",
@@ -121,6 +122,7 @@ _OPTIONS = {
     "omega_p_hz": _POSITIVE,
     "t_max_s": _POSITIVE,
     "n_times": _integer(2, _MAX_GRID_POINTS),
+    "threads": _integer(1),
 }
 
 

@@ -224,6 +224,10 @@ def _pulse_rule(pulse: dict, path: str) -> None:
         _fail(f"{path}.duration_s", "only allowed for the rectangular shape")
     elif pulse["fwhm_hz"] is None:
         pulse["fwhm_hz"] = 1.5e5
+    if pulse["shape"] == "lorentzian":
+        scale = _rad(pulse["fwhm_hz"]) / 4.0  # PulseEnvelope's bandwidth_scale, which it squares
+        if not math.isfinite(scale * scale):
+            _fail(f"{path}.fwhm_hz", f"{pulse['fwhm_hz']!r} Hz: (fwhm/4)^2 overflows in rad/s")
 
 
 def _sensitivity(value: Any, path: str) -> dict:

@@ -124,6 +124,10 @@ class PulseEnvelope:
                 raise ValueError("duration applies to the rectangular shape only")
             if self.shape == "lorentzian":
                 s = self.fwhm / 4.0
+                if not math.isfinite(s * s):  # amplitude squares it
+                    raise ValueError(
+                        f"lorentzian pulse fwhm = {self.fwhm!r} rad/s: (fwhm/4)^2 overflows"
+                    )
                 l1, l2_sq = math.pi * s, math.pi * s / 2.0
             else:
                 s = self.fwhm / _SQRT_8LN2
@@ -358,6 +362,10 @@ def _pump_transfer(
 
 # Auto-rule constants of the contour inversion (see InversionSettings).
 _ETA_T = 0.25
+# A given offset may reach eta t_max = 4: the window's truncation error, scaled
+# by e^{eta t_max}, is then about twice the route's own error at the automatic
+# 0.25, and it grows 50-fold by eta t_max = 8.
+_MAX_ETA_T = 4.0
 _SAMPLES_PER_ETA = 8.0
 _GROWTH = 1.6
 _MAX_GROWTH = 6
@@ -368,9 +376,11 @@ class InversionSettings:
     """Numerical controls for the Bromwich-contour inversion.
 
     Auto rules (used when a field is None): the contour offset is
-    eta = 0.25 / t_max; the step is d_omega = eta / 8 on every system: every
-    pole lies at least eta below the contour, so the trapezoid sum converges
-    exponentially, with aliasing bounded by e^{-eta (2 pi/d_omega - t_max)},
+    eta = 0.25 / t_max (a given one must keep eta t_max <= 4, or
+    NumericalGuardError is raised); the step is d_omega = eta / 8 on every
+    system: every pole lies at least eta below the contour, so the trapezoid
+    sum converges exponentially, with aliasing bounded by
+    e^{-eta (2 pi/d_omega - t_max)},
     e^{-(16 pi - 0.25)} ~ 1e-22 at the automatic offset; the window starts
     from the line/cavity/outermost-pump structure plus margins scaled by
     g_K, the line widths, kappa and the pulse bandwidth, then grows by a
@@ -439,11 +449,11 @@ def _grid_controls(settings: InversionSettings, t_max: float):
             f"inversion grid needs a finite contour offset and step (eta = {eta:.3e}, "
             f"d_omega = {d_omega:.3e} rad/s at t_max = {t_max:.3e} s)"
         )
-    if not eta * t_max <= math.log(np.finfo(float).max):
-        # the Bromwich sum scales by e^{eta t}, which would be inf: beta NaN
+    if not eta * t_max <= _MAX_ETA_T:
+        # the Bromwich sum scales the window's truncation error by e^{eta t}
         raise NumericalGuardError(
-            f"inversion growth factor e^(eta t_max) overflows a double (eta = {eta:.3e} rad/s, "
-            f"t_max = {t_max:.3e} s); pass a smaller contour offset"
+            f"inversion growth eta t_max = {eta * t_max:.3e} exceeds {_MAX_ETA_T:g} "
+            f"(eta = {eta:.3e} rad/s, t_max = {t_max:.3e} s); pass a smaller contour offset"
         )
     return eta, d_omega
 

@@ -508,6 +508,9 @@ BAD_OPTIONS = [  # (argv, the option it must name)
     # counts above the contour grid's point cap (4e6), allocated by no command
     (["transfer", "--n-times", "4000001"], "--n-times"),
     (["swap", "--n-taus", "4000001"], "--n-taus"),
+    # accepted with no effect, but checked as numerics.threads is
+    (["spectrum", "--threads", "0"], "--threads"),
+    (["density", "--threads=-3"], "--threads"),
 ]
 
 
@@ -623,9 +626,10 @@ def _strict_json(text: str):
 
 @pytest.mark.filterwarnings("ignore:pulse bandwidth")
 def test_contour_offset_whose_growth_overflows_exit_3(tmp_path, capsys):
-    """At a 1e12 Hz contour offset e^(eta t_max) overflows: every contour
-    command exits 3 naming eta and t_max, and the ODE commands write finite
-    CSVs and summaries that parse as strict JSON."""
+    """At a 1e12 Hz contour offset e^(eta t_max) would overflow, far past the
+    bound eta t_max <= 4: every contour command exits 3 naming eta and t_max,
+    and the ODE commands write finite CSVs and summaries that parse as strict
+    JSON."""
     raw = json.loads(json.dumps(SMALL))
     raw["numerics"] = {"contour_offset_hz": 1e12}
     cfg = write_cfg(tmp_path, raw)
@@ -639,13 +643,55 @@ def test_contour_offset_whose_growth_overflows_exit_3(tmp_path, capsys):
         assert main([*argv.split(), "--config", cfg, "--out", str(out)]) == want, argv
         err = capsys.readouterr().err
         if want == 3:
-            assert "e^(eta t_max) overflows a double (eta = 6.283e+12 rad/s, t_max = " in err
+            assert " exceeds 4 (eta = 6.283e+12 rad/s, t_max = " in err
             assert not any(out.glob("*")), argv
             continue
         _strict_json((out / f"{argv.split()[0]}_summary.json").read_text())
         (csv,) = out.glob("*.csv")
         values = np.loadtxt(csv, delimiter=",", skiprows=1)
         assert np.all(np.isfinite(values)), argv
+
+
+@pytest.mark.filterwarnings("ignore:pulse bandwidth")
+@pytest.mark.parametrize("mode", [qesr.MODE_NARROW, qesr.MODE_EXACT])
+def test_contour_offset_above_the_growth_bound_exit_3(tmp_path, capsys, mode):
+    """The Bromwich sum scales the window's truncation error by e^(eta t_max).
+    On paper_plus_I a 1e6 Hz offset (eta t_max = 1.62) stays within the bound
+    of 4; a 1e7 Hz one (16.2) gave |beta| 0.32 against 0.20 and exits 3."""
+    raw = json.loads(Path(bundled_config_path("paper_plus_I.cfg")).read_text())
+    for offset_hz, want in ((1e6, 0), (1e7, 3)):
+        raw["numerics"]["contour_offset_hz"] = offset_hz
+        out = tmp_path / f"{offset_hz:g}"
+        argv = ["transfer", "--method", "contour", "--mode", mode, "--out", str(out)]
+        assert main([*argv, "--config", write_cfg(tmp_path, raw)]) == want
+        err = capsys.readouterr().err
+        if want == 0:
+            assert sorted(f.name for f in out.iterdir()) == [
+                "transfer_plus_I.csv", "transfer_summary.json",
+            ]
+            continue
+        assert err == (
+            "numerical guard: inversion growth eta t_max = 1.625e+01 exceeds 4 "
+            "(eta = 6.283e+07 rad/s, t_max = 2.586e-07 s); pass a smaller contour offset\n"
+        )
+        assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["swap"], ["transfer", "--method", "contour"],
+    ["transfer", "--method", "time-domain"],
+])
+def test_lorentzian_pulse_whose_scale_square_overflows_exit_2(tmp_path, capsys, argv):
+    """PulseEnvelope squares a lorentzian's scale fwhm/4; at 1e300 Hz that
+    square is inf and every weight NaN, so the config refuses it by name."""
+    raw = json.loads(json.dumps(SMALL))
+    raw["pulse"] = {"shape": "lorentzian", "fwhm_hz": 1e300}
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: pulse.fwhm_hz: 1e+300 Hz: (fwhm/4)^2 overflows in rad/s\n"
+    )
+    assert not out.exists()
 
 
 def test_grid_guard_prints_a_short_count(tmp_path, small_cfg, capsys):

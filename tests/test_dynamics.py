@@ -525,6 +525,17 @@ def test_pulse_envelope_rejects_infinite_scales(kwargs):
         PulseEnvelope(**kwargs)
 
 
+def test_lorentzian_pulse_whose_scale_square_overflows_rejected():
+    """amplitude forms s^2 / (x^2 + s^2) with s = fwhm/4; an s^2 of inf would
+    make every weight NaN.  The largest scale whose square is finite passes,
+    and a gaussian, which never squares its scale, takes any finite width."""
+    with pytest.raises(ValueError, match=r"fwhm = 1e\+300 rad/s: \(fwhm/4\)\^2 overflows"):
+        PulseEnvelope(shape="lorentzian", fwhm=1e300)
+    edge = 4.0 * math.sqrt(np.finfo(float).max)
+    assert np.isfinite(PulseEnvelope(shape="lorentzian", fwhm=edge).amplitude(0.0))
+    assert PulseEnvelope(shape="gaussian", fwhm=1e300).amplitude(0.0) == 1.0
+
+
 def _cauchy_quad(env, u, half_width):
     """integral of alpha(x)/(u - x): adaptive quadrature on [-L, L], plus the
     rectangular pulse's sinc tails |x| > L by the oscillatory (Fourier) rule."""

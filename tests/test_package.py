@@ -1,6 +1,7 @@
-"""The package surface: `qesr` exports each submodule's `__all__`, once, and
+"""The package surface: `qesr` exports each submodule's `__all__`, once,
 loads no SciPy module and no `numpy.ma` on import or on any command with a
-non-gaussian pulse."""
+non-gaussian pulse, and starts one OpenBLAS thread in a cold process whose
+environment does not set the count."""
 import ast
 import importlib
 import json
@@ -48,6 +49,24 @@ COLD_RUNS = {
     "transfer-time-domain": ["transfer", "--config", PLUS_I, "--method", "time-domain"],
 }
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# the process's thread count, as the kernel reports it
+THREADS = "open('/proc/self/status').read().split('Threads:')[1].split()[0]"
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads the thread count from /proc/self/status"
+)
+
+
+def _fresh(argv, **blas):
+    """Run argv in a fresh interpreter with qesr on its path and no BLAS
+    thread variable but `blas`; returns its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas, PYTHONPATH=str(Path(qesr.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+
+
 # runs in a fresh interpreter: the optional CLI call, then the loaded SciPy and
 # numpy.ma modules
 COLD_SCRIPT = """
@@ -70,12 +89,58 @@ def test_cold_start_loads_no_scipy(tmp_path, argv):
     unloaded: the dense node sums call it only on an exact pole hit."""
     if argv:
         argv = argv + ["--out", str(tmp_path)]
-    env = dict(os.environ, PYTHONPATH=str(Path(qesr.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_SCRIPT, json.dumps(argv)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    stdout = _fresh(["-c", COLD_SCRIPT, json.dumps(argv)])
+    assert json.loads(stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("blas", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "set"])
+def test_thread_setting_binds_no_package_names(blas):
+    """The thread block leaves no module on the package, whatever the
+    environment, so `qesr`'s attributes are its submodules and exports."""
+    code = "import qesr; print([n for n in ('os', '_os', 'numpy', '_numpy') if hasattr(qesr, n)])"
+    assert _fresh(["-c", code], **blas).strip() == "[]"
+
+
+@linux_only
+def test_cold_import_starts_one_blas_thread():
+    """A process that sets no thread variable runs qesr on one OpenBLAS
+    thread, and its environment does not keep the setting."""
+    code = f"import os, qesr; print({THREADS}, sorted(set(os.environ) & set({BLAS_THREAD_VARS})))"
+    assert _fresh(["-c", code]).split() == ["1", "[]"]
+
+
+@linux_only
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_user_thread_setting_wins(var):
+    """An explicit setting sizes the pool as it does for numpy alone, and
+    stays in the environment as the user set it."""
+    alone = _fresh(["-c", f"import numpy; print({THREADS})"], **{var: "2"})
+    code = f"import os, qesr; print({THREADS}); print(os.environ[{var!r}])"
+    assert _fresh(["-c", code], **{var: "2"}).split() == [alone.strip(), "2"]
+
+
+@linux_only
+def test_numpy_loaded_first_keeps_its_pool():
+    alone = _fresh(["-c", f"import numpy; print({THREADS})"])
+    assert _fresh(["-c", f"import numpy, qesr; print({THREADS})"]) == alone
+
+
+BLAS_RUNS = {
+    "spectrum-exact": COLD_RUNS["spectrum-exact"],
+    "transfer-contour-exact": COLD_RUNS["transfer-contour-exact"],
+    "transfer-time-domain": COLD_RUNS["transfer-time-domain"],
+}
+
+
+@pytest.mark.parametrize("argv", BLAS_RUNS.values(), ids=BLAS_RUNS.keys())
+def test_blas_thread_count_does_not_change_bits(tmp_path, argv):
+    """Cold runs on the default single thread and on two write the same bytes."""
+    written = []
+    for name, blas in (("one", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / name
+        _fresh(["-m", "qesr.cli", *argv, "--out", str(out)], **blas)
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert written[0] == written[1] and len(written[0]) == 2
 
 
 def _names_used(node):
