@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
+from ._blas import np
 from .errors import NumericalGuardError, _warn
 
 

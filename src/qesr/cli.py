@@ -6,6 +6,9 @@ JSON summary into --out, and prints the summary to stdout.  spectrum, swap,
 transfer and density run once per ensemble (or for --ensemble only) and write
 `<command>_<name>.csv` each; sensitivity writes one `sensitivity.csv`.
 Outputs are deterministic: an identical config gives byte-identical files.
+A command loads only the modules it runs: `--print-effective-config`, a
+config error and a `sensitivity` table without `kappa_hz`/`n_spins` load no
+NumPy, and `density` loads only `spin_model`.
 --threads (and numerics.threads), an integer >= 1, is accepted for
 compatibility and has no effect.
 
@@ -31,15 +34,9 @@ import warnings
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
+from ._shared import MODES, _MAX_GRID_POINTS, _SWAP_PERIODS, _SWAP_POINTS, _csv_text
 from .config import _POSITIVE, TWO_PI, RunConfig, _integer, canonical_json, parse_config
-from .dynamics import MODES, _MAX_GRID_POINTS, invert_to_time, time_domain_propagate
 from .errors import ConfigError, NumericalGuardError
-from .protocol import _SWAP_PERIODS, _SWAP_POINTS, esr_spectrum, find_swap_time
-from .protocol import simulate_swap, spectrum_peaks
-from .sensitivity import WeakCouplingScenario, min_detectable_spins, peak_photon_number
-from .spin_model import _csv_text
 
 __all__ = ["main", "build_parser"]
 
@@ -146,11 +143,15 @@ def _time_span(given: Optional[float], periods: float, dist, cavity) -> float:
     return 10.0 / cavity.kappa if cavity.kappa > 0 else 1e-6
 
 
-# Per-ensemble commands: (cfg, args, ensemble, dist, cavity) -> (result, summary
-# entry); `run` writes result.to_csv(<command>_<name>.csv).
+# Per-ensemble commands: (cfg, args, ensemble) -> (result, summary entry); `run`
+# writes result.to_csv(<command>_<name>.csv).  Each imports the domain code it
+# calls, so a cold process loads only its command's modules.
 
 
-def _spectrum(cfg: RunConfig, args, ens, dist, cavity):
+def _spectrum(cfg: RunConfig, args, ens):
+    from .protocol import esr_spectrum, find_swap_time, spectrum_peaks
+
+    dist, cavity = ens.distribution, cfg.cavity_for(ens)
     tau_s = cfg.sweep_tau_s
     if tau_s is None:
         tau_s = find_swap_time(dist, cavity).tau_swap
@@ -166,7 +167,7 @@ def _spectrum(cfg: RunConfig, args, ens, dist, cavity):
         settings=cfg.inversion_settings(),
     )
     pos, height = spectrum_peaks(result)
-    i_max = int(np.argmax(result.pe))
+    i_max = int(result.pe.argmax())
     return result, {
         "tau_s_s": tau_s,
         "n_points": int(result.omega_p.size),
@@ -179,7 +180,11 @@ def _spectrum(cfg: RunConfig, args, ens, dist, cavity):
     }
 
 
-def _swap(cfg: RunConfig, args, ens, dist, cavity):
+def _swap(cfg: RunConfig, args, ens):
+    from ._blas import np
+    from .protocol import simulate_swap
+
+    dist, cavity = ens.distribution, cfg.cavity_for(ens)
     taus = np.linspace(0.0, _time_span(args.tau_max_s, _SWAP_PERIODS, dist, cavity), args.n_taus)
     trace = simulate_swap(dist, cavity, cfg.chain(), taus, rtol=cfg.ode_rtol)
     cal = trace.calibration
@@ -192,7 +197,11 @@ def _swap(cfg: RunConfig, args, ens, dist, cavity):
     }
 
 
-def _transfer(cfg: RunConfig, args, ens, dist, cavity):
+def _transfer(cfg: RunConfig, args, ens):
+    from ._blas import np
+    from .dynamics import invert_to_time, time_domain_propagate
+
+    dist, cavity = ens.distribution, cfg.cavity_for(ens)
     omega_p = TWO_PI * args.omega_p_hz if args.omega_p_hz is not None else ens.center
     times = np.linspace(0.0, _time_span(args.t_max_s, 1.5, dist, cavity), args.n_times)
     if args.method == "contour":
@@ -220,7 +229,8 @@ def _transfer(cfg: RunConfig, args, ens, dist, cavity):
     }
 
 
-def _density(cfg: RunConfig, args, ens, dist, cavity):
+def _density(cfg: RunConfig, args, ens):
+    dist = ens.distribution
     return dist, {
         "center_hz": ens.center / TWO_PI,
         "g_collective_hz": dist.g_collective / TWO_PI,
@@ -240,6 +250,8 @@ _PER_ENSEMBLE = {
 
 def _sensitivity(cfg: RunConfig, out_dir: Path) -> dict:
     """One table over all (g, Delta, n_threshold) rows; the summary is row 0."""
+    from .sensitivity import WeakCouplingScenario, min_detectable_spins, peak_photon_number
+
     kappa = cfg.sensitivity_kappa
     n_spins = cfg.sensitivity_n_spins
     detail = kappa is not None and n_spins is not None
@@ -290,9 +302,7 @@ def run(args) -> int:
         command = _PER_ENSEMBLE[args.command]
         summary = {}
         for ens in _select_ensembles(cfg, args.ensemble):
-            result, summary[ens.name] = command(
-                cfg, args, ens, ens.distribution, cfg.cavity_for(ens)
-            )
+            result, summary[ens.name] = command(cfg, args, ens)
             result.to_csv(out_dir / f"{args.command}_{_safe_name(ens.name)}.csv")
     text = canonical_json(summary)
     _write_text(out_dir / f"{args.command}_summary.json", text)

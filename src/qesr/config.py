@@ -30,16 +30,16 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional, Tuple
 
-from .dynamics import MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES
-from .dynamics import _MAX_GRID_POINTS, _MAX_LATTICE_POINTS
-from .dynamics import CavityModel, InversionSettings, PulseEnvelope
+from ._shared import LINE_SHAPES, MODE_NARROW, MODES, N_THRESHOLD, ODE_RTOL, PULSE_SHAPES
+from ._shared import _EDGE_RATIO, _MAX_GRID_POINTS, _MAX_LATTICE_POINTS, _N_NODES, _SPAN_FWHM
 from .errors import ConfigError
-from .protocol import QubitChain
-from .sensitivity import N_THRESHOLD
-from .spin_model import LINE_SHAPES, Ensemble, EnsembleCatalog, GridSpec, SpinLine
-from .spin_model import build_distribution
+
+if TYPE_CHECKING:  # the builders import the domain classes when they run
+    from .dynamics import CavityModel, InversionSettings, PulseEnvelope
+    from .protocol import QubitChain
+    from .spin_model import Ensemble, EnsembleCatalog
 
 __all__ = ["RunConfig", "parse_config", "resolve", "canonical_json"]
 
@@ -276,7 +276,8 @@ def _root_rule(cfg: dict, path: str) -> None:
 
 # -- the schema: every key, its default and its check, in message order ------
 # (the rules above supply cavity.q, pulse.fwhm_hz and sensitivity.delta_hz,
-# which depend on other keys; shared choices and defaults come from the library)
+# which depend on other keys; the choices and defaults shared with the library
+# come from `_shared`, where the library takes them too)
 
 _LINE = {
     "center_hz": (_REQUIRED, _HZ),
@@ -289,8 +290,8 @@ _SATELLITE = {
 }
 _GRID = {
     # every FFT contour grid's kernel lattice spans at least n_nodes points
-    "n_nodes": (GridSpec.n_nodes, _integer(2, _MAX_LATTICE_POINTS)),
-    "span_fwhm": (GridSpec.span_fwhm, _POSITIVE),
+    "n_nodes": (_N_NODES, _integer(2, _MAX_LATTICE_POINTS)),
+    "span_fwhm": (_SPAN_FWHM, _POSITIVE),
     "window_hz": (None, _hz(_window)),
 }
 _ENSEMBLE = {
@@ -332,7 +333,7 @@ _NUMERICS = {
     "window_hz": (None, _hz(_window)),
     "d_omega_hz": (None, _HZ),
     "contour_offset_hz": (None, _HZ),
-    "edge_ratio": (InversionSettings.edge_ratio, _POSITIVE),
+    "edge_ratio": (_EDGE_RATIO, _POSITIVE),
     "ode_rtol": (ODE_RTOL, _POSITIVE),
     "threads": (1, _integer(1)),
 }
@@ -389,6 +390,8 @@ class RunConfig:
 
     def catalog(self) -> EnsembleCatalog:
         """The ensembles; a grid that cannot be discretized is a ConfigError."""
+        from .spin_model import Ensemble, EnsembleCatalog, GridSpec, SpinLine, build_distribution
+
         entries = {}
         for i, spec in enumerate(self.effective["ensembles"]):
             lines = [
@@ -414,6 +417,8 @@ class RunConfig:
         return EnsembleCatalog(entries)
 
     def cavity_for(self, ensemble: Ensemble) -> CavityModel:
+        from .dynamics import CavityModel
+
         spec = self.effective["cavity"]
         omega_c = _rad(spec["omega_c_hz"])
         if omega_c is None:
@@ -422,13 +427,19 @@ class RunConfig:
         return CavityModel(omega_c, kappa, gamma0=_rad(spec["gamma0_hz"]))
 
     def pulse(self) -> PulseEnvelope:
+        from .dynamics import PulseEnvelope
+
         spec = self.effective["pulse"]
         return PulseEnvelope(spec["shape"], fwhm=_rad(spec["fwhm_hz"]), duration=spec["duration_s"])
 
     def chain(self) -> QubitChain:
+        from .protocol import QubitChain
+
         return QubitChain(**self.effective["qubit"])
 
     def inversion_settings(self) -> InversionSettings:
+        from .dynamics import InversionSettings
+
         spec = self.effective["numerics"]
         return InversionSettings(
             window=_rad(spec["window_hz"]),
@@ -447,7 +458,7 @@ class RunConfig:
 
     def sweep_omegas(self, ensemble: Ensemble):
         """Pump angular frequencies for an ensemble's spectrum sweep."""
-        import numpy as np
+        from ._blas import np
 
         spec = self.effective["sweep"]
         center = _rad(spec["center_hz"])

@@ -31,9 +31,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._blas import np
 from ._dop853 import dop853
+from ._shared import MODE_EXACT, MODE_NARROW, MODES, ODE_RTOL, PULSE_SHAPES
+from ._shared import _EDGE_RATIO, _MAX_GRID_POINTS, _MAX_LATTICE_POINTS
 from .errors import NumericalGuardError, PoleCollisionError, WindowTooSmallError, _warn
 from .spin_model import SpinDistribution, _freeze, _write_csv, density_at
 
@@ -51,11 +52,6 @@ __all__ = [
     "time_domain_propagate",
 ]
 
-MODE_NARROW = "narrow-pulse"
-MODE_EXACT = "exact-convolution"
-MODES = (MODE_NARROW, MODE_EXACT)
-PULSE_SHAPES = ("lorentzian", "gaussian", "rectangular")
-ODE_RTOL = 1e-9  # default relative tolerance of the DOP853 propagation
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -157,9 +153,9 @@ class PulseEnvelope:
         if self.shape == "lorentzian":
             return math.pi * s / (u + 1j * s)
         if self.shape == "gaussian":
-            from scipy.special import wofz  # imported here: only this branch needs it
+            from ._blas import load  # SciPy loads on first use: only this branch needs it
 
-            return -1j * math.pi * wofz(u / (s * math.sqrt(2.0)))
+            return -1j * math.pi * load("scipy.special").wofz(u / (s * math.sqrt(2.0)))
         z = 0.5 * u * self.duration
         small = np.abs(z) < 1e-6
         zs = np.where(small, 1.0, z)
@@ -403,7 +399,7 @@ class InversionSettings:
     window: Optional[Tuple[float, float]] = None
     d_omega: Optional[float] = None
     contour_offset: Optional[float] = None
-    edge_ratio: float = 1e-4
+    edge_ratio: float = _EDGE_RATIO
 
     def __post_init__(self):
         if self.window is not None:
@@ -456,12 +452,6 @@ def _grid_controls(settings: InversionSettings, t_max: float):
             f"(eta = {eta:.3e} rad/s, t_max = {t_max:.3e} s); pass a smaller contour offset"
         )
     return eta, d_omega
-
-
-_MAX_GRID_POINTS = 4_000_000
-# The kernel convolution runs over about (window + node span) / delta lattice
-# points; its FFT work arrays take ~64 bytes per point.
-_MAX_LATTICE_POINTS = 4 * _MAX_GRID_POINTS
 
 
 def _size_guard(what: str, n, lo: float, hi: float, step: float) -> NumericalGuardError:

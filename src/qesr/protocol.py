@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
-from .dynamics import MODE_NARROW, ODE_RTOL, CavityModel, InversionSettings, PulseEnvelope
+from ._blas import np
+from ._shared import MODE_NARROW, ODE_RTOL, _SWAP_PERIODS, _SWAP_POINTS
+from .dynamics import CavityModel, InversionSettings, PulseEnvelope
 from .dynamics import _cavity_amplitude, _float_arg, time_domain_propagate, transfer_sweep
 from .errors import NoOscillationError, NumericalGuardError, SaturationError, _warn
 from .spin_model import SpinDistribution, _freeze, _write_csv
@@ -237,10 +237,6 @@ def simulate_swap(
     pe = chain.excited_probability(cavity_abs2)
     cal = _calibrate_trace(taus, cavity_abs2, pe, min_drop)
     return SwapTrace(taus=taus, cavity_abs2=cavity_abs2, pe=pe, calibration=cal)
-
-
-# Default storage grid of find_swap_time and the swap command: 1.2 periods pi/g_K, 481 points
-_SWAP_PERIODS, _SWAP_POINTS = 1.2, 481
 
 
 def find_swap_time(

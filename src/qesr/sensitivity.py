@@ -23,10 +23,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._shared import N_THRESHOLD
 from .errors import _warn
+
+if TYPE_CHECKING:
+    from ._blas import np
 
 __all__ = [
     "WeakCouplingScenario",
@@ -35,8 +38,6 @@ __all__ = [
     "peak_photon_number",
     "min_detectable_spins",
 ]
-
-N_THRESHOLD = 0.05  # default detection threshold, in mean cavity photons
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class WeakCouplingScenario:
     def __post_init__(self):
         for name in ("coupling", "dephasing_rate", "kappa", "n_spins", "n_threshold"):
             v = getattr(self, name)
-            if not (v > 0 and np.isfinite(v)):
+            if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"WeakCouplingScenario.{name} must be positive and finite")
 
     def check_validity(self) -> None:
@@ -89,6 +90,8 @@ def _closed_form(scenario: WeakCouplingScenario):
     For kappa > 4 Delta, 2x/kappa nears -1 and log1p loses the digits of
     2 Delta/kappa, so t* takes log(2 Delta/kappa)/x there, or the sum of
     logs where 2 Delta/kappa is subnormal or 2x/kappa overflows."""
+    from ._blas import np  # imported here: min_detectable_spins needs no NumPy
+
     g, n, k, d = scenario.coupling, scenario.n_spins, scenario.kappa, scenario.dephasing_rate
     x = d - 0.5 * k
     s = min(d, 0.5 * k)
@@ -110,6 +113,8 @@ def mean_field_trajectory(scenario: WeakCouplingScenario, times) -> np.ndarray:
 
     Warns when the scenario sits outside the weak-coupling window.
     """
+    from ._blas import np
+
     scenario.check_validity()
     t = np.asarray(times, dtype=float)
     if np.any(t < 0):

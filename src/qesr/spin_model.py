@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._blas import np
+from ._shared import LINE_SHAPES, _N_NODES, _SPAN_FWHM, _csv_text
 from .errors import _warn
 
 __all__ = [
@@ -29,18 +29,9 @@ __all__ = [
     "density_at",
 ]
 
-LINE_SHAPES = ("lorentzian", "gaussian")
-
 # Coverage margin (in FWHM) below which the grid window triggers a warning.
 _COVERAGE_FWHM = 5.0
 _GAUSS_SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-
-
-def _csv_text(header: str, *columns: Iterable) -> str:
-    """CSV text of numeric columns (arrays or sequences) side by side; each
-    value is written as repr(float(v)), which round-trips exactly."""
-    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def _write_csv(path, header: str, *columns) -> None:
@@ -86,9 +77,9 @@ class GridSpec:
     span_fwhm times the largest FWHM on each side.
     """
 
-    n_nodes: int = 5001
+    n_nodes: int = _N_NODES
     window: Optional[Tuple[float, float]] = None
-    span_fwhm: float = 8.0
+    span_fwhm: float = _SPAN_FWHM
 
     def __post_init__(self):
         if self.n_nodes < 2:

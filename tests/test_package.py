@@ -1,7 +1,8 @@
 """The package surface: `qesr` exports each submodule's `__all__`, once,
 loads no SciPy module and no `numpy.ma` on import or on any command with a
-non-gaussian pulse, and starts one OpenBLAS thread in a cold process whose
-environment does not set the count."""
+non-gaussian pulse, loads per command only the modules that command runs,
+and starts one OpenBLAS thread in a cold process whose environment does not
+set the count."""
 import ast
 import importlib
 import json
@@ -101,12 +102,92 @@ def test_thread_setting_binds_no_package_names(blas):
     assert _fresh(["-c", code], **blas).strip() == "[]"
 
 
+# runs in a fresh interpreter: `import qesr`; unless argv is null, `from qesr
+# import cli` and, for a non-empty argv, the CLI call; then the call's exit
+# code, which of the named modules are loaded and the process's thread count
+LOADED_SCRIPT = """
+import json, sys
+import qesr
+argv, names = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+rc = None
+if argv is not None:
+    from qesr import cli
+    if argv:
+        rc = cli.main(argv)
+print(json.dumps(rc))
+print(json.dumps([m for m in names if m in sys.modules]))
+print(%s)
+""" % THREADS
+PER_COMMAND = ("numpy", "qesr.spin_model", "qesr.dynamics", "qesr.protocol", "qesr.sensitivity")
+
+
+def _loaded(argv, names=PER_COMMAND, **blas):
+    """(exit code, loaded modules among `names`, thread count) of a cold
+    process that runs argv as LOADED_SCRIPT does."""
+    out = _fresh(["-c", LOADED_SCRIPT, json.dumps(argv), json.dumps(names)], **blas)
+    rc, modules, threads = out.splitlines()[-3:]
+    return json.loads(rc), json.loads(modules), threads
+
+
+NUMERICAL = ["numpy", "qesr.spin_model", "qesr.dynamics"]
+# case -> (argv as LOADED_SCRIPT takes it, exit code, the PER_COMMAND modules loaded)
+LOADS = {
+    "import": (None, None, []),
+    "from-qesr-import-cli": ([], None, []),
+    "print-effective-config": (COLD_RUNS["print-effective-config"], 0, []),
+    "config-error": (["spectrum", "--config", '{"ensemble": []}'], 2, []),
+    "sensitivity": (COLD_RUNS["sensitivity"], 0, ["qesr.sensitivity"]),
+    "density": (COLD_RUNS["density"], 0, ["numpy", "qesr.spin_model"]),
+    "transfer-contour": (["transfer", "--config", PLUS_I], 0, NUMERICAL),
+    "transfer-time-domain": (COLD_RUNS["transfer-time-domain"], 0, NUMERICAL),
+}
+
+
+@pytest.mark.parametrize("argv,rc,modules", LOADS.values(), ids=LOADS.keys())
+def test_cold_process_loads_only_its_commands_modules(tmp_path, argv, rc, modules):
+    """Import, config resolution and its errors load no numerical module,
+    `sensitivity` no NumPy, `density` the spin model alone and `transfer`
+    neither the protocol nor the sensitivity estimates."""
+    if argv:
+        argv = argv + ["--out", str(tmp_path)]
+    assert _loaded(argv)[:2] == (rc, modules)
+
+
+def test_dir_lists_the_exports_before_they_load():
+    code = "import sys, qesr; print(set(qesr.__all__) <= set(dir(qesr)), 'qesr.config' in sys.modules)"
+    assert _fresh(["-c", code]).split() == ["True", "False"]
+
+
 @linux_only
 def test_cold_import_starts_one_blas_thread():
     """A process that sets no thread variable runs qesr on one OpenBLAS
-    thread, and its environment does not keep the setting."""
-    code = f"import os, qesr; print({THREADS}, sorted(set(os.environ) & set({BLAS_THREAD_VARS})))"
+    thread once a numerical name has loaded NumPy, and its environment does
+    not keep the setting."""
+    code = (f"import os, qesr; qesr.CavityModel; "
+            f"print({THREADS}, sorted(set(os.environ) & set({BLAS_THREAD_VARS})))")
     assert _fresh(["-c", code]).split() == ["1", "[]"]
+
+
+@linux_only
+@pytest.mark.parametrize("command", ["spectrum", "transfer-time-domain"])
+def test_cold_command_starts_one_blas_thread(tmp_path, command):
+    assert _loaded(COLD_RUNS[command] + ["--out", str(tmp_path)])[::2] == (0, "1")
+
+
+@linux_only
+@pytest.mark.parametrize("blas", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "set"])
+def test_gaussian_pulse_loads_scipy_on_numpys_terms(tmp_path, blas):
+    """A gaussian pulse's contour transfer loads scipy.special, whose own
+    OpenBLAS then runs on one thread when no variable is set, and as it does
+    for scipy.special imported alone when one is."""
+    raw = json.loads(Path(PLUS_I).read_text())
+    raw["pulse"] = {"shape": "gaussian", "fwhm_hz": 1.5e5}
+    config = tmp_path / "gaussian.cfg"
+    config.write_text(json.dumps(raw))
+    argv = ["transfer", "--config", str(config), "--out", str(tmp_path)]
+    alone = _fresh(["-c", f"import scipy.special; print({THREADS})"], **blas).strip()
+    expected = alone if blas else "1"
+    assert _loaded(argv, ["scipy.special"], **blas) == (0, ["scipy.special"], expected)
 
 
 @linux_only
@@ -115,14 +196,14 @@ def test_a_user_thread_setting_wins(var):
     """An explicit setting sizes the pool as it does for numpy alone, and
     stays in the environment as the user set it."""
     alone = _fresh(["-c", f"import numpy; print({THREADS})"], **{var: "2"})
-    code = f"import os, qesr; print({THREADS}); print(os.environ[{var!r}])"
+    code = f"import os, qesr; qesr.CavityModel; print({THREADS}); print(os.environ[{var!r}])"
     assert _fresh(["-c", code], **{var: "2"}).split() == [alone.strip(), "2"]
 
 
 @linux_only
 def test_numpy_loaded_first_keeps_its_pool():
     alone = _fresh(["-c", f"import numpy; print({THREADS})"])
-    assert _fresh(["-c", f"import numpy, qesr; print({THREADS})"]) == alone
+    assert _fresh(["-c", f"import numpy, qesr; qesr.CavityModel; print({THREADS})"]) == alone
 
 
 BLAS_RUNS = {
