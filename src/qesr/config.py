@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional, Tuple
 
 from ._shared import LINE_SHAPES, MODE_NARROW, MODES, N_THRESHOLD, ODE_RTOL, PULSE_SHAPES
@@ -380,11 +379,25 @@ def _pump_edges(center: float, span_hz: float) -> Tuple[float, float]:
     return center - half, center + half
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration plus builders for the domain objects."""
+    """Fully resolved configuration plus builders for the domain objects.
 
-    effective: Mapping
+    A plain class, so that resolving a config imports no `dataclasses`:
+    `effective` is read-only, and there is no value equality or repr."""
+
+    __slots__ = ("effective",)
+
+    def __init__(self, effective: Mapping):
+        object.__setattr__(self, "effective", effective)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RunConfig is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RunConfig is read-only: cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return RunConfig, (self.effective,)
 
     # -- builders -----------------------------------------------------------
 

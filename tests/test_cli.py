@@ -6,6 +6,7 @@ smoke test.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -352,6 +353,76 @@ def test_spectrum_thread_count_invariance(tmp_path, small_cfg):
             _spectrum_bytes(tmp_path, small_cfg, f"t{threads}", threads=threads)
             == reference
         )
+
+
+# ---------------------------------------------------------------------------
+# the collector: `entry` runs `main` with it off
+# ---------------------------------------------------------------------------
+
+PLUS_I = bundled_config_path("paper_plus_I.cfg")
+BUNDLED_COMMANDS = {
+    "spectrum": ["spectrum"],
+    "spectrum-exact": ["spectrum", "--mode", qesr.MODE_EXACT],
+    "swap": ["swap"],
+    "transfer-contour": ["transfer"],
+    "transfer-contour-exact": ["transfer", "--mode", qesr.MODE_EXACT],
+    "transfer-time-domain": ["transfer", "--method", "time-domain"],
+    "sensitivity": ["sensitivity"],
+    "density": ["density"],
+}
+_GROWTH_BOUND = json.loads(Path(PLUS_I).read_text())
+_GROWTH_BOUND["numerics"]["contour_offset_hz"] = 1e7
+# case -> (argv, exit code); a --config that starts with "{" is the config's JSON text
+COLLECTOR_RUNS = {
+    **{
+        f"{name}-{ens}": ([*argv, "--config", bundled_config_path(f"paper_plus_{ens}.cfg")], 0)
+        for ens in ("I", "III")
+        for name, argv in BUNDLED_COMMANDS.items()
+    },
+    "missing-config": (["density", "--config", str(Path(PLUS_I).with_name("missing.cfg"))], 2),
+    "growth-bound": (["transfer", "--config", json.dumps(_GROWTH_BOUND)], 3),
+}
+
+
+@pytest.mark.filterwarnings("ignore:pulse bandwidth")
+@pytest.mark.parametrize("argv,rc", COLLECTOR_RUNS.values(), ids=COLLECTOR_RUNS.keys())
+def test_run_leaves_no_cyclic_garbage_holding_data(tmp_path, capsys, argv, rc):
+    """`entry` turns the cyclic collector off for the whole process, which is
+    safe because a run leaves no cycle that holds data: with the collector
+    off and DEBUG_SAVEALL, the collection after the run finds no array and
+    no qesr object, in its garbage or held by it.  The caller's collector
+    state is restored."""
+    enabled, flags, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main([*argv, "--out", str(tmp_path)]) == rc, capsys.readouterr().err
+        gc.collect()
+        found = gc.garbage[saved:]  # NumPy arrays are not tracked: look one level in
+        held = sorted({
+            type(o).__qualname__
+            for o in [*found, *gc.get_referents(*found)]
+            if isinstance(o, np.ndarray) or type(o).__module__.split(".")[0] == "qesr"
+        })
+    finally:
+        del gc.garbage[saved:]
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+    assert held == []
+
+
+@pytest.mark.filterwarnings("ignore:pulse bandwidth")
+@pytest.mark.parametrize("argv,rc", [
+    COLLECTOR_RUNS["density-I"], COLLECTOR_RUNS["missing-config"], COLLECTOR_RUNS["growth-bound"],
+], ids=["exit-0", "exit-2", "exit-3"])
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path, capsys, argv, rc):
+    """Only the process entry touches the collector; `main`, which tests,
+    notebooks and in-process benchmarks call, neither disables nor freezes."""
+    state = gc.isenabled(), gc.get_freeze_count()
+    assert main([*argv, "--out", str(tmp_path)]) == rc
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
 
 
 # ---------------------------------------------------------------------------

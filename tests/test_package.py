@@ -118,7 +118,9 @@ print(json.dumps(rc))
 print(json.dumps([m for m in names if m in sys.modules]))
 print(%s)
 """ % THREADS
-PER_COMMAND = ("numpy", "qesr.spin_model", "qesr.dynamics", "qesr.protocol", "qesr.sensitivity")
+PER_COMMAND = (
+    "dataclasses", "numpy", "qesr.spin_model", "qesr.dynamics", "qesr.protocol", "qesr.sensitivity",
+)
 
 
 def _loaded(argv, names=PER_COMMAND, **blas):
@@ -129,15 +131,15 @@ def _loaded(argv, names=PER_COMMAND, **blas):
     return json.loads(rc), json.loads(modules), threads
 
 
-NUMERICAL = ["numpy", "qesr.spin_model", "qesr.dynamics"]
+NUMERICAL = ["dataclasses", "numpy", "qesr.spin_model", "qesr.dynamics"]
 # case -> (argv as LOADED_SCRIPT takes it, exit code, the PER_COMMAND modules loaded)
 LOADS = {
     "import": (None, None, []),
     "from-qesr-import-cli": ([], None, []),
     "print-effective-config": (COLD_RUNS["print-effective-config"], 0, []),
     "config-error": (["spectrum", "--config", '{"ensemble": []}'], 2, []),
-    "sensitivity": (COLD_RUNS["sensitivity"], 0, ["qesr.sensitivity"]),
-    "density": (COLD_RUNS["density"], 0, ["numpy", "qesr.spin_model"]),
+    "sensitivity": (COLD_RUNS["sensitivity"], 0, ["dataclasses", "qesr.sensitivity"]),
+    "density": (COLD_RUNS["density"], 0, ["dataclasses", "numpy", "qesr.spin_model"]),
     "transfer-contour": (["transfer", "--config", PLUS_I], 0, NUMERICAL),
     "transfer-time-domain": (COLD_RUNS["transfer-time-domain"], 0, NUMERICAL),
 }
@@ -145,12 +147,31 @@ LOADS = {
 
 @pytest.mark.parametrize("argv,rc,modules", LOADS.values(), ids=LOADS.keys())
 def test_cold_process_loads_only_its_commands_modules(tmp_path, argv, rc, modules):
-    """Import, config resolution and its errors load no numerical module,
-    `sensitivity` no NumPy, `density` the spin model alone and `transfer`
-    neither the protocol nor the sensitivity estimates."""
+    """Import, config resolution and its errors load no numerical module and
+    no `dataclasses` (nor, through it, `inspect`), `sensitivity` no NumPy,
+    `density` the spin model alone and `transfer` neither the protocol nor
+    the sensitivity estimates."""
     if argv:
         argv = argv + ["--out", str(tmp_path)]
     assert _loaded(argv)[:2] == (rc, modules)
+
+
+# runs in a fresh interpreter: the process entry on the CLI arguments that
+# follow the script, then its exit code and the collector's state
+ENTRY_SCRIPT = """
+import gc, json
+from qesr.cli import entry
+rc = entry()
+print(json.dumps([rc, gc.isenabled(), gc.get_freeze_count() > 0]))
+"""
+
+
+def test_the_process_entry_runs_without_the_collector(tmp_path):
+    """`python -m qesr.cli` and the `qesr` script run `entry`, which leaves
+    the collector off and every object frozen; `main` alone does neither
+    (tests/test_cli.py::test_main_leaves_the_collector_as_it_finds_it)."""
+    stdout = _fresh(["-c", ENTRY_SCRIPT, *COLD_RUNS["density"], "--out", str(tmp_path)])
+    assert json.loads(stdout.splitlines()[-1]) == [0, False, True]
 
 
 def test_dir_lists_the_exports_before_they_load():
